@@ -12,23 +12,29 @@ worst pair as a witness. Filler search strategies: `exhaustive` tries all
 words lexicographically, `zero_glue` only the all-zero filler, and
 `factor_glue` concatenations of two Sturmian factors (the construction
 used by the sparse family's own gap certificate).
+
+Whether v u w is admissible depends on v only through its walker key, so
+each word is read once to its end walker, fillers are tried from there,
+and a pair is answered once per (key class of v, w). Only keys that two
+or more words share are memoised; a lone word meets each w only once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .subshifts import (
     DEFAULT_NODE_BUDGET,
     SubshiftSpec,
     enumerate_language,
-    word_admissible,
+    walk,
 )
-from .words import Word
+from .words import Word, check_symbols
 
 MODE_TRANSITIVITY = "transitivity"
 MODE_SPECIFICATION = "specification"
@@ -70,6 +76,68 @@ def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]
     raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
+def least_glue(
+    spec: SubshiftSpec, start, w: Word, gaps: Iterable[int], tries: Sequence[str]
+) -> tuple[int, Word] | None:
+    """(m, u) for the least m in gaps with a filler u taking walker `start`
+    on through w, or None. At each m the distinct strategies in `tries` are
+    searched in turn; a later one is a retry run only when the earlier missed.
+    """
+    if start is None:
+        return None
+    tries = tuple(dict.fromkeys(tries))
+    for m in gaps:
+        for strategy in tries:
+            for u in glue_candidates(spec, m, strategy):
+                mid = walk(start, u)
+                if mid is not None and walk(mid, w) is not None:
+                    return m, u
+    return None
+
+
+def glue_pairs(
+    spec: SubshiftSpec, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable
+) -> Iterator[tuple[int, int, object]]:
+    """Yield (i, j, probe(walker after words[i], words[j])) pair by pair.
+
+    The words must be admissible and the probe may see the walker only
+    through what it admits: first words sharing a key share probe calls.
+    """
+    root = spec.root_walker()
+    starts = [walk(root, v) for v in words]
+    keys = [s.key() for s in starts]
+    shared = {k for k, c in Counter(keys).items() if c > 1}
+    memo: dict = {}
+    for i, j in pairs:
+        k = keys[i]
+        if k not in shared:
+            yield i, j, probe(starts[i], words[j])
+            continue
+        if (k, j) not in memo:
+            memo[k, j] = probe(starts[i], words[j])
+        yield i, j, memo[k, j]
+
+
+def worst_glue(
+    spec: SubshiftSpec, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable
+) -> tuple[int, tuple[Word, Word, Word] | None, tuple[Word, Word] | None]:
+    """(largest probed m, (v, u, w) of the first pair reaching it, None),
+    scanning (m, u) probes in pair order; at the first pair probed None it
+    stops and returns that pair's (v, w) in place of None."""
+    worst, witness = -1, None
+    for i, j, got in glue_pairs(spec, words, pairs, probe):
+        if got is None:
+            return worst, witness, (words[i], words[j])
+        if got[0] > worst:
+            worst, witness = got[0], (words[i], got[1], words[j])
+    return worst, witness, None
+
+
+def _start(spec: SubshiftSpec, v: Word, w: Word):
+    check_symbols(tuple(v) + tuple(w), spec.alphabet_size)
+    return walk(spec.root_walker(), v)
+
+
 def find_glue(
     spec: SubshiftSpec,
     v: Word,
@@ -78,10 +146,8 @@ def find_glue(
     strategy: str,
 ) -> Word | None:
     """First filler of length exactly m that joins v and w, or None."""
-    for u in glue_candidates(spec, m, strategy):
-        if word_admissible(spec, v + u + w):
-            return u
-    return None
+    got = least_glue(spec, _start(spec, v, w), w, (m,), (strategy,))
+    return None if got is None else got[1]
 
 
 def min_glue_gap(
@@ -91,11 +157,7 @@ def min_glue_gap(
     m_max: int,
     strategy: str,
 ) -> tuple[int, Word] | None:
-    for m in range(m_max + 1):
-        u = find_glue(spec, v, w, m, strategy)
-        if u is not None:
-            return m, u
-    return None
+    return least_glue(spec, _start(spec, v, w), w, range(m_max + 1), (strategy,))
 
 
 def sample_pairs(
@@ -179,39 +241,29 @@ def min_gap_profile(
     if not words:
         raise InputError(f"language empty at length {n}")
     pairs, coverage = sample_pairs(words, pair_budget, seed)
+    gaps = range(m_max + 1)
 
-    worst_gap = -1
-    witness = None
-    counterexample = None
-    status = "ok"
-    for i, j in pairs:
-        v, w = words[i], words[j]
-        got = min_glue_gap(spec, v, w, m_max, strategy)
+    def least(start, w):
+        got = least_glue(spec, start, w, gaps, (strategy,))
         if got is None and strategy != "exhaustive":
-            got = min_glue_gap(spec, v, w, m_max, "exhaustive")
-        if got is None:
-            status = "horizon_exhausted"
-            counterexample = (v, w, m_max)
-            break
-        m, u = got
-        if m > worst_gap:
-            worst_gap = m
-            witness = (v, u, w)
+            got = least_glue(spec, start, w, gaps, ("exhaustive",))
+        return got
+
+    worst_gap, witness, missed = worst_glue(spec, words, pairs, least)
+    status = "ok" if missed is None else "horizon_exhausted"
+    counterexample = None if missed is None else (*missed, m_max)
     f_emp = worst_gap if status == "ok" else None
 
     if mode == MODE_SPECIFICATION and status == "ok":
-        start = f_declared if f_declared is not None else worst_gap
-        for i, j in pairs:
-            v, w = words[i], words[j]
-            for m in range(start, m_max + 1):
-                u = find_glue(spec, v, w, m, strategy)
-                if u is None and strategy != "exhaustive":
-                    u = find_glue(spec, v, w, m, "exhaustive")
-                if u is None:
-                    counterexample = (v, w, m)
-                    break
-            if counterexample:
-                break
+        checked = range(f_declared if f_declared is not None else worst_gap, m_max + 1)
+
+        def first_miss(start, w):
+            glued = (least_glue(spec, start, w, (m,), (strategy, "exhaustive")) for m in checked)
+            return next((m for m, got in zip(checked, glued) if got is None), None)
+
+        scan = glue_pairs(spec, words, pairs, first_miss)
+        i, j, m = next((r for r in scan if r[2] is not None), (0, 0, None))
+        counterexample = None if m is None else (words[i], words[j], m)
 
     return GapRow(
         n=n,

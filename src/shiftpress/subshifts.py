@@ -85,6 +85,14 @@ class SubshiftSpec:
 # ---------------------------------------------------------------------------
 # walkers
 # ---------------------------------------------------------------------------
+#
+# A walker is the state reached after reading an admissible prefix.
+# child(sym) returns the state after one more symbol, or None when the
+# longer prefix is rejected. key() returns a hashable summary of the state
+# with one contract: two walkers of the same subshift with equal keys admit
+# exactly the same continuations (the key names the follower set of the
+# prefix, Lind & Marcus, Symbolic Dynamics and Coding, section 3.2). Keys
+# are computed on demand, so enumeration never pays for them.
 
 
 class _FullWalker:
@@ -92,6 +100,9 @@ class _FullWalker:
 
     def child(self, sym: int):
         return self
+
+    def key(self):
+        return ()
 
 
 _FULL_WALKER = _FullWalker()
@@ -128,6 +139,10 @@ class _SftWalker:
             return _SftWalker(self.tables, nxt, False)
         return None
 
+    def key(self):
+        # short prefixes are shorter than m, so cur also fixes `short`
+        return self.cur
+
 
 class _DensityWalker:
     """Suffix window sums of the current prefix, newest first.
@@ -162,6 +177,10 @@ class _DensityWalker:
             new.append(t)
             ln += 1
         return _DensityWalker(h, new, self.n_cap)
+
+    def key(self):
+        # the sums also fix the prefix length, and with it the n_cap error
+        return tuple(self.sums)
 
 
 class _SparseWalker:
@@ -198,6 +217,10 @@ class _SparseWalker:
                 return None
         return _SparseWalker(self.tables, suffix, length)
 
+    def key(self):
+        # lengths past the longest window test the same windows
+        return (self.suffix, min(self.length, self.tables[1]))
+
 
 class _ProductWalker:
     __slots__ = ("wa", "wb", "b_size")
@@ -216,6 +239,22 @@ class _ProductWalker:
         if cb is None:
             return None
         return _ProductWalker(ca, cb, self.b_size)
+
+    def key(self):
+        return (self.wa.key(), self.wb.key())
+
+
+def walk(walker, word: Word):
+    """The walker after reading word from walker, or None once it is rejected.
+
+    Symbols are not range-checked; callers feed words built over the
+    alphabet (see word_admissible for outside input).
+    """
+    for s in word:
+        walker = walker.child(s)
+        if walker is None:
+            return None
+    return walker
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +571,6 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
     )
 
 
-def pair_symbol(i: int, j: int, b_size: int) -> int:
-    return i * b_size + j
-
-
-def split_symbol(s: int, b_size: int) -> tuple[int, int]:
-    return divmod(s, b_size)
-
-
 def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
     """Product subshift; symbol i*|B|+j encodes the pair (i, j).
 
@@ -587,11 +618,8 @@ def word_admissible(spec: SubshiftSpec, w: Word) -> Verdict:
     """Decide the oracle's verdict on a word by replaying its walker."""
     w = tuple(w)
     check_symbols(w, spec.alphabet_size)
-    walker = spec.root_walker()
-    for s in w:
-        walker = walker.child(s)
-        if walker is None:
-            return Verdict.FORBIDDEN
+    if walk(spec.root_walker(), w) is None:
+        return Verdict.FORBIDDEN
     return Verdict.ADMISSIBLE
 
 
@@ -631,11 +659,9 @@ def iter_language(
             yield from itertools.product(range(spec.alphabet_size), repeat=n)
         return
 
-    walker = spec.root_walker()
-    for s in prefix:
-        walker = walker.child(s)
-        if walker is None:
-            return
+    walker = walk(spec.root_walker(), prefix)
+    if walker is None:
+        return
     if len(prefix) == n:
         yield prefix
         return

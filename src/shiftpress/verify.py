@@ -26,17 +26,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .errors import InputError
-from .gluing import find_glue, sample_pairs
+from .errors import IdentityCheckError, InputError
+from .gluing import glue_pairs, least_glue, sample_pairs, worst_glue
 from .potentials import growth_class
-from .pressure import PartitionRow, PartitionTable, partition_function
+from .pressure import PartitionTable, partition_function
 from .subshifts import (
     DEFAULT_NODE_BUDGET,
     SubshiftSpec,
     enumerate_language,
-    word_admissible,
+    walk,
 )
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
@@ -86,15 +87,9 @@ class BoundReport:
 
 def _pareto_maximal(profiles: list[tuple[tuple[int, ...], Word]]):
     """Maximal elements under pointwise <= of the profile vectors."""
-    ordered = sorted(profiles, key=lambda pr: (-sum(pr[0]), pr[0]))
     keep: list[tuple[tuple[int, ...], Word]] = []
-    for prof, word in ordered:
-        dominated = False
-        for kept, _ in keep:
-            if all(a <= b for a, b in zip(prof, kept)):
-                dominated = True
-                break
-        if not dominated:
+    for prof, word in sorted(profiles, key=lambda pr: (-sum(pr[0]), pr[0])):
+        if not any(all(a <= b for a, b in zip(prof, kept)) for kept, _ in keep):
             keep.append((prof, word))
     return keep
 
@@ -129,6 +124,7 @@ def verify_density_glue(
         raise InputError("density_glue runs on bounded density instances")
     params = spec.params["density"]
     h = params.h
+    root = spec.root_walker()
     f_at = f if f is not None else spec.declared_gap
     margins = []
     witnesses: dict = {}
@@ -144,26 +140,12 @@ def verify_density_glue(
                 f"for n={n}"
             )
         words = enumerate_language(spec, n, budget)
-        suf = []
-        pre = []
-        for wd in words:
-            acc = 0
-            sp = []
-            for s in reversed(wd):
-                acc += s
-                sp.append(acc)
-            suf.append((tuple(sp), wd))
-            acc = 0
-            pp = []
-            for s in wd:
-                acc += s
-                pp.append(acc)
-            pre.append((tuple(pp), wd))
-        max_suf = _pareto_maximal(suf)
-        max_pre = _pareto_maximal(pre)
+        max_suf = _pareto_maximal([(tuple(accumulate(reversed(wd))), wd) for wd in words])
+        max_pre = _pareto_maximal([(tuple(accumulate(wd)), wd) for wd in words])
+        gaps = range(fn, fn + slack + 1)
         worst = math.inf
         worst_at = None
-        for m in range(fn, fn + slack + 1):
+        for m in gaps:
             for sprof, svw in max_suf:
                 for pprof, pw in max_pre:
                     for a in range(1, n + 1):
@@ -177,46 +159,35 @@ def verify_density_glue(
         if worst < 0:
             verdict = FAIL
             # lexicographically least violating pair and least gap
-            found = None
-            for v in words:
-                for w in words:
-                    for m in range(fn, fn + slack + 1):
-                        if not word_admissible(spec, v + (0,) * m + w):
-                            found = (v, w, m)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            witnesses[n] = {
-                "v": format_word(found[0]),
-                "w": format_word(found[1]),
-                "m": found[2],
-            }
+
+            def miss(start, w):
+                return next((m for m in gaps if walk(start, (0,) * m + w) is None), None)
+
+            every = ((i, j) for i in range(len(words)) for j in range(len(words)))
+            i, j, m = next(r for r in glue_pairs(spec, words, every, miss) if r[2] is not None)
+            witnesses[n] = {"v": format_word(words[i]), "w": format_word(words[j]), "m": m}
             continue
         v0, m0, w0, _, _ = worst_at
-        assert word_admissible(spec, v0 + (0,) * m0 + w0)
+        if walk(root, v0 + (0,) * m0 + w0) is None:
+            raise IdentityCheckError(f"n={n}: profile check passed but {worst_at[:3]} is forbidden")
         # triple spot check at the corner gaps
         rng = random.Random(seed)
         base = words[: min(len(words), 6)] + [max(words, key=sum)]
         triples = [(a, b, c) for a in base for b in base for c in base]
         if len(triples) > triple_sample:
-            triples = [
-                triples[rng.randrange(len(triples))] for _ in range(triple_sample)
-            ]
+            triples = [triples[rng.randrange(len(triples))] for _ in range(triple_sample)]
         for m in (fn, fn + slack):
+            if 3 * n + 2 * m > params.n_max:
+                continue
+            heads: dict = {}  # walker after va 0^m vb 0^m
             for va, vb, vc in triples:
-                block = va + (0,) * m + vb + (0,) * m + vc
-                if len(block) > params.n_max:
-                    continue
-                if not word_admissible(spec, block):
+                if (va, vb) not in heads:
+                    heads[va, vb] = walk(root, va + (0,) * m + vb + (0,) * m)
+                if heads[va, vb] is None or walk(heads[va, vb], vc) is None:
                     verdict = FAIL
-                    witnesses[n] = {
-                        "triple": [format_word(x) for x in (va, vb, vc)],
-                        "m": m,
-                    }
+                    witnesses[n] = {"triple": [format_word(x) for x in (va, vb, vc)], "m": m}
                     break
-            if verdict == FAIL:
+            if n in witnesses:
                 break
     return BoundReport(
         check=CHECK_DENSITY_GLUE,
@@ -282,41 +253,18 @@ def verify_sparse_glue(
         words = enumerate_language(spec, n, budget)
         pairs, coverage = sample_pairs(words, pair_budget, seed)
         coverages[n] = coverage
-        worst = -1
-        worst_pair = None
-        failed = None
-        for i, j in pairs:
-            v, w = words[i], words[j]
-            got = None
-            for m in range(fn + 1):
-                u = find_glue(spec, v, w, m, strategy)
-                if u is None and strategy != "exhaustive":
-                    u = find_glue(spec, v, w, m, "exhaustive")
-                if u is not None:
-                    got = (m, u)
-                    break
-            if got is None:
-                failed = (v, w)
-                break
-            if got[0] > worst:
-                worst = got[0]
-                worst_pair = (v, got[1], w)
+        gaps, tries = range(fn + 1), (strategy, "exhaustive")
+        worst, worst_pair, failed = worst_glue(
+            spec, words, pairs, lambda start, w: least_glue(spec, start, w, gaps, tries)
+        )
         if failed is not None:
             verdict = FAIL
-            witnesses[n] = {
-                "v": format_word(failed[0]),
-                "w": format_word(failed[1]),
-                "m_max": fn,
-            }
+            witnesses[n] = {"v": format_word(failed[0]), "w": format_word(failed[1]), "m_max": fn}
             margins.append((n, float(-1)))
             continue
         margins.append((n, float(fn - worst)))
         if worst_pair is not None:
-            witnesses.setdefault("worst", {})[n] = {
-                "v": format_word(worst_pair[0]),
-                "u": format_word(worst_pair[1]),
-                "w": format_word(worst_pair[2]),
-            }
+            witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, worst_pair)))
     return BoundReport(
         check=CHECK_SPARSE_GLUE,
         verdict=verdict,

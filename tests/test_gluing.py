@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
-from shiftpress.errors import InputError
+import oracles
+from shiftpress.errors import ConstructionError, InputError
 from shiftpress.gluing import (
     MODE_SPECIFICATION,
     MODE_TRANSITIVITY,
@@ -26,6 +28,17 @@ from shiftpress.subshifts import (
 
 def sparse_instance():
     return make_sparse_sturmian(make_sturmian_factors(8, 21, 2), (4, 12))
+
+
+def seeded_sft(seed):
+    """Two forbidden binary words of length 3, redrawn until the SFT is nonempty."""
+    rng = random.Random(seed)
+    while True:
+        forb = rng.sample(oracles.all_words(2, 3), 2)
+        try:
+            return make_sft(2, forb), forb
+        except ConstructionError:
+            continue
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +155,9 @@ def test_alternating_shift_fails_specification():
 
 
 def test_horizon_exhaustion_is_reported():
-    row = min_gap_profile(make_golden_mean(), 2, MODE_TRANSITIVITY, 0)
+    row = assert_row_matches_oracle(
+        make_golden_mean(), oracles.sft_admissible(2, [(1, 1)]), 2, MODE_TRANSITIVITY, 0
+    )
     assert row.status == "horizon_exhausted"
     assert row.f_empirical is None
     assert row.counterexample == ((0, 1), (1, 0), 0)
@@ -179,3 +194,75 @@ def test_profile_validation():
         min_gap_profile(gm, 3, "no_such_mode", 2)
     with pytest.raises(InputError):
         min_gap_profile(gm, 3, MODE_TRANSITIVITY, 2, "no_such_strategy")
+
+
+# ---------------------------------------------------------------------------
+# gap profiles against the brute-force oracle (every pair and filler
+# replayed from scratch)
+# ---------------------------------------------------------------------------
+
+
+def assert_row_matches_oracle(spec, ok, n, mode, m_max, strategy="exhaustive", factors=None):
+    row = min_gap_profile(spec, n, mode, m_max, strategy)
+    words = [w for w in oracles.all_words(spec.alphabet_size, n) if ok(w)]
+    if m_max is None:  # the documented default horizon
+        m_max = (n if row.f_declared is None else row.f_declared) + 2 * min(n, 8)
+    want = oracles.gap_row(
+        words, ok, lambda m, s: oracles.fillers(m, s, spec.alphabet_size, factors),
+        mode, m_max, row.f_declared, strategy,
+    )
+    got = {k: getattr(row, k) for k in want}
+    assert got == want
+    return row
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+def test_golden_profile_matches_oracle(n, mode):
+    # the default horizon is 1 + 2n; past n = 6 a shorter one keeps the
+    # oracle's specification pass to a few seconds
+    m_max = None if n <= 6 else 8
+    row = assert_row_matches_oracle(
+        make_golden_mean(), oracles.sft_admissible(2, [(1, 1)]), n, mode, m_max
+    )
+    assert row.status == "ok" and row.counterexample is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+def test_seeded_sft_profile_matches_oracle(seed, mode):
+    spec, forb = seeded_sft(seed)
+    for n in (3, 5):
+        assert_row_matches_oracle(spec, oracles.sft_admissible(2, forb), n, mode, 6)
+
+
+def test_underdeclared_sft_counterexample_matches_oracle():
+    spec = make_sft(2, [(1, 1)], declared_gap=0)
+    row = assert_row_matches_oracle(
+        spec, oracles.sft_admissible(2, [(1, 1)]), 3, MODE_SPECIFICATION, 4
+    )
+    assert row.counterexample == ((0, 0, 1), (1, 0, 0), 0)
+
+
+def test_zero_glue_miss_falls_back_to_exhaustive():
+    # avoiding 00, the zero filler never joins ...0 to 0...; the exhaustive
+    # retry over the whole horizon finds the filler 1
+    spec = make_sft(2, [(0, 0)])
+    row = assert_row_matches_oracle(
+        spec, oracles.sft_admissible(2, [(0, 0)]), 3, MODE_TRANSITIVITY, 4, "zero_glue"
+    )
+    assert row.witness == ((0, 1, 0), (1,), (0, 1, 0))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_factor_glue_miss_falls_back_to_exhaustive(n):
+    # no concatenation of two factors has length 5 or 6 (k_max = 2), so the
+    # specification pass retries those gaps exhaustively
+    factors = {k: oracles.mechanical_factors(8, 21, k) for k in (1, 2)}
+    assert list(glue_candidates(sparse_instance(), 5, "factor_glue")) == []
+    row = assert_row_matches_oracle(
+        sparse_instance(), oracles.sparse_admissible(8, 21, (4, 12)), n,
+        MODE_SPECIFICATION, 6, "factor_glue", factors,
+    )
+    assert row.f_declared == {4: 2, 6: 4}[n]
+    assert row.counterexample is None

@@ -1,8 +1,9 @@
+import functools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +19,7 @@ from shiftpress.subshifts import (
     make_sparse_sturmian,
     make_sturmian_factors,
     product_subshift,
+    walk,
     word_admissible,
 )
 
@@ -223,3 +225,91 @@ def test_enumeration_is_sorted_and_deduplicated():
     for n in (3, 5, 7):
         words = enumerate_language(spec, n)
         assert words == sorted(set(words))
+
+
+# ---------------------------------------------------------------------------
+# walker keys: equal keys admit exactly the same continuations
+# ---------------------------------------------------------------------------
+
+
+def _instance(desc):
+    """(spec, brute-force membership test) for a hashable family description."""
+    kind, args = desc[0], desc[1:]
+    if kind == "full":
+        return make_full_shift(args[0]), lambda w: True
+    if kind == "sft":
+        forb = [tuple(f) for f in args[0]]
+        return make_sft(2, forb), oracles.sft_admissible(2, forb)
+    if kind == "bd":
+        k, h = args
+        return make_bounded_density(k, h), oracles.bd_admissible((0,) + h)
+    if kind == "sparse":
+        p, q, n_seq = args
+        fs = make_sturmian_factors(p, q, len(n_seq))
+        return make_sparse_sturmian(fs, n_seq), oracles.sparse_admissible(p, q, n_seq)
+    gm = oracles.sft_admissible(2, [(1, 1)])
+    return (
+        product_subshift(make_golden_mean(), make_full_shift(2)),
+        oracles.product_admissible(gm, lambda w: True, 2),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _language(desc, n):
+    spec, ok = _instance(desc)
+    return frozenset(filter(ok, oracles.all_words(spec.alphabet_size, n)))
+
+
+def _family(desc, lengths, cont_max):
+    return st.tuples(desc, st.just(lengths), st.just(cont_max))
+
+
+_BINARY = st.lists(st.integers(0, 1), min_size=2, max_size=3).map(tuple)
+_HEIGHTS = st.builds(
+    lambda num, den, c: tuple(-(-num * n // den) + c for n in range(1, 17)),
+    st.integers(1, 3), st.integers(2, 5), st.integers(0, 2),
+)
+# (description, prefix lengths, longest continuation), sized so that the
+# brute-force languages stay below 2^15 words
+_FAMILIES = st.one_of(
+    _family(st.tuples(st.just("full"), st.integers(1, 3)), (0, 4), 2),
+    _family(st.just(("sft", ((1, 1),))), (0, 7), 3),
+    _family(
+        st.tuples(st.just("sft"), st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
+        (0, 7), 3,
+    ),
+    _family(st.tuples(st.just("bd"), st.just(1), _HEIGHTS), (0, 7), 3),
+    _family(st.tuples(st.just("bd"), st.just(2), _HEIGHTS), (0, 5), 2),
+    _family(st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8))]), (10, 13), 2),
+    _family(st.just(("product",)), (0, 4), 2),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_FAMILIES)
+@example((("sft", ((0, 0), (1, 0, 1))), (0, 7), 3))  # language {1^n}: 0 never extends
+def test_equal_keys_admit_the_same_continuations(family):
+    desc, (lo, hi), cont_max = family
+    try:
+        spec, _ = _instance(desc)
+    except ConstructionError:
+        assume(False)
+    conts = [c for k in range(cont_max + 1) for c in oracles.all_words(spec.alphabet_size, k)]
+    followers_of = {}
+    for n in range(lo, hi + 1):
+        for p in sorted(_language(desc, n)):
+            key = walk(spec.root_walker(), p).key()
+            followers = frozenset(c for c in conts if p + c in _language(desc, n + len(c)))
+            assert followers_of.setdefault(key, followers) == followers, (desc, p, key)
+
+
+def test_keys_merge_states():
+    # the contract above is not vacuous: keys identify many words
+    gm = make_golden_mean()
+    assert {walk(gm.root_walker(), w).key() for w in enumerate_language(gm, 6)} == {
+        (0, 0), (0, 1), (1, 0)
+    }
+    sp = make_sparse_sturmian(make_sturmian_factors(8, 21, 2), (2, 8))
+    words = enumerate_language(sp, 13)
+    assert len({walk(sp.root_walker(), w).key() for w in words}) < len(words)
+    assert walk(make_full_shift(3).root_walker(), (2, 0, 1)).key() == ()

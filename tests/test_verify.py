@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from shiftpress.errors import InputError
+from shiftpress.errors import IdentityCheckError, InputError
 from shiftpress.potentials import ZeroPotential
 from shiftpress.pressure import partition_table
 from shiftpress.subshifts import (
@@ -74,6 +74,15 @@ def test_density_glue_underdeclared_gap_yields_lex_least_witness():
     assert rep.witnesses[2] == {"v": "01", "w": "10", "m": 0}
 
 
+def test_density_glue_raises_when_the_walker_contradicts_the_profiles():
+    # profiles read from a looser height table than the walker enforces: the
+    # quotient passes, and replaying its worst pair must raise, not assert
+    strict, loose = half_density(), make_bounded_density(1, list(range(1, 65)))
+    strict.params["density"] = loose.params["density"]
+    with pytest.raises(IdentityCheckError):
+        verify_density_glue(strict, [2], f=lambda n: 0)
+
+
 def test_density_glue_input_guards():
     with pytest.raises(InputError):
         verify_density_glue(make_golden_mean(), [2])
@@ -118,6 +127,31 @@ def test_sparse_glue_catches_underdeclared_bound():
     assert rep.verdict == FAIL
     assert rep.witnesses[6] == {"v": "000000", "w": "000000", "m_max": 0}
     assert rep.margins == ((6, -1.0),)
+
+
+@pytest.mark.parametrize("strategy", ["factor_glue", "exhaustive"])
+@pytest.mark.parametrize("slope, n_seq, f", [
+    ((8, 21), (4, 12), None),
+    ((13, 21), (2, 8), None),
+    ((13, 21), (2, 8), lambda n: 0),  # under-declared: a pair fails at n = 6
+])
+def test_sparse_glue_matches_oracle(strategy, slope, n_seq, f):
+    p, q = slope
+    sp = make_sparse_sturmian(make_sturmian_factors(p, q, 2), n_seq)
+    ok = oracles.sparse_admissible(p, q, n_seq)
+    factors = {k: oracles.mechanical_factors(p, q, k) for k in (1, 2)}
+    ns = [2, 4, 6, 7]
+    rep = verify_sparse_glue(sp, ns, strategy=strategy, f=f)
+    margins, witnesses = oracles.sparse_glue(
+        {n: oracles.sparse_language(p, q, n_seq, n) for n in ns},
+        ok, lambda m, s: oracles.fillers(m, s, 2, factors),
+        f or sp.declared_gap, strategy,
+    )
+    assert rep.margins == margins
+    assert rep.witnesses == witnesses
+    assert rep.verdict == (FAIL if any(m < 0 for _, m in margins) else PASS)
+    assert (rep.verdict == FAIL) == (f is not None)
+    assert rep.extra["coverage"] == {n: 1.0 for n in ns}
 
 
 def test_sparse_glue_needs_a_bound():
