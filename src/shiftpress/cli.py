@@ -217,7 +217,12 @@ def cmd_pressure(run: _Run) -> int:
             "best_hi": bracket.best_hi,
             "width": bracket.width,
             "upper_bound_only": bracket.upper_bound_only,
-        }
+        },
+        "partition": {
+            "nodes": table.nodes,
+            "budget": run.budget,
+            "max_states": table.max_states,
+        },
     }
     if cfg.horizons.n_state is not None:
         model = build_transfer(run.spec, run.pot, cfg.horizons.n_state, run.budget)

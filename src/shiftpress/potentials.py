@@ -14,6 +14,12 @@ Kinds provided:
 * run levels - value a_k at run radius k with limit value a_inf on
   constant points.
 
+Every non-zero kind also has a scanner (Potential.scanner) that reads a word
+left to right and emits each site's eval interval as soon as the symbols
+read so far decide it; partition sums run on scanners instead of
+evaluating every site of every word. Variation profiles use closed forms
+per kind.
+
 Interval arithmetic rounds outward only when a float operation is inexact
 (detected with an error-free transformation), so sums of exactly
 representable values keep zero width.
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, IdentityCheckError, InputError
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
 from .words import Word, check_symbols
 
 _INF = math.inf
@@ -102,8 +108,24 @@ class Potential:
     def is_constant_zero(self) -> bool:
         return self.bounds.lo == 0.0 and self.bounds.hi == 0.0
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "inf": self.bounds.lo, "sup": self.bounds.hi}
+    def scanner(self):
+        """A fresh left-to-right scanner of this potential's site values.
+
+        A scanner has a hashable `start` state (the empty word);
+        step(state, sym) returns (next state, the intervals of the sites
+        that symbol decides) and close(state) the intervals of the sites
+        still pending when the word ends. Over a whole word the emitted
+        intervals are [self.eval(w, i) for i in range(len(w))] as a
+        multiset. Scanners take their values from eval on a short stand-in
+        word, so eval stays the one definition of each potential; callers
+        memoise per state.
+        """
+        raise NotImplementedError(f"{self.kind} potential has no scanner")
+
+    def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
+        """var(n) for n <= n_max: the largest eval width at the center of
+        an admissible (2n+1)-block."""
+        raise NotImplementedError(f"{self.kind} potential has no variation profile")
 
 
 def _check_center(w: Word, center: int) -> None:
@@ -204,6 +226,45 @@ class LocallyConstantPotential(Potential):
             hi = max(hi, d)
         return Interval(lo, hi)
 
+    def scanner(self):
+        return _WindowScanner(self)
+
+    def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
+        # from radius r on, the whole table window is visible at the center
+        var = []
+        for n in range(min(n_max + 1, self.radius)):
+            worst = 0.0
+            for w in iter_language(spec, 2 * n + 1, budget):
+                worst = max(worst, self.eval(w, n).width)
+            var.append(worst)
+        return var + [0.0] * (n_max + 1 - len(var))
+
+
+class _WindowScanner:
+    """Scanner for a radius-r table: the state is the last <= 2r symbols.
+
+    Reading position j decides site j - r, whose visible window is the
+    state plus the new symbol; at the end the last r sites are pending.
+    """
+
+    start = ()
+
+    def __init__(self, pot: LocallyConstantPotential):
+        self.pot = pot
+
+    def step(self, state, sym):
+        r = self.pot.radius
+        window = state + (sym,)
+        center = len(window) - 1 - r
+        emitted = (self.pot.eval(window, center),) if center >= 0 else ()
+        return window[max(0, len(window) - 2 * r) :], emitted
+
+    def close(self, state):
+        r = self.pot.radius
+        return tuple(
+            self.pot.eval(state, c) for c in range(max(0, len(state) - r), len(state))
+        )
+
 
 def _visible_break(w: Word, center: int) -> tuple[int, int, int | None]:
     """Radius bookkeeping for run-based potentials.
@@ -224,7 +285,68 @@ def _visible_break(w: Word, center: int) -> tuple[int, int, int | None]:
     return min(left, right), far, None
 
 
-class ReciprocalRunPotential(Potential):
+class _RunPotential(Potential):
+    """A value fixed by the run radius of the center; see _RunScanner."""
+
+    def scanner(self):
+        return _RunScanner(self)
+
+    def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
+        # a visible break at distance d <= n decides the center of a
+        # (2n+1)-block, so only admissible constant blocks leave width
+        root = spec.root_walker()
+        return [
+            self.eval((0,) * (2 * n + 1), n).width
+            if any(walk(root, (s,) * (2 * n + 1)) is not None
+                   for s in range(spec.alphabet_size))
+            else 0.0
+            for n in range(n_max + 1)
+        ]
+
+
+class _RunScanner:
+    """Scanner for run potentials: the state is (symbol, run length,
+    whether the run touches the left edge).
+
+    A run's values are decided when it ends. They depend only on its
+    length and on which word edges it touches, so they are read off a
+    canonical word, the run of 0s with a 1 on each side that has a break,
+    and memoised per (length, edges).
+    """
+
+    start = None
+
+    def __init__(self, pot: _RunPotential):
+        self.pot = pot
+        self._runs: dict = {}
+
+    def step(self, state, sym):
+        if state is None:
+            return (sym, 1, True), ()
+        s, length, left = state
+        if sym == s:
+            return (s, length + 1, left), ()
+        return (sym, 1, False), self._run(length, left, False)
+
+    def close(self, state):
+        if state is None:
+            return ()
+        _s, length, left = state
+        return self._run(length, left, True)
+
+    def _run(self, length: int, left: bool, right: bool) -> tuple[Interval, ...]:
+        key = (length, left, right)
+        got = self._runs.get(key)
+        if got is None:
+            pad = int(not left)
+            word = (1,) * pad + (0,) * length + (1,) * (not right)
+            got = self._runs[key] = tuple(
+                self.pot.eval(word, pad + i) for i in range(length)
+            )
+        return got
+
+
+class ReciprocalRunPotential(_RunPotential):
     """phi(x) = 1/h(k) at run radius k; 0 on constant points.
 
     k is the largest radius with x(-k) = ... = x(k). h must be positive
@@ -311,7 +433,7 @@ def _looks_divergent(dyadic_partial_sums: Sequence[float]) -> bool:
     return min(ratios) >= 0.66
 
 
-class RunLevelPotential(Potential):
+class RunLevelPotential(_RunPotential):
     """Value a_k at run radius k, a_inf on constant points.
 
     Levels beyond the table continue at a_inf. Tail minima and maxima are
@@ -384,10 +506,6 @@ def make_run_levels(a: Sequence[float], a_inf: float) -> RunLevelPotential:
     return RunLevelPotential(a, a_inf)
 
 
-def eval_potential(pot: Potential, w: Word, center: int) -> Interval:
-    return pot.eval(tuple(w), center)
-
-
 def partial_sum(pot: Potential, w: Word) -> Interval:
     """Interval enclosing sum_{i<n} phi(T^i x) over points x through w."""
     w = tuple(w)
@@ -432,20 +550,14 @@ def variation_profile(
     n_max: int,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> VarProfile:
-    """Scan admissible (2n+1)-blocks and record the worst eval width."""
+    """The worst eval width at the center of admissible (2n+1)-blocks,
+    from each kind's closed form (Potential.var_widths)."""
     if n_max < 0:
         raise InputError("n_max must be >= 0")
-    var = []
     if pot.bounds.width == 0.0:
         var = [0.0] * (n_max + 1)
     else:
-        for n in range(n_max + 1):
-            worst = 0.0
-            for w in iter_language(spec, 2 * n + 1, budget):
-                width = pot.eval(w, n).width
-                if width > worst:
-                    worst = width
-            var.append(worst)
+        var = pot.var_widths(spec, n_max, budget)
     for i in range(len(var) - 1):
         if var[i + 1] > var[i] + 1e-15:
             raise IdentityCheckError(

@@ -70,17 +70,6 @@ class SubshiftSpec:
     declared_gap: Callable[[int], int] | None = None
     gap_mode: str | None = None
 
-    def describe(self) -> dict:
-        d = {
-            "family": self.family,
-            "alphabet_size": self.alphabet_size,
-            "exactness": self.exactness.value,
-            "label": self.label,
-        }
-        if self.gap_mode:
-            d["gap_mode"] = self.gap_mode
-        return d
-
 
 # ---------------------------------------------------------------------------
 # walkers

@@ -3,11 +3,16 @@
 Nothing here imports the package. Languages are produced by filtering
 every word over the alphabet, extendability is decided by breadth-first
 search with a pumping-length horizon, and partial sums are evaluated on
-concrete padded words. Slow on purpose; keep instances at desk scale.
+concrete padded words. Partition references that must hold with zero
+slack are computed in 60-digit decimal arithmetic from the exact values of
+the float inputs. Slow on purpose; keep instances at desk scale.
 """
 
 import itertools
 import math
+from decimal import Decimal, localcontext
+
+DIGITS = 60  # working precision of the decimal references
 
 
 def all_words(alphabet_size, n):
@@ -271,6 +276,11 @@ def phi_run(x, i, h):
     return 1.0 / h(run_radius(x, i))
 
 
+def phi_levels(x, i, levels, limit):
+    k = run_radius(x, i)
+    return levels[k] if k < len(levels) else limit
+
+
 def phi_lc(x, i, r, values, default):
     block = tuple(x[i - r : i + r + 1])
     assert len(block) == 2 * r + 1
@@ -288,3 +298,59 @@ def brute_partition(words, phi_at):
         sums.append(math.fsum(phi_at(w, i) for i in range(len(w))))
     m = max(sums)
     return m + math.log(math.fsum(math.exp(s - m) for s in sums))
+
+
+# ---------------------------------------------------------------------------
+# 60-digit decimal partition references
+# ---------------------------------------------------------------------------
+
+
+def decimal_partition(words, phi_at):
+    """ln sum over words of e^{S(w)} in decimal, S summed exactly from the
+    float site values phi_at(w, i)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        z = sum(
+            sum(Decimal(phi_at(w, i)) for i in range(len(w))).exp() for w in words
+        )
+        return z.ln()
+
+
+def radius0_binomial(v0, v1, n):
+    """ln Z_n on the binary full shift for the site values v0 (symbol 0)
+    and v1 (symbol 1): the binomial sum over the number k of 1s."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        a, b = Decimal(v0), Decimal(v1)
+        z = sum(math.comb(n, k) * (k * b + (n - k) * a).exp() for k in range(n + 1))
+        return z.ln()
+
+
+def radius1_transfer(phi, alphabet_size, pair_ok, n, edge):
+    """ln Z_n of a radius-1 table phi(block) on the 1-step shift whose
+    words are those with every adjacent pair allowed by pair_ok, n >= 2.
+
+    The two edge sites take edge (min or max) of phi over the hidden
+    neighbour; interior sites take phi of their block. A decimal transfer
+    product over the allowed pairs (a, b) = (w[i-1], w[i]).
+    """
+    syms = range(alphabet_size)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+
+        def e(x):
+            return Decimal(x).exp()
+
+        vec = {
+            (a, b): e(edge(phi((s, a, b)) for s in syms))
+            for a in syms for b in syms if pair_ok(a, b)
+        }
+        for _ in range(n - 2):
+            grown = {}
+            for (a, b), x in vec.items():
+                for c in syms:
+                    if pair_ok(b, c):
+                        grown[(b, c)] = grown.get((b, c), 0) + x * e(phi((a, b, c)))
+            vec = grown
+        z = sum(x * e(edge(phi((a, b, s)) for s in syms)) for (a, b), x in vec.items())
+        return z.ln()

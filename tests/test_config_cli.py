@@ -17,6 +17,7 @@ from shiftpress.config import (
 )
 from shiftpress.errors import InputError
 from shiftpress.reports import sha256_file
+from shiftpress.subshifts import DEFAULT_NODE_BUDGET
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -197,6 +198,47 @@ def test_pressure_outputs_and_determinism(tmp_path):
     comments, _, _ = read_csv_payload(out1 / "bracket.csv")
     assert any(c.startswith("# best_hi=") for c in comments)
     assert any(c == "# upper_bound_only=false" for c in comments)
+
+
+# Results of every shipped config under `pressure` and each declared
+# partition_upper_* check, recorded before partition rows moved from the
+# per-word sum to the forward sweep. Zero-potential payloads must stay
+# byte-identical; other lnZ values may move by outward rounding only.
+PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
+
+
+def _near(want, got, tol=1e-10):
+    return want == got or abs(want - got) <= tol
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_shipped_config_results_are_pinned(tmp_path, case):
+    name, command = case.split(":")
+    want = PINS[case]
+    out = tmp_path / "out"
+    argv = [*command.split(), "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
+    assert main(argv) == want["exit"]
+    if command != "pressure":
+        report = json.loads((out / f"report_{command.split()[1]}.json").read_text())
+        assert report["verdict"] == want["verdict"]
+        assert [n for n, _ in report["margins"]] == [n for n, _ in want["margins"]]
+        assert all(_near(w, g) for (_, w), (_, g) in zip(want["margins"], report["margins"]))
+        return
+    _, _, rows = read_csv_payload(out / "partition.csv")
+    assert [int(r[1]) for r in rows] == want["count"]
+    for (lo, hi), row in zip(want["lnz"], rows):
+        assert _near(lo, float(row[2])) and _near(hi, float(row[3])), row
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    assert _near(want["best_lo"], status["bracket"]["best_lo"])
+    assert _near(want["best_hi"], status["bracket"]["best_hi"])
+    work = status["partition"]
+    assert work["budget"] == DEFAULT_NODE_BUDGET
+    for payload, digest in want.get("sha256", {}).items():
+        assert sha256_file(out / payload) == digest, payload
+    if "sha256" in want:  # zero potential: rows come from count_language
+        assert work["nodes"] is None and work["max_states"] is None
+    else:
+        assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
 
 
 def test_invalid_family_exits_2_and_writes_nothing(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cases import FAMILIES, POTENTIALS, h_lin, h_sq
 from shiftpress.errors import ConstructionError, InputError
 from shiftpress.potentials import (
     Interval,
@@ -18,15 +20,12 @@ from shiftpress.potentials import (
     variation_profile,
     variation_sum_bounds,
 )
-from shiftpress.subshifts import make_full_shift, make_golden_mean
-
-
-def h_lin(k):
-    return k + 1
-
-
-def h_sq(k):
-    return (k + 1) ** 2
+from shiftpress.subshifts import (
+    enumerate_language,
+    make_full_shift,
+    make_golden_mean,
+    make_sft,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +202,67 @@ def test_variation_on_golden_mean_skips_forbidden_blocks():
     prof = variation_profile(pot, gm, 6)
     for n in range(7):
         assert prof.var[n] == 1.0 / h_lin(n)  # all-zero blocks still admissible
+
+
+# ---------------------------------------------------------------------------
+# scanners and closed-form variation profiles
+# ---------------------------------------------------------------------------
+
+LANGUAGES = {
+    (fam.label, n): fam.language(n) for fam in FAMILIES for n in range(1, 8)
+}
+ALPHABET = {fam.label: fam.spec().alphabet_size for fam in FAMILIES}
+
+
+def scanned(pot, w):
+    scan = pot.scanner()
+    state, out = scan.start, []
+    for s in w:
+        state, ivs = scan.step(state, s)
+        out.extend(ivs)
+    return out + list(scan.close(state))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(ALPHABET)),
+    st.sampled_from(sorted(POTENTIALS)),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+def test_scanner_emits_exactly_the_site_values(family, kind, n, data):
+    words = LANGUAGES[(family, n)]
+    w = words[data.draw(st.integers(min_value=0, max_value=len(words) - 1))]
+    pot = POTENTIALS[kind](ALPHABET[family])
+    assert Counter(scanned(pot, w)) == Counter(pot.eval(w, i) for i in range(len(w)))
+
+
+def test_run_scanner_reads_each_run_length_once():
+    pot = make_reciprocal_run(h_lin)
+    scan = pot.scanner()
+    a = scan.step((0, 3, False), 1)
+    b = scan.step((1, 3, False), 0)
+    assert a[0] == (1, 1, False) and b[0] == (0, 1, False)
+    assert a[1] is b[1] and len(a[1]) == 3
+    assert scanned(pot, (0, 0, 0, 1, 1)) == scanned(pot, (1, 1, 1, 0, 0))
+
+
+def enumerated_var(pot, spec, n_max):
+    """The worst center width over every admissible (2n+1)-block."""
+    return [
+        max(pot.eval(w, n).width for w in enumerate_language(spec, 2 * n + 1))
+        for n in range(n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("spec_of", [
+    *(fam.spec for fam in FAMILIES),
+    lambda: make_sft(2, [(0, 0), (1, 1)]),  # alternating: no constant 3-block
+])
+def test_closed_form_variation_matches_block_enumeration(spec_of):
+    spec = spec_of()
+    for kind in ("radius1", "radius2", "reciprocal_lin", "run_levels"):
+        pot = POTENTIALS[kind](spec.alphabet_size)
+        n_max = 4 if spec.alphabet_size == 2 else 3
+        prof = variation_profile(pot, spec, n_max)
+        assert list(prof.var) == enumerated_var(pot, spec, n_max), kind

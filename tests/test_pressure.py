@@ -1,16 +1,26 @@
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cases import FAMILIES, POTENTIALS, h_lin
 from shiftpress.errors import (
     BudgetExceededError,
     InconsistentBracketError,
     InputError,
 )
-from shiftpress.potentials import ZeroPotential, make_reciprocal_run, partial_sum
+from shiftpress.config import build_potential, load_config
+from shiftpress.potentials import (
+    LocallyConstantPotential,
+    ZeroPotential,
+    make_reciprocal_run,
+    make_run_levels,
+    partial_sum,
+)
 from shiftpress.pressure import (
     anchor_sequence,
     partition_function,
@@ -19,6 +29,7 @@ from shiftpress.pressure import (
 )
 from shiftpress.subshifts import (
     enumerate_language,
+    iter_language,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
@@ -27,10 +38,12 @@ from shiftpress.subshifts import (
 )
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+LN2 = math.log(2.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def h_lin(k):
-    return k + 1
+def encloses(row, ref):
+    return Decimal(row.lnz_lo) <= ref <= Decimal(row.lnz_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +69,35 @@ def test_golden_counts_follow_the_recurrence():
 
 
 def test_prefix_restriction_splits_the_sum():
-    gm = make_golden_mean()
+    cases = [
+        (make_golden_mean(), make_reciprocal_run(h_lin), 6),
+        (make_full_shift(2), LocallyConstantPotential(
+            1, {(0, 1, 0): 0.5, (1, 1, 1): -0.25}, 2, default=0.125), 9),
+    ]
+    for spec, pot, n in cases:
+        whole = partition_function(spec, pot, n)
+        for k in (1, 2):
+            parts = [partition_function(spec, pot, n, prefix=p)
+                     for p in oracles.all_words(2, k)]
+            assert sum(p.count for p in parts) == whole.count
+            merged_hi = math.log(sum(math.exp(p.lnz_hi) for p in parts))
+            merged_lo = math.log(sum(math.exp(p.lnz_lo) for p in parts))
+            assert merged_hi == pytest.approx(whole.lnz_hi, abs=1e-9)
+            assert merged_lo == pytest.approx(whole.lnz_lo, abs=1e-9)
+
+
+def test_prefix_edge_cases():
     pot = make_reciprocal_run(h_lin)
-    whole = partition_function(gm, pot, 6)
-    parts = [partition_function(gm, pot, 6, prefix=(s,)) for s in (0, 1)]
-    assert sum(p.count for p in parts) == whole.count
-    merged_hi = math.log(sum(math.exp(p.lnz_hi) for p in parts))
-    merged_lo = math.log(sum(math.exp(p.lnz_lo) for p in parts))
-    assert merged_hi == pytest.approx(whole.lnz_hi, abs=1e-9)
-    assert merged_lo == pytest.approx(whole.lnz_lo, abs=1e-9)
+    assert partition_function(make_full_shift(2), pot, 2, prefix=(0, 1, 1)).count == 0
+    gm = make_golden_mean()
+    row = partition_function(gm, pot, 5, prefix=(1, 1))
+    assert (row.count, row.lnz_lo, row.lnz_hi) == (0, -math.inf, -math.inf)
+    with pytest.raises(InputError):
+        partition_function(gm, pot, 5, prefix=(2,))
+    # the prefix alone weighs e^1200, past the float range
+    big = LocallyConstantPotential(0, {(0,): 60.0, (1,): -50.0}, 2, default=None)
+    row = partition_function(make_full_shift(2), big, 30, prefix=(0,) * 20)
+    assert encloses(row, 1200 + oracles.radius0_binomial(60.0, -50.0, 10))
 
 
 def test_partition_encloses_concrete_point_oracle():
@@ -89,6 +122,157 @@ def test_partition_rejects_bad_length_and_budget():
         partition_function(gm, ZeroPotential(), 0)
     with pytest.raises(BudgetExceededError):
         partition_function(gm, make_reciprocal_run(h_lin), 12, budget=2)
+
+
+def test_budget_counts_sweep_nodes():
+    gm = make_golden_mean()
+    pot = make_reciprocal_run(h_lin)
+    table = partition_table(gm, pot, 12)
+    # one child call per class and symbol: far fewer than the |L_n| tree
+    assert 0 < table.nodes < sum(oracles.fib(n + 2) for n in range(1, 12))
+    assert table.max_states >= 2
+    partition_table(gm, pot, 12, budget=table.nodes)
+    with pytest.raises(BudgetExceededError) as ei:
+        partition_table(gm, pot, 12, budget=table.nodes - 1)
+    assert ei.value.nodes == table.nodes and ei.value.budget == table.nodes - 1
+    zero = partition_table(gm, ZeroPotential(), 12)
+    assert zero.nodes is None and zero.max_states is None
+
+
+# ---------------------------------------------------------------------------
+# zero-slack enclosures against 60-digit decimal references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("v0, v1, n_max", [
+    (0.1, 0.7, 20), (-0.3, 0.45, 20), (2.5, -1.7, 20),
+    (-4.0, -6.5, 300),  # weights fall below 2^-1000 without renormalizing
+    # one site's e^v lies outside the float range
+    (800.0, -790.0, 200), (-800.0, -790.5, 200),
+])
+def test_radius0_rows_enclose_the_binomial_sum(v0, v1, n_max):
+    pot = LocallyConstantPotential(0, {(0,): v0, (1,): v1}, 2, default=None)
+    table = partition_table(make_full_shift(2), pot, n_max)
+    for n in [*range(1, 21), n_max]:
+        row = table.row(n)
+        ref = oracles.radius0_binomial(v0, v1, n)
+        assert encloses(row, ref), n
+        assert row.lnz_hi - row.lnz_lo < 1e-14 * (n + abs(row.lnz_hi))
+
+
+def test_run_emissions_past_the_exp_range_stay_tight():
+    """A whole run is emitted at once: the constant run of length n sums to
+    4n here, far past where e^x overflows a float."""
+    table = partition_table(make_full_shift(2), make_run_levels([4.0], 4.0), 200)
+    for n in (1, 150, 178, 200):
+        row = table.row(n)
+        with localcontext() as ctx:
+            ctx.prec = oracles.DIGITS
+            ref = n * (4 + Decimal(2).ln())
+        assert encloses(row, ref), n
+        assert row.lnz_hi - row.lnz_lo < 1e-11, n
+
+
+def _golden_pair(a, b):
+    return not (a and b)
+
+
+@pytest.mark.parametrize("n_max, pot_of", [
+    (24, lambda: LocallyConstantPotential(
+        1, {(0, 0, 0): 0.3, (0, 0, 1): LN2, (1, 0, 0): -0.2, (0, 1, 0): 0.9,
+            (1, 0, 1): 0.45}, 2, default=-0.6)),
+    (200, lambda: build_potential(
+        load_config(CONFIG_DIR / "golden_mean_weighted.yaml").potential,
+        make_golden_mean())),
+])
+def test_radius1_golden_rows_enclose_the_transfer_product(n_max, pot_of):
+    """Each endpoint of lnZ encloses its decimal 3-state transfer product,
+    with zero slack, to n = 200 for the shipped weighted golden mean."""
+    pot = pot_of()
+
+    def phi(block):
+        return pot.values.get(block, pot.default)
+
+    table = partition_table(make_golden_mean(), pot, n_max)
+    for n in [*range(2, 25), n_max]:
+        row = table.row(n)
+        assert row.count == oracles.fib(n + 2)
+        ref_lo = oracles.radius1_transfer(phi, 2, _golden_pair, n, min)
+        ref_hi = oracles.radius1_transfer(phi, 2, _golden_pair, n, max)
+        assert Decimal(row.lnz_lo) <= ref_lo and ref_hi <= Decimal(row.lnz_hi), n
+        assert ref_lo - Decimal(row.lnz_lo) < Decimal("1e-11"), n
+        assert Decimal(row.lnz_hi) - ref_hi < Decimal("1e-11"), n
+
+
+@pytest.mark.parametrize("kind", ["reciprocal_run", "run_levels"])
+def test_run_rows_enclose_padded_point_sums_with_zero_slack(kind):
+    """Criterion 3's padded-point brute force, in decimal, with no slack."""
+    levels, limit = [0.5, -0.25, 0.125], 0.3
+    if kind == "reciprocal_run":
+        pot = make_reciprocal_run(h_lin)
+
+        def point_phi(w, i):
+            x, off = oracles.pad_word(w, len(w) + 4)
+            return oracles.phi_run(x, off + i, h_lin)
+    else:
+        pot = make_run_levels(levels, limit)
+
+        def point_phi(w, i):
+            x, off = oracles.pad_word(w, len(w) + 4)
+            return oracles.phi_levels(x, off + i, levels, limit)
+
+    for fam in FAMILIES:
+        table = partition_table(fam.spec(), pot, fam.n_top)
+        for n in range(1, fam.n_top + 1):
+            words = fam.language(n)
+            row = table.row(n)
+            assert row.count == len(words), (fam.label, n)
+            assert encloses(row, oracles.decimal_partition(words, point_phi)), (fam.label, n)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against the per-word sum
+# ---------------------------------------------------------------------------
+
+
+def enumerated_row(spec, pot, n, prefix=()):
+    """(count, lnz_lo, lnz_hi) from one partial_sum per word and a
+    log-sum-exp over the words: the per-word sum the sweep replaced, kept
+    as a reference. It rounds to nearest, so it agrees to ~1e-12, not
+    exactly."""
+    los, his = [], []
+    for w in iter_language(spec, n, prefix=prefix):
+        s = partial_sum(pot, w)
+        los.append(s.lo)
+        his.append(s.hi)
+    if not los:
+        return 0, -math.inf, -math.inf
+
+    def lse(xs):
+        m = max(xs)
+        return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+    return len(los), lse(los), lse(his)
+
+
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+def test_sweep_matches_the_per_word_sum(kind):
+    for fam in FAMILIES:
+        spec = fam.spec()
+        pot = POTENTIALS[kind](spec.alphabet_size)
+        table = partition_table(spec, pot, fam.n_top)
+        for n in range(1, fam.n_top + 1):
+            count, lo, hi = enumerated_row(spec, pot, n)
+            row = table.row(n)
+            assert row.count == count, (fam.label, n)
+            assert row.lnz_lo == pytest.approx(lo, abs=1e-10), (fam.label, n)
+            assert row.lnz_hi == pytest.approx(hi, abs=1e-10), (fam.label, n)
+        prefix = (0, 1) if fam.label != "product" else (1, 2)
+        count, lo, hi = enumerated_row(spec, pot, 7, prefix)
+        row = partition_function(spec, pot, 7, prefix=prefix)
+        assert row.count == count, fam.label
+        assert row.lnz_lo == pytest.approx(lo, abs=1e-10), fam.label
+        assert row.lnz_hi == pytest.approx(hi, abs=1e-10), fam.label
 
 
 @settings(deadline=None, max_examples=40)
