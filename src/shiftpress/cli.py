@@ -7,10 +7,6 @@ output directory, and reports through the exit code:
 
 0 success / Pass, 2 input error, 3 budget or horizon exhausted,
 4 internal inconsistency, 5 verification Fail, 6 precondition Fail.
-
-Commands run their operations sequentially; --threads is validated and
-recorded but does not change the schedule, so identical configurations
-produce identical payload bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from .reports import (
     write_manifest,
     write_words,
 )
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, count_language, iter_language
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
 from .transfer import build_transfer, markov_equilibrium, perron
 from .verify import (
     ALL_CHECKS,
@@ -98,15 +94,11 @@ class _Run:
         self.budget = args.budget if args.budget else DEFAULT_NODE_BUDGET
         if self.budget < 1:
             raise InputError("--budget must be a positive node count")
-        self.threads = args.threads
-        if self.threads < 1:
-            raise InputError("--threads must be >= 1")
         self.spec: SubshiftSpec = build_subshift(self.cfg.subshift)
         self.pot: Potential = build_potential(self.cfg.potential, self.spec)
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(config_digest=self.digest, command=args.command)
-        self.manifest.status["threads"] = self.threads
         self.started = time.monotonic()
 
     def check_params(self, name: str) -> dict:
@@ -123,11 +115,7 @@ class _Run:
         return self.spec.declared_gap
 
     def variation_callable(self) -> Callable[[int], float]:
-        horizon = self.cfg.horizons.var_horizon
-        if horizon is None:
-            horizon = (self.cfg.horizons.n_max + 1) // 2
-        profile = variation_profile(self.pot, self.spec, horizon, self.budget)
-        return profile.g_at
+        return self._bracket_g().g_at
 
     def pressure_value(self, params: dict, table) -> float:
         source = params.get("pressure", "transfer" if self.cfg.horizons.n_state else "bracket")
@@ -174,19 +162,20 @@ def _n_range(params: dict, default: list[int]) -> list[int]:
 
 
 def cmd_enumerate(run: _Run) -> int:
-    cfg = run.cfg
-    counts = []
-    for n in range(1, cfg.horizons.n_max + 1):
-        counts.append((n, count_language(run.spec, n, run.budget)))
-    path = write_csv(run.out / "counts.csv", ("n", "count"), counts, run.digest)
-    run.manifest.record(path)
-    n = cfg.horizons.n_max
+    # one walk counts every length and streams the words of the last
+    n = run.cfg.horizons.n_max
+    tally = Tally()
     path = write_words(
-        run.out / f"language_n{n}.txt", iter_language(run.spec, n, run.budget)
+        run.out / f"language_n{n}.txt",
+        iter_language(run.spec, n, run.budget, text=True, tally=tally),
     )
     run.manifest.record(path)
-    run.finish({"enumerate": {"n_max": n, "count": counts[-1][1]}})
-    print(f"{run.spec.label}: |L_{n}| = {counts[-1][1]}")
+    counts = list(enumerate(tally.counts))[1:]
+    path = write_csv(run.out / "counts.csv", ("n", "count"), counts, run.digest)
+    run.manifest.record(path)
+    status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes, "budget": run.budget}
+    run.finish({"enumerate": status})
+    print(f"{run.spec.label}: |L_{n}| = {tally.counts[n]}")
     return EXIT_OK
 
 
@@ -471,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML experiment configuration")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--budget", type=int, default=None, help="search node budget")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (validated and recorded; scheduling is sequential)")
 
     common(sub.add_parser("enumerate", help="write language counts and words"))
     common(sub.add_parser("pressure", help="write partition and bracket tables"))

@@ -15,7 +15,7 @@ long runs emitted at once neither overflow nor underflow. Every float
 operation on them is rounded outward (one ulp for + and x, two for exp
 and log) and exponents move only by exact powers of two, so
 [lnz_lo, lnz_hi] encloses the exact value. Zero-potential rows are
-ln(count) from count_language, a rounded point rather than an enclosure.
+ln(count) from language_counts, a rounded point rather than an enclosure.
 
 Pressure brackets combine a submultiplicative upper bound
 min_m lnZ_hi(m)/m with the gluing lower bound
@@ -40,6 +40,7 @@ from .subshifts import (
     SubshiftSpec,
     count_language,
     iter_language,
+    language_counts,
     walk,
 )
 from .words import Word, check_symbols
@@ -228,6 +229,11 @@ def _sweep(
     return rows, nodes, max_states
 
 
+def _count_row(n: int, count: int) -> PartitionRow:
+    v = math.log(count) if count else -_INF
+    return PartitionRow(n=n, count=count, lnz_lo=v, lnz_hi=v)
+
+
 def partition_function(
     spec: SubshiftSpec,
     pot: Potential,
@@ -249,8 +255,7 @@ def partition_function(
             count = sum(1 for _ in iter_language(spec, n, budget, prefix))
         else:
             count = count_language(spec, n, budget)
-        v = math.log(count) if count else -math.inf
-        return PartitionRow(n=n, count=count, lnz_lo=v, lnz_hi=v)
+        return _count_row(n, count)
     if len(prefix) > n:
         check_symbols(tuple(prefix), spec.alphabet_size)
         return PartitionRow(n=n, count=0, lnz_lo=-_INF, lnz_hi=-_INF)
@@ -261,7 +266,7 @@ def partition_function(
 @dataclass(frozen=True)
 class PartitionTable:
     """Rows 1..horizon; nodes and max_states report the sweep's work
-    (None for zero-potential tables, whose counts come from count_language)."""
+    (None for zero-potential tables, whose counts come from language_counts)."""
 
     rows: tuple[PartitionRow, ...]
     upper_bound_only: bool
@@ -288,7 +293,8 @@ def partition_table(
         raise InputError("n_max must be >= 1")
     upper_only = spec.exactness is Exactness.LOCAL_SUPERSET
     if pot.is_constant_zero:
-        rows = tuple(partition_function(spec, pot, n, budget) for n in range(1, n_max + 1))
+        counts = language_counts(spec, n_max, budget)
+        rows = tuple(_count_row(n, counts[n]) for n in range(1, n_max + 1))
         return PartitionTable(rows=rows, upper_bound_only=upper_only)
     rows, nodes, max_states = _sweep(spec, pot, n_max, budget)
     return PartitionTable(

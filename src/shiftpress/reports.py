@@ -72,14 +72,26 @@ def write_json(path: str | Path, payload: dict, digest: str) -> Path:
     return path
 
 
-def write_words(path: str | Path, words: Iterable[tuple]) -> Path:
+def write_words(path: str | Path, lines: Iterable[str]) -> Path:
+    """Stream language lines to path through a temporary name beside it,
+    renamed on success, so a walk that fails part way leaves no file."""
     path = Path(path)
-    path.write_text("".join(format_word(w) + "\n" for w in words))
-    return path
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w") as fh:
+            fh.writelines(lines)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return part.replace(path)
 
 
 def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in blocks: a language file can be large
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ a node budget caps the walk.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -612,84 +613,114 @@ def word_admissible(spec: SubshiftSpec, w: Word) -> Verdict:
     return Verdict.ADMISSIBLE
 
 
+@dataclass
+class Tally:
+    """Filled in by a completed walk to length n: counts[k] admissible words
+    of length k (0 below the prefix length), and the nodes charged."""
+
+    counts: list[int] = field(default_factory=list)
+    nodes: int = 0
+
+
+def _walk(walker, start: int, n: int, budget, root, units, leaf_units, tally: Tally):
+    """The one depth-first walk of the prefix tree, from length start to n.
+
+    Yields the labels of the admissible words of length n in lexicographic
+    order. A node's label is its parent's plus units[s] for the symbol s
+    read (leaf_units[s] on the last level), so each prefix is labelled once.
+    Every walker child call counts against budget; tally gets every count.
+    """
+    tally.counts = counts = [0] * (n + 1)
+    counts[start] = 1
+    if start == n:
+        yield root
+        return
+    a_size, last, nodes, words = len(units), n - 1, 0, 0
+    leaves = tuple(enumerate(leaf_units))
+    down = range(a_size - 1, -1, -1)  # pushed high to low, popped low to high
+    stack = [(walker, root, start)]
+    while stack:
+        w, label, k = stack.pop()
+        nodes += a_size
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"node budget {budget} exhausted at length {n}",
+                words_done=words, nodes=budget + 1, budget=budget,
+            )
+        child = w.child
+        if k == last:
+            for s, unit in leaves:
+                if child(s) is not None:
+                    words += 1
+                    yield label + unit
+        else:
+            k += 1
+            below = len(stack)
+            for s in down:
+                ch = child(s)
+                if ch is not None:
+                    stack.append((ch, label + units[s], k))
+            counts[k] += len(stack) - below
+    counts[n], tally.nodes = words, nodes
+
+
 def iter_language(
     spec: SubshiftSpec,
     n: int,
     budget: int = DEFAULT_NODE_BUDGET,
     prefix: Word = (),
-) -> Iterator[Word]:
+    *,
+    text: bool = False,
+    tally: Tally | None = None,
+) -> Iterator[Word] | Iterator[str]:
     """Yield the admissible words of length n in lexicographic order.
 
-    Budget counts walker extension attempts; exceeding it raises
+    Budget counts walker extension attempts (a full shift without a prefix
+    is charged its a^n words instead); exceeding it raises
     BudgetExceededError carrying the number of words already produced.
-    With a prefix, only words extending it are yielded.
+    With a prefix, only words extending it are yielded. With text, each
+    word comes as its language-file line, format_word(w) + "\\n". A tally,
+    when given, is filled in once the walk completes.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
     if budget < 1:
         raise InputError("budget must be >= 1")
     prefix = tuple(prefix)
-    check_symbols(prefix, spec.alphabet_size)
-    if len(prefix) > n:
-        return
-    if spec.family == "full" and not prefix:
-        # identical output to the generic walker, at C speed
-        total = spec.alphabet_size ** n
-        if total > budget:
-            raise BudgetExceededError(
-                f"enumeration of {total} words exceeds budget {budget}",
-                words_done=0,
-                nodes=total,
-                budget=budget,
-            )
-        if n == 0:
-            yield ()
-        else:
-            yield from itertools.product(range(spec.alphabet_size), repeat=n)
-        return
-
-    walker = walk(spec.root_walker(), prefix)
+    a_size = spec.alphabet_size
+    check_symbols(prefix, a_size)
+    tally = Tally() if tally is None else tally
+    tally.counts, tally.nodes = [0] * (n + 1), 0
+    walker = walk(spec.root_walker(), prefix) if len(prefix) <= n else None
     if walker is None:
         return
-    if len(prefix) == n:
-        yield prefix
-        return
-
-    a_size = spec.alphabet_size
-    depth = n - len(prefix)
-    nodes = 0
-    words = 0
-    syms: list[int] = []
-    walkers = [walker]
-    next_sym = [0]
-    while walkers:
-        s = next_sym[-1]
-        if s >= a_size:
-            walkers.pop()
-            next_sym.pop()
-            if syms:
-                syms.pop()
-            continue
-        next_sym[-1] = s + 1
-        nodes += 1
-        if nodes > budget:
+    full = spec.family == "full" and not prefix
+    if full:
+        if a_size**n > budget:
             raise BudgetExceededError(
-                f"node budget {budget} exhausted at length {n}",
-                words_done=words,
-                nodes=nodes,
-                budget=budget,
+                f"enumeration of {a_size**n} words exceeds budget {budget}",
+                words_done=0, nodes=a_size**n, budget=budget,
             )
-        ch = walkers[-1].child(s)
-        if ch is None:
-            continue
-        syms.append(s)
-        if len(syms) == depth:
-            words += 1
-            yield prefix + tuple(syms)
-            syms.pop()
-        else:
-            walkers.append(ch)
-            next_sym.append(0)
+        budget = math.inf
+    if full and not text:
+        # identical output to the walk, at C speed
+        yield from itertools.product(range(a_size), repeat=n)
+        tally.counts = [a_size**k for k in range(n + 1)]
+    else:
+        units = leaf_units = [(s,) for s in range(a_size)]
+        root = prefix
+        # text labels need one-digit symbols (format_word dots a word only
+        # when it holds a symbol >= 10) and a last symbol to end the line
+        fast_text = text and a_size <= 10 and len(prefix) < n
+        if fast_text:
+            units = [str(s) for s in range(a_size)]
+            root, leaf_units = format_word(prefix), [u + "\n" for u in units]
+        words = _walk(walker, len(prefix), n, budget, root, units, leaf_units, tally)
+        if text and not fast_text:
+            words = (format_word(w) + "\n" for w in words)
+        yield from words
+    if full:
+        tally.nodes = a_size**n
 
 
 def enumerate_language(
@@ -701,38 +732,36 @@ def enumerate_language(
     return list(iter_language(spec, n, budget, prefix))
 
 
-def count_language(
+def language_counts(
     spec: SubshiftSpec,
     n: int,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """|L_n|, using exact closed forms where the family admits one.
+) -> list[int]:
+    """[|L_0|, ..., |L_n|], using exact closed forms where the family has one.
 
     Full shifts count as powers, SFTs by integer path counting in the
     block graph, products multiply factor counts; these agree with the
     enumeration by construction and skip the node budget. Other families
-    walk the prefix tree.
+    count every length on one walk of the prefix tree.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
-    if n == 0:
-        return 1
+    a_size = spec.alphabet_size
     if spec.family == "full":
-        return spec.alphabet_size ** n
+        return [a_size**k for k in range(n + 1)]
     if spec.family == "sft":
-        m = spec.params["block_len"]
-        alive = spec.params["alive"]
+        m, alive, short = (spec.params[k] for k in ("block_len", "alive", "short_sets"))
+        counts = [1] + [len(short[k]) for k in range(1, min(n + 1, m))]
         if n < m:
-            return len(spec.params["short_sets"][n])
-        if n == m:
-            return len(alive)
+            return counts
         states = sorted(alive)
         idx = {u: i for i, u in enumerate(states)}
         succ = [
-            [idx[u[1:] + (s,)] for s in range(spec.alphabet_size) if u[1:] + (s,) in alive]
+            [idx[u[1:] + (s,)] for s in range(a_size) if u[1:] + (s,) in alive]
             for u in states
         ]
         vec = [1] * len(states)
+        counts.append(len(states))
         for _ in range(n - m):
             nxt = [0] * len(states)
             for i, outs in enumerate(succ):
@@ -741,12 +770,17 @@ def count_language(
                     for j in outs:
                         nxt[j] += v
             vec = nxt
-        return sum(vec)
+            counts.append(sum(vec))
+        return counts
     if spec.family == "product":
-        return count_language(spec.params["a"], n, budget) * count_language(
-            spec.params["b"], n, budget
-        )
-    c = 0
-    for _ in iter_language(spec, n, budget):
-        c += 1
-    return c
+        ca, cb = (language_counts(spec.params[f], n, budget) for f in ("a", "b"))
+        return [x * y for x, y in zip(ca, cb)]
+    tally = Tally()
+    for _ in iter_language(spec, n, budget, tally=tally):
+        pass
+    return tally.counts
+
+
+def count_language(spec: SubshiftSpec, n: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """|L_n|; see language_counts."""
+    return language_counts(spec, n, budget)[n]

@@ -5,6 +5,7 @@ oracles.py, so tests can check package results against independent
 enumeration.
 """
 
+import dataclasses
 import math
 from typing import Callable, NamedTuple
 
@@ -77,3 +78,26 @@ POTENTIALS: dict[str, Callable[[int], Potential]] = {
     "reciprocal_sq": lambda a: make_reciprocal_run(h_sq),
     "run_levels": lambda a: make_run_levels([0.1, 0.9, -0.3], 0.4),
 }
+
+
+class CountedWalker:
+    """A walker that adds every child call it and its children make to calls[0]."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def child(self, sym):
+        self.calls[0] += 1
+        ch = self.inner.child(sym)
+        return None if ch is None else CountedWalker(ch, self.calls)
+
+    def key(self):
+        return self.inner.key()
+
+
+def counted(spec: SubshiftSpec):
+    """(a copy of spec whose walkers count their child calls, the counter)."""
+    calls = [0]
+    root = spec.root_walker
+    return dataclasses.replace(spec, root_walker=lambda: CountedWalker(root(), calls)), calls

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+import cases
 import oracles
+from shiftpress import cli
 from shiftpress.cli import main
 from shiftpress.config import (
     build_potential,
@@ -202,8 +204,9 @@ def test_pressure_outputs_and_determinism(tmp_path):
 
 # Results of every shipped config under `pressure` and each declared
 # partition_upper_* check, recorded before partition rows moved from the
-# per-word sum to the forward sweep. Zero-potential payloads must stay
-# byte-identical; other lnZ values may move by outward rounding only.
+# per-word sum to the forward sweep, and under `enumerate`, recorded before
+# it became one streamed walk. Zero-potential and enumerate payloads must
+# stay byte-identical; other lnZ values may move by outward rounding only.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 
 
@@ -218,6 +221,13 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     out = tmp_path / "out"
     argv = [*command.split(), "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
     assert main(argv) == want["exit"]
+    if command == "enumerate":
+        for payload, digest in want["sha256"].items():
+            assert sha256_file(out / payload) == digest, payload
+        work = json.loads((out / "manifest.json").read_text())["status"]["enumerate"]
+        assert work["count"] == want["count"] and work["budget"] == DEFAULT_NODE_BUDGET
+        assert 0 < work["nodes"] <= work["budget"]
+        return
     if command != "pressure":
         report = json.loads((out / f"report_{command.split()[1]}.json").read_text())
         assert report["verdict"] == want["verdict"]
@@ -246,6 +256,45 @@ def test_invalid_family_exits_2_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
     assert main(["pressure", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["full_shift", "golden_mean", "bounded_density", "sparse_sturmian", "product"]
+)
+def test_enumerate_budget_is_exact_and_exit_3_leaves_no_language_file(
+    tmp_path, monkeypatch, name
+):
+    # the five families the language_dump benchmark enumerates
+    built = []
+
+    def counted_subshift(sub):
+        built.append(cases.counted(build_subshift(sub)))
+        return built[-1][0]
+
+    monkeypatch.setattr(cli, "build_subshift", counted_subshift)
+    if name == "product":
+        factors = [{"family": "golden_mean"}, {"family": "full_shift", "alphabet_size": 2}]
+        doc = golden_doc(subshift={"family": "product", "factors": factors})
+    else:
+        doc = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    doc["horizons"] = {"n_max": 9}
+    cfg_path = write_yaml(tmp_path, doc)
+
+    def run(out, *flags):
+        return main(["enumerate", "--config", str(cfg_path), "--out", str(out), *flags])
+
+    assert run(tmp_path / "free") == 0
+    manifest = json.loads((tmp_path / "free" / "manifest.json").read_text())
+    nodes = manifest["status"]["enumerate"]["nodes"]
+    _, _, rows = read_csv_payload(tmp_path / "free" / "counts.csv")
+    # one walk: each admissible word shorter than 9 is extended once
+    spec, calls = built[0]
+    assert calls[0] == spec.alphabet_size * (1 + sum(int(r[1]) for r in rows[:-1]))
+    assert run(tmp_path / "exact", "--budget", str(nodes)) == 0
+    language = (tmp_path / "free" / "language_n9.txt").read_bytes()
+    assert (tmp_path / "exact" / "language_n9.txt").read_bytes() == language
+    assert run(tmp_path / "short", "--budget", str(nodes - 1)) == 3
+    assert not list((tmp_path / "short").glob("language_n9.txt*"))
 
 
 def test_budget_exhaustion_exits_3(tmp_path):
@@ -382,15 +431,6 @@ def test_anchors_incomplete_exits_3(tmp_path):
     doc = golden_doc(horizons={"n_max": 24}, checks={"anchors": {"epsilons": [0.2]}})
     cfg_path = write_yaml(tmp_path, doc)
     assert main(["anchors", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
-
-
-def test_thread_validation_and_recording(tmp_path):
-    cfg_path = write_yaml(tmp_path, golden_doc(horizons={"n_max": 4}))
-    out = tmp_path / "out"
-    assert main(["enumerate", "--config", str(cfg_path), "--out", str(out), "--threads", "0"]) == 2
-    assert main(["enumerate", "--config", str(cfg_path), "--out", str(out), "--threads", "3"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"]["threads"] == 3
 
 
 def test_unknown_verify_tag_is_a_usage_error(tmp_path):

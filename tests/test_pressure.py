@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cases import FAMILIES, POTENTIALS, h_lin
+from cases import FAMILIES, POTENTIALS, counted, h_lin
 from shiftpress.errors import (
     BudgetExceededError,
     InconsistentBracketError,
@@ -137,6 +137,18 @@ def test_budget_counts_sweep_nodes():
     assert ei.value.nodes == table.nodes and ei.value.budget == table.nodes - 1
     zero = partition_table(gm, ZeroPotential(), 12)
     assert zero.nodes is None and zero.max_states is None
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label for f in FAMILIES])
+def test_zero_rows_come_from_one_walk_or_a_closed_form(fam):
+    spec, calls = counted(fam.spec())
+    n_max = 8
+    counts = [len(fam.language(n)) for n in range(1, n_max + 1)]
+    table = partition_table(spec, ZeroPotential(), n_max)
+    assert [row.count for row in table.rows] == counts
+    assert [row.lnz_lo for row in table.rows] == [math.log(c) for c in counts]
+    closed_form = spec.family in ("full", "sft", "product")
+    assert calls[0] == (0 if closed_form else spec.alphabet_size * (1 + sum(counts[:-1])))
 
 
 # ---------------------------------------------------------------------------

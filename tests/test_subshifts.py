@@ -6,12 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cases
 import oracles
 from shiftpress.errors import BudgetExceededError, ConstructionError, InputError
 from shiftpress.subshifts import (
+    Tally,
     count_language,
     enumerate_language,
     iter_language,
+    language_counts,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
@@ -22,6 +25,7 @@ from shiftpress.subshifts import (
     walk,
     word_admissible,
 )
+from shiftpress.words import format_word
 
 HALF = [math.ceil(n / 2) for n in range(1, 41)]
 
@@ -191,6 +195,46 @@ def test_budget_exhaustion_reports_progress():
         enumerate_language(fs, 12, budget=50)
     assert ei.value.budget == 50
     assert ei.value.nodes >= 50
+
+
+# the criterion-3 families, which hold the five the language_dump benchmark
+# enumerates, and an alphabet of 12, where format_word dots words holding
+# a symbol >= 10
+TEXT_CASES = [(f.label, f.spec, 7) for f in cases.FAMILIES] + [
+    ("product_4x3", lambda: product_subshift(make_full_shift(4), make_full_shift(3)), 4)
+]
+
+
+@pytest.mark.parametrize("label, make, n_top", TEXT_CASES, ids=[c[0] for c in TEXT_CASES])
+def test_text_lines_are_the_formatted_words(label, make, n_top):
+    spec = make()
+    for n in range(n_top + 1):
+        for prefix in ((), (1,), (1, 1)):
+            words = enumerate_language(spec, n, prefix=prefix)
+            want = "".join(format_word(w) + "\n" for w in words)
+            assert "".join(iter_language(spec, n, prefix=prefix, text=True)) == want
+    lines = list(iter_language(spec, n_top, text=True))
+    assert (spec.alphabet_size > 10) == any("." in line for line in lines)
+
+
+@pytest.mark.parametrize("fam", cases.FAMILIES, ids=[f.label for f in cases.FAMILIES])
+def test_one_walk_counts_every_length(fam):
+    spec, calls = cases.counted(fam.spec())
+    n, a_size = 8, spec.alphabet_size
+    want = [1] + [len(fam.language(k)) for k in range(1, n + 1)]
+    tally = Tally()
+    lines = list(iter_language(spec, n, text=True, tally=tally))
+    assert tally.counts == want and len(lines) == want[n]
+    # each admissible word shorter than n is extended by every symbol, once
+    assert calls[0] == a_size * sum(want[:n])
+    assert tally.nodes == (a_size**n if spec.family == "full" else calls[0])
+    calls[0] = 0
+    assert language_counts(spec, n) == want
+    closed_form = spec.family in ("full", "sft", "product")
+    assert calls[0] == (0 if closed_form else a_size * sum(want[:n]))
+    calls[0] = 0
+    assert count_language(spec, n) == want[n]
+    assert calls[0] == (0 if closed_form else a_size * sum(want[:n]))
 
 
 @settings(deadline=None, max_examples=60)
