@@ -125,8 +125,7 @@ class _Run:
             n_state = self.cfg.horizons.n_state
             if n_state is None:
                 raise InputError("pressure source 'transfer' needs horizons.n_state")
-            model = build_transfer(self.spec, self.pot, n_state, self.budget)
-            return math.log(perron(model, tol=self.cfg.tolerances.perron).lam)
+            return math.log(self.transfer(n_state)[1].lam)
         if source == "bracket":
             bracket = pressure_bracket(
                 self.spec, self.pot, table,
@@ -134,6 +133,19 @@ class _Run:
             )
             return bracket.best_hi
         raise InputError(f"unknown pressure source {source!r}")
+
+    def transfer(self, n_state: int):
+        """The block graph at n_state and its Perron data; the work goes to
+        status.transfer in the manifest."""
+        model = build_transfer(self.spec, self.pot, n_state, self.budget)
+        pd = perron(model, tol=self.cfg.tolerances.perron)
+        self.manifest.status["transfer"] = {
+            "n_state": n_state, "states": model.state_count,
+            "edges": len(model.edges()[0]), "nodes": model.nodes, "budget": self.budget,
+            "iterations": pd.iterations, "residual": pd.residual,
+            "ln_lambda": math.log(pd.lam),
+        }
+        return model, pd
 
     def _bracket_g(self):
         horizon = self.cfg.horizons.var_horizon
@@ -214,8 +226,7 @@ def cmd_pressure(run: _Run) -> int:
         },
     }
     if cfg.horizons.n_state is not None:
-        model = build_transfer(run.spec, run.pot, cfg.horizons.n_state, run.budget)
-        pd = perron(model, tol=cfg.tolerances.perron)
+        model, pd = run.transfer(cfg.horizons.n_state)
         payload = {
             "n_state": model.n_state,
             "state_count": model.state_count,
@@ -226,7 +237,6 @@ def cmd_pressure(run: _Run) -> int:
         }
         path = write_json(run.out / "transfer.json", payload, run.digest)
         run.manifest.record(path)
-        status["transfer"] = {"ln_lambda": math.log(pd.lam)}
     run.finish(status)
     if bracket.upper_bound_only:
         print(f"{run.spec.label}: pressure <= {bracket.best_hi:.9f} (upper bound only)")
@@ -366,8 +376,7 @@ def _run_check(run: _Run, tag: str):
         n_state = cfg.horizons.n_state
         if n_state is None:
             raise InputError("measure_lower needs horizons.n_state")
-        model = build_transfer(run.spec, run.pot, n_state, run.budget)
-        mm = markov_equilibrium(model, perron(model, tol=cfg.tolerances.perron))
+        mm = markov_equilibrium(*run.transfer(n_state))
         return verify_measure_lower(
             mm,
             parse_word(str(params["cylinder"])),
@@ -395,8 +404,7 @@ def cmd_equilibrium(run: _Run) -> int:
     n_state = cfg.horizons.n_state
     if n_state is None:
         raise InputError("equilibrium needs horizons.n_state")
-    model = build_transfer(run.spec, run.pot, n_state, run.budget)
-    pd = perron(model, tol=cfg.tolerances.perron)
+    model, pd = run.transfer(n_state)
     mm = markov_equilibrium(model, pd)
     path = write_json(run.out / "equilibrium.json", equilibrium_payload(mm, pd), run.digest)
     run.manifest.record(path)

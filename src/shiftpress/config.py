@@ -40,6 +40,7 @@ from typing import Any
 import yaml
 
 from .errors import InputError
+from .gluing import MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES
 from .potentials import (
     LocallyConstantPotential,
     Potential,
@@ -116,15 +117,24 @@ def _as_mapping(value: Any, ctx: str) -> dict:
     return value
 
 
+def _only_known(d: dict, known, ctx: str) -> None:
+    unknown = set(d) - set(known)
+    if unknown:
+        raise InputError(f"{ctx}: unknown keys {sorted(unknown)}")
+
+
+def _one_of(value: Any, choices: tuple, ctx: str) -> str:
+    if value not in choices:
+        raise InputError(f"{ctx}: unknown value {value!r}; choose from {choices}")
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     doc = _as_mapping(doc, "config")
-    known = {
+    _only_known(doc, (
         "label", "subshift", "potential", "horizons", "tolerances",
         "strategy", "mode", "seed", "pair_budget", "checks", "output_dir",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise InputError(f"config: unknown keys {sorted(unknown)}")
+    ), "config")
     sub = _as_mapping(_require(doc, "subshift", "config"), "subshift")
     fam = _require(sub, "family", "subshift")
     if fam not in FAMILIES:
@@ -136,6 +146,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             f"potential: unknown kind {kind!r}; choose from {POTENTIAL_KINDS}"
         )
     hz = _as_mapping(doc.get("horizons", {}), "horizons")
+    _only_known(hz, ("n_max", "m_max", "n_state", "var_horizon"), "horizons")
     horizons = Horizons(
         n_max=int(hz.get("n_max", 12)),
         m_max=None if hz.get("m_max") is None else int(hz["m_max"]),
@@ -145,12 +156,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if horizons.n_max < 1:
         raise InputError("horizons: n_max must be >= 1")
     tl = _as_mapping(doc.get("tolerances", {}), "tolerances")
+    _only_known(tl, ("margin", "perron"), "tolerances")
     tolerances = Tolerances(
         margin=float(tl.get("margin", 1e-9)),
         perron=float(tl.get("perron", 1e-12)),
     )
-    strategy = doc.get("strategy", "exhaustive")
-    mode = doc.get("mode", "transitivity")
+    strategy = _one_of(doc.get("strategy", "exhaustive"), STRATEGIES, "strategy")
+    mode = _one_of(
+        doc.get("mode", MODE_TRANSITIVITY), (MODE_TRANSITIVITY, MODE_SPECIFICATION), "mode"
+    )
     return ExperimentConfig(
         raw=doc,
         label=str(doc.get("label", fam)),
@@ -158,8 +172,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         potential=pot,
         horizons=horizons,
         tolerances=tolerances,
-        strategy=str(strategy),
-        mode=str(mode),
+        strategy=strategy,
+        mode=mode,
         seed=int(doc.get("seed", 0)),
         pair_budget=int(doc.get("pair_budget", 200_000)),
         checks=_as_mapping(doc.get("checks", {}), "checks"),

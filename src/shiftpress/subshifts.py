@@ -622,18 +622,20 @@ class Tally:
     nodes: int = 0
 
 
-def _walk(walker, start: int, n: int, budget, root, units, leaf_units, tally: Tally):
+def _walk(walker, start: int, n: int, budget, root, units, leaf_units, tally: Tally,
+          ends: bool = False):
     """The one depth-first walk of the prefix tree, from length start to n.
 
     Yields the labels of the admissible words of length n in lexicographic
-    order. A node's label is its parent's plus units[s] for the symbol s
-    read (leaf_units[s] on the last level), so each prefix is labelled once.
-    Every walker child call counts against budget; tally gets every count.
+    order, each paired with its end walker when ends is set. A node's label
+    is its parent's plus units[s] for the symbol s read (leaf_units[s] on
+    the last level), so each prefix is labelled once. Every walker child
+    call counts against budget; tally gets every count.
     """
     tally.counts = counts = [0] * (n + 1)
     counts[start] = 1
     if start == n:
-        yield root
+        yield (root, walker) if ends else root
         return
     a_size, last, nodes, words = len(units), n - 1, 0, 0
     leaves = tuple(enumerate(leaf_units))
@@ -650,9 +652,10 @@ def _walk(walker, start: int, n: int, budget, root, units, leaf_units, tally: Ta
         child = w.child
         if k == last:
             for s, unit in leaves:
-                if child(s) is not None:
+                end = child(s)
+                if end is not None:
                     words += 1
-                    yield label + unit
+                    yield (label + unit, end) if ends else label + unit
         else:
             k += 1
             below = len(stack)
@@ -672,6 +675,7 @@ def iter_language(
     *,
     text: bool = False,
     tally: Tally | None = None,
+    ends: bool = False,
 ) -> Iterator[Word] | Iterator[str]:
     """Yield the admissible words of length n in lexicographic order.
 
@@ -679,8 +683,9 @@ def iter_language(
     is charged its a^n words instead); exceeding it raises
     BudgetExceededError carrying the number of words already produced.
     With a prefix, only words extending it are yielded. With text, each
-    word comes as its language-file line, format_word(w) + "\\n". A tally,
-    when given, is filled in once the walk completes.
+    word comes as its language-file line, format_word(w) + "\\n". With
+    ends (tuple words only), each word comes as (w, end walker of w). A
+    tally, when given, is filled in once the walk completes.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
@@ -702,7 +707,7 @@ def iter_language(
                 words_done=0, nodes=a_size**n, budget=budget,
             )
         budget = math.inf
-    if full and not text:
+    if full and not text and not ends:
         # identical output to the walk, at C speed
         yield from itertools.product(range(a_size), repeat=n)
         tally.counts = [a_size**k for k in range(n + 1)]
@@ -715,7 +720,7 @@ def iter_language(
         if fast_text:
             units = [str(s) for s in range(a_size)]
             root, leaf_units = format_word(prefix), [u + "\n" for u in units]
-        words = _walk(walker, len(prefix), n, budget, root, units, leaf_units, tally)
+        words = _walk(walker, len(prefix), n, budget, root, units, leaf_units, tally, ends)
         if text and not fast_text:
             words = (format_word(w) + "\n" for w in words)
         yield from words

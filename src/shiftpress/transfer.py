@@ -20,39 +20,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    ConvergenceError,
-    IdentityCheckError,
-    InputError,
-    ReducibleGraphError,
-)
+from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
-from .subshifts import (
-    DEFAULT_NODE_BUDGET,
-    Exactness,
-    SubshiftSpec,
-    enumerate_language,
-    word_admissible,
-)
+from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, iter_language
 from .words import Word
 
 
 @dataclass
 class TransferModel:
+    """Block graph as (states, |A|) arrays: the edge reading symbol s from
+    state i goes to succ[i, s] (-1: no edge) with weight e^phi(edge) in
+    weights[i, s] and phi(edge) in log_weights[i, s]."""
+
     spec: SubshiftSpec
     pot: Potential
     n_state: int
     states: tuple[Word, ...]
     index: dict[Word, int]
-    matrix: sparse.csr_matrix  # weights e^phi(edge)
-    log_weights: sparse.csr_matrix  # phi(edge), same sparsity
+    succ: np.ndarray
+    weights: np.ndarray
+    log_weights: np.ndarray
+    nodes: int  # walker nodes charged to enumerate the states
 
     @property
     def state_count(self) -> int:
         return len(self.states)
+
+    def edges(self):
+        """(flat positions, rows, cols) of the edges, row by row in column order."""
+        flat = np.flatnonzero(self.succ >= 0)
+        return flat, flat // self.succ.shape[1], self.succ.ravel()[flat]
 
 
 def _edge_site(pot: Potential) -> int:
@@ -66,6 +64,19 @@ def _edge_site(pot: Potential) -> int:
     )
 
 
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether breadth-first search along adj (-1: no edge) from state 0 reaches all."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        nxt = adj[frontier].ravel()
+        nxt = nxt[nxt >= 0]
+        frontier = np.unique(nxt[~seen[nxt]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
 def build_transfer(
     spec: SubshiftSpec,
     pot: Potential,
@@ -75,7 +86,9 @@ def build_transfer(
     """Assemble the weighted block graph at block length n_state.
 
     Requires an exact-language oracle and n_state >= 2r+1 so every edge
-    weight is a determined value, and a strongly connected graph.
+    weight is a determined value, and a strongly connected graph. The
+    states come from one walk, charged to budget like enumerate_language;
+    each edge is one step of a state's end walker.
     """
     if spec.exactness is not Exactness.EXACT_LANGUAGE:
         raise InputError("transfer models need an exact language oracle")
@@ -84,50 +97,43 @@ def build_transfer(
         raise InputError(
             f"n_state={n_state} too small for potential radius {r}; need >= {2 * r + 1}"
         )
-    states = tuple(enumerate_language(spec, n_state, budget))
-    if not states:
+    tally = Tally()
+    leaves = list(iter_language(spec, n_state, budget, tally=tally, ends=True))
+    if not leaves:
         raise InputError("no admissible states at this block length")
+    states = tuple(u for u, _ in leaves)
     index = {u: i for i, u in enumerate(states)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    logs: list[float] = []
-    for i, u in enumerate(states):
-        for s in range(spec.alphabet_size):
+    a_size, n = spec.alphabet_size, len(states)
+    succ, vals, logs = [-1] * (n * a_size), [0.0] * (n * a_size), [0.0] * (n * a_size)
+    for i, (u, end) in enumerate(leaves):
+        for s in range(a_size):
+            if end.child(s) is None:
+                continue
             joined = u + (s,)
-            if not word_admissible(spec, joined):
-                continue
-            v = joined[1:]
-            j = index.get(v)
-            if j is None:
-                # possible only for non-SFT exact oracles where the block
-                # graph is an approximation anyway
-                continue
             iv = pot.eval(joined, r)
             if iv.width != 0.0:
                 raise InputError("edge weight not determined by the joined block")
-            rows.append(i)
-            cols.append(j)
-            vals.append(math.exp(iv.lo))
-            logs.append(iv.lo)
-    n = len(states)
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    log_weights = sparse.csr_matrix((logs, (rows, cols)), shape=(n, n))
-    ncomp, _labels = connected_components(matrix, directed=True, connection="strong")
-    if ncomp != 1:
-        raise ReducibleGraphError(
-            f"block graph at n_state={n_state} has {ncomp} strongly connected "
-            "components; Perron data is not well defined"
-        )
-    return TransferModel(
-        spec=spec,
-        pot=pot,
-        n_state=n_state,
-        states=states,
-        index=index,
-        matrix=matrix,
-        log_weights=log_weights,
+            # exact languages are factorial, so the suffix is a state
+            e = i * a_size + s
+            succ[e], vals[e], logs[e] = index[joined[1:]], math.exp(iv.lo), iv.lo
+    shape = (n, a_size)
+    model = TransferModel(
+        spec, pot, n_state, states, index,
+        succ=np.array(succ, dtype=np.intp).reshape(shape),
+        weights=np.array(vals).reshape(shape),
+        log_weights=np.array(logs).reshape(shape),
+        nodes=tally.nodes,
     )
+    # in a block graph the predecessors of a state differ in their first symbol
+    _flat, rows, cols = model.edges()
+    pred = np.full((n, a_size), -1, dtype=np.intp)
+    pred[cols, np.array([u[0] for u in states])[rows]] = rows
+    if not (_reaches_all(model.succ) and _reaches_all(pred)):
+        raise ReducibleGraphError(
+            f"block graph at n_state={n_state} is not strongly connected; "
+            "Perron data is not well defined"
+        )
+    return model
 
 
 @dataclass
@@ -139,12 +145,11 @@ class PerronData:
     iterations: int
 
 
-def _power_iterate(mat: sparse.csr_matrix, tol: float, max_iter: int):
-    n = mat.shape[0]
+def _power_iterate(product, n: int, tol: float, max_iter: int):
     v = np.ones(n)
     lam = 1.0
     for it in range(1, max_iter + 1):
-        w = mat @ v
+        w = product(v)
         lam = float(w.max())
         if lam <= 0.0:
             raise ConvergenceError("iterate collapsed to zero", 0.0, it)
@@ -153,10 +158,8 @@ def _power_iterate(mat: sparse.csr_matrix, tol: float, max_iter: int):
         if residual <= tol * lam:
             return lam, v, residual, it
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(residual {residual:.3e})",
-        residual,
-        max_iter,
+        f"power iteration did not converge in {max_iter} steps (residual {residual:.3e})",
+        residual, max_iter,
     )
 
 
@@ -165,41 +168,54 @@ def perron(
     tol: float = 1e-12,
     max_iter: int = 200_000,
 ) -> PerronData:
-    """Dominant eigenvalue and eigenvectors by power iteration."""
+    """Dominant eigenvalue and eigenvectors by power iteration.
+
+    (M v)[i] adds the edges of row i in column order, and (v M)[j] adds
+    the edges into j in row order, each from 0.0 left to right.
+    """
     if tol <= 0:
         raise InputError("tol must be positive")
-    lam, right, res_r, it_r = _power_iterate(model.matrix, tol, max_iter)
-    lam_l, left, res_l, it_l = _power_iterate(model.matrix.T.tocsr(), tol, max_iter)
+    succ, weights, n = model.succ, model.weights, model.state_count
+    flat, rows, cols = model.edges()
+    w_edge = weights.ravel()[flat]
+
+    def right_product(v):
+        # an absent edge adds 0.0 * v[-1] = 0.0, which changes no sum
+        w = weights[:, 0] * v[succ[:, 0]]
+        for s in range(1, succ.shape[1]):
+            w += weights[:, s] * v[succ[:, s]]
+        return w
+
+    def left_product(v):
+        return np.bincount(cols, weights=w_edge * v[rows], minlength=n)
+
+    lam, right, res_r, it_r = _power_iterate(right_product, n, tol, max_iter)
+    lam_l, left, res_l, it_l = _power_iterate(left_product, n, tol, max_iter)
     if abs(lam - lam_l) > 10 * tol * max(lam, lam_l):
         raise ConvergenceError(
             f"left/right eigenvalue mismatch: {lam} vs {lam_l}",
             abs(lam - lam_l),
             it_r + it_l,
         )
-    scale = float(left @ right)
-    left = left / scale
-    return PerronData(
-        lam=lam,
-        right=right,
-        left=left,
-        residual=max(res_r, res_l),
-        iterations=max(it_r, it_l),
-    )
+    left = left / float(left @ right)
+    return PerronData(lam, right, left, residual=max(res_r, res_l), iterations=max(it_r, it_l))
 
 
 @dataclass
 class MarkovMeasure:
     """Stationary Markov chain on block states built from Perron data.
 
-    p(u, v) = M[u, v] r(v) / (lam r(u)); pi(u) = l(u) r(u). entropy and
-    phi_integral satisfy entropy + phi_integral = ln(lam) up to rounding,
-    which is checked at construction.
+    p(u, v) = M[u, v] r(v) / (lam r(u)), kept like the weights as
+    p[u, s] for the edge reading s (0 where there is none);
+    pi(u) = l(u) r(u). entropy and phi_integral satisfy
+    entropy + phi_integral = ln(lam) up to rounding, which is checked at
+    construction.
     """
 
     model: TransferModel
     lam: float
     pi: np.ndarray
-    p: sparse.csr_matrix
+    p: np.ndarray
     entropy: float
     phi_integral: float
     stationarity_gap: float
@@ -218,38 +234,28 @@ def markov_equilibrium(
     r = pd.right
     pi = pd.left * pd.right
     pi = pi / pi.sum()
-    mat = model.matrix.tocoo()
-    data = mat.data * r[mat.col] / (lam * r[mat.row])
-    p = sparse.csr_matrix((data, (mat.row, mat.col)), shape=mat.shape)
-    row_sums = np.asarray(p.sum(axis=1)).ravel()
+    n = model.state_count
+    flat, rows, cols = model.edges()
+    data = model.weights.ravel()[flat] * r[cols] / (lam * r[rows])
+    row_sums = np.bincount(rows, weights=data, minlength=n)
     if np.abs(row_sums - 1.0).max() > 1e-9:
         raise IdentityCheckError("transition rows do not sum to 1")
-    stat_gap = float(np.abs(pi @ p - pi).sum())
+    stat_gap = float(np.abs(np.bincount(cols, weights=data * pi[rows], minlength=n) - pi).sum())
     if stat_gap > stationarity_tol:
         raise IdentityCheckError(f"pi is not stationary: l1 gap {stat_gap:.3e}")
-    pc = p.tocoo()
     with np.errstate(divide="ignore"):
-        plogp = pc.data * np.log(pc.data)
-    entropy = -float(np.sum(pi[pc.row] * plogp))
-    lw = model.log_weights.tocoo()
-    # identical sparsity pattern and ordering as the weight matrix
-    phi_integral = float(np.sum(pi[pc.row] * pc.data * lw.data))
+        plogp = data * np.log(data)
+    entropy = -float(np.sum(pi[rows] * plogp))
+    phi_integral = float(np.sum(pi[rows] * data * model.log_weights.ravel()[flat]))
     identity_gap = abs(entropy + phi_integral - math.log(lam))
     if identity_gap > identity_tol:
         raise IdentityCheckError(
             f"entropy {entropy} + integral {phi_integral} != ln lam "
             f"{math.log(lam)} (gap {identity_gap:.3e})"
         )
-    return MarkovMeasure(
-        model=model,
-        lam=lam,
-        pi=pi,
-        p=p,
-        entropy=entropy,
-        phi_integral=phi_integral,
-        stationarity_gap=stat_gap,
-        identity_gap=identity_gap,
-    )
+    p = np.zeros(model.succ.shape)
+    p.ravel()[flat] = data
+    return MarkovMeasure(model, lam, pi, p, entropy, phi_integral, stat_gap, identity_gap)
 
 
 def cylinder_measure(mm: MarkovMeasure, word: Word) -> float:
@@ -265,20 +271,14 @@ def cylinder_measure(mm: MarkovMeasure, word: Word) -> float:
             if u[: len(word)] == word:
                 total += float(mm.pi[i])
         return total
-    start = word[:ns]
-    i = model.index.get(start)
+    i = model.index.get(word[:ns])
     if i is None:
         return 0.0
     prob = float(mm.pi[i])
-    for t in range(len(word) - ns):
-        u = word[t : t + ns]
-        v = word[t + 1 : t + 1 + ns]
-        iu = model.index.get(u)
-        iv = model.index.get(v)
-        if iu is None or iv is None:
-            return 0.0
-        step = mm.p[iu, iv]
+    for s in word[ns:]:
+        step = mm.p[i, s] if 0 <= s < model.spec.alphabet_size else 0.0
         if step == 0.0:
             return 0.0
         prob *= float(step)
+        i = model.succ[i, s]
     return prob

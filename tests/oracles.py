@@ -5,12 +5,16 @@ every word over the alphabet, extendability is decided by breadth-first
 search with a pumping-length horizon, and partial sums are evaluated on
 concrete padded words. Partition references that must hold with zero
 slack are computed in 60-digit decimal arithmetic from the exact values of
-the float inputs. Slow on purpose; keep instances at desk scale.
+the float inputs. Block graphs come from membership of every joined word,
+with connectivity by boolean closure and the Perron root from dense
+numpy eigenvalues. Slow on purpose; keep instances at desk scale.
 """
 
 import itertools
 import math
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 DIGITS = 60  # working precision of the decimal references
 
@@ -354,3 +358,48 @@ def radius1_transfer(phi, alphabet_size, pair_ok, n, edge):
             vec = grown
         z = sum(x * e(edge(phi((a, b, s)) for s in syms)) for (a, b), x in vec.items())
         return z.ln()
+
+
+# ---------------------------------------------------------------------------
+# block graphs, from membership of the joined words
+# ---------------------------------------------------------------------------
+
+
+def block_graph(ok, alphabet_size, n):
+    """(states, succ) of the block graph at block length n.
+
+    states are the admissible n-words in lexicographic order; succ[i][s]
+    is the index of states[i][1:] + (s,) when the joined word
+    states[i] + (s,) is admissible, else -1.
+    """
+    states = [w for w in all_words(alphabet_size, n) if ok(w)]
+    index = {u: i for i, u in enumerate(states)}
+    succ = [
+        [index[u[1:] + (s,)] if ok(u + (s,)) else -1 for s in range(alphabet_size)]
+        for u in states
+    ]
+    return states, succ
+
+
+def _dense(states, succ, phi):
+    """Dense weighted adjacency: e^phi(joined word) on each edge."""
+    mat = np.zeros((len(states), len(states)))
+    for i, u in enumerate(states):
+        for s, j in enumerate(succ[i]):
+            if j >= 0:
+                mat[i, j] = math.exp(phi(u + (s,)))
+    return mat
+
+
+def strongly_connected(succ):
+    """Whether every state reaches every other, by boolean closure squaring."""
+    reach = _dense([()] * len(succ), succ, lambda w: 0.0) > 0
+    reach |= np.eye(len(succ), dtype=bool)
+    for _ in range(max(1, len(succ)).bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    return bool(reach.all())
+
+
+def block_graph_ln_lambda(states, succ, phi=lambda w: 0.0):
+    """ln of the spectral radius of the weighted block graph (numpy eigvals)."""
+    return math.log(max(abs(np.linalg.eigvals(_dense(states, succ, phi)))))

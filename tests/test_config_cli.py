@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from shiftpress.config import (
 )
 from shiftpress.errors import InputError
 from shiftpress.reports import sha256_file
-from shiftpress.subshifts import DEFAULT_NODE_BUDGET
+from shiftpress.subshifts import DEFAULT_NODE_BUDGET, Tally, iter_language
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -86,6 +89,24 @@ def test_config_rejects_unknown_keys_and_families():
         config_from_dict({"subshift": {"family": "golden_mean"}, "potential": {"kind": "odd"}})
     with pytest.raises(InputError):
         config_from_dict({})
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"horizons": {"n_max": 10, "n_mx": 5}}, "n_mx"),
+        ({"tolerances": {"peron": 1e-9}}, "peron"),
+        ({"tolerances": {"margn": 1}}, "margn"),
+        ({"mode": "bogus"}, "mode"),
+        ({"strategy": "nope"}, "strategy"),
+    ],
+)
+def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
+    cfg_path = write_yaml(tmp_path, golden_doc(**override))
+    out = tmp_path / "out"
+    assert main(["pressure", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -205,9 +226,12 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # Results of every shipped config under `pressure` and each declared
 # partition_upper_* check, recorded before partition rows moved from the
 # per-word sum to the forward sweep, and under `enumerate`, recorded before
-# it became one streamed walk. Zero-potential and enumerate payloads must
-# stay byte-identical; other lnZ values may move by outward rounding only.
+# it became one streamed walk; the `transfer.json`, `equilibrium` and
+# `verify measure_lower` hashes were recorded before the transfer model left
+# scipy. Zero-potential, enumerate and transfer payloads must stay
+# byte-identical; other lnZ values may move by outward rounding only.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
+TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
 
 
 def _near(want, got, tol=1e-10):
@@ -219,33 +243,40 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     name, command = case.split(":")
     want = PINS[case]
     out = tmp_path / "out"
-    argv = [*command.split(), "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
+    config = CONFIG_DIR / f"{name}.yaml"
+    argv = [*command.split(), "--config", str(config), "--out", str(out)]
     assert main(argv) == want["exit"]
+    for payload, digest in want.get("sha256", {}).items():
+        assert sha256_file(out / payload) == digest, payload
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    n_state = load_config(config).horizons.n_state
+    if command in TRANSFER_COMMANDS and n_state is not None:
+        work = status["transfer"]
+        assert work["n_state"] == n_state and work["budget"] == DEFAULT_NODE_BUDGET
+        assert 0 < work["nodes"] <= work["budget"] and work["iterations"] >= 1
+        assert 0 < work["states"] <= work["edges"] and work["residual"] >= 0.0
     if command == "enumerate":
-        for payload, digest in want["sha256"].items():
-            assert sha256_file(out / payload) == digest, payload
-        work = json.loads((out / "manifest.json").read_text())["status"]["enumerate"]
+        work = status["enumerate"]
         assert work["count"] == want["count"] and work["budget"] == DEFAULT_NODE_BUDGET
         assert 0 < work["nodes"] <= work["budget"]
         return
-    if command != "pressure":
+    if command.startswith("verify"):
         report = json.loads((out / f"report_{command.split()[1]}.json").read_text())
         assert report["verdict"] == want["verdict"]
         assert [n for n, _ in report["margins"]] == [n for n, _ in want["margins"]]
         assert all(_near(w, g) for (_, w), (_, g) in zip(want["margins"], report["margins"]))
         return
+    if command != "pressure":
+        return
     _, _, rows = read_csv_payload(out / "partition.csv")
     assert [int(r[1]) for r in rows] == want["count"]
     for (lo, hi), row in zip(want["lnz"], rows):
         assert _near(lo, float(row[2])) and _near(hi, float(row[3])), row
-    status = json.loads((out / "manifest.json").read_text())["status"]
     assert _near(want["best_lo"], status["bracket"]["best_lo"])
     assert _near(want["best_hi"], status["bracket"]["best_hi"])
     work = status["partition"]
     assert work["budget"] == DEFAULT_NODE_BUDGET
-    for payload, digest in want.get("sha256", {}).items():
-        assert sha256_file(out / payload) == digest, payload
-    if "sha256" in want:  # zero potential: rows come from count_language
+    if "partition.csv" in want.get("sha256", {}):  # zero potential: rows from count_language
         assert work["nodes"] is None and work["max_states"] is None
     else:
         assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
@@ -295,6 +326,37 @@ def test_enumerate_budget_is_exact_and_exit_3_leaves_no_language_file(
     assert (tmp_path / "exact" / "language_n9.txt").read_bytes() == language
     assert run(tmp_path / "short", "--budget", str(nodes - 1)) == 3
     assert not list((tmp_path / "short").glob("language_n9.txt*"))
+
+
+@pytest.mark.parametrize("name", ["full_shift", "golden_mean", "golden_mean_weighted"])
+def test_transfer_budget_is_the_enumeration_budget(tmp_path, name):
+    # the block graph charges exactly what enumerating its states charges
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    tally = Tally()
+    list(iter_language(build_subshift(cfg.subshift), cfg.horizons.n_state, tally=tally))
+    nodes = tally.nodes
+    if name != "full_shift":  # one walk: a nodes per admissible word shorter than n_state
+        assert nodes == 2 * sum(
+            len(oracles.sft_language(2, [(1, 1)], k)) for k in range(cfg.horizons.n_state)
+        )
+
+    def run(out, budget):
+        argv = ["equilibrium", "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
+        return main([*argv, "--budget", str(budget)])
+
+    assert run(tmp_path / "exact", nodes) == 0
+    work = json.loads((tmp_path / "exact" / "manifest.json").read_text())["status"]["transfer"]
+    assert work["nodes"] == work["budget"] == nodes
+    assert run(tmp_path / "short", nodes - 1) == 3
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, shiftpress.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_budget_exhaustion_exits_3(tmp_path):

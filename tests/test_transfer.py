@@ -1,8 +1,17 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shiftpress.errors import ConvergenceError, InputError, ReducibleGraphError
+import oracles
+from cases import HALF
+from shiftpress.errors import (
+    ConstructionError,
+    ConvergenceError,
+    InputError,
+    ReducibleGraphError,
+)
 from shiftpress.potentials import (
     LocallyConstantPotential,
     ZeroPotential,
@@ -11,10 +20,12 @@ from shiftpress.potentials import (
 from shiftpress.subshifts import (
     enumerate_language,
     make_bounded_density,
+    make_full_shift,
     make_golden_mean,
     make_sft,
     make_sparse_sturmian,
     make_sturmian_factors,
+    product_subshift,
 )
 from shiftpress.transfer import (
     build_transfer,
@@ -99,6 +110,89 @@ def test_reducible_graph_is_refused():
     frozen = make_sft(2, [(0, 1), (1, 0)])  # two disjoint fixed points
     with pytest.raises(ReducibleGraphError):
         build_transfer(frozen, ZeroPotential(), 2)
+
+
+def test_one_way_graph_is_refused():
+    # 0^a 1^b: state 00 reaches every state, but nothing leads back to it,
+    # so only the backward search sees the graph is not strongly connected
+    one_way = make_sft(2, [(1, 0)])
+    states, succ = oracles.block_graph(oracles.sft_admissible(2, [(1, 0)]), 2, 2)
+    assert states[0] == (0, 0) and not oracles.strongly_connected(succ)
+    with pytest.raises(ReducibleGraphError):
+        build_transfer(one_way, ZeroPotential(), 2)
+
+
+# ---------------------------------------------------------------------------
+# block graph against the oracle built from joined-word membership
+# ---------------------------------------------------------------------------
+
+# radius-1 table and default, for the package potential and the oracle phi
+TABLE = {(0, 1, 0): 0.75, (1, 0, 1): -0.5, (0, 0, 0): 0.2}
+
+
+def _table_phi(joined):
+    return oracles.phi_lc(joined, 1, 1, TABLE, 0.05)
+
+
+def compare_with_block_graph_oracle(spec, ok, n_state, weighted=False):
+    """States, successors, edge count and ln(lambda) (1e-12) against the
+    oracle; a graph the oracle finds reducible must be refused. Returns
+    whether ln(lambda) was compared."""
+    states, succ = oracles.block_graph(ok, spec.alphabet_size, n_state)
+    pot = LocallyConstantPotential(1, TABLE, spec.alphabet_size, default=0.05) if weighted else None
+    if not oracles.strongly_connected(succ):
+        with pytest.raises(ReducibleGraphError):
+            build_transfer(spec, pot or ZeroPotential(), n_state)
+        return False
+    model = build_transfer(spec, pot or ZeroPotential(), n_state)
+    assert list(model.states) == states
+    assert model.succ.tolist() == succ
+    assert len(model.edges()[0]) == sum(j >= 0 for row in succ for j in row)
+    try:
+        lam = perron(model, max_iter=20_000).lam
+    except ConvergenceError:  # periodic graph whose Perron vector is not uniform
+        return False
+    phi = _table_phi if weighted else (lambda w: 0.0)
+    assert math.log(lam) == pytest.approx(
+        oracles.block_graph_ln_lambda(states, succ, phi), abs=1e-12
+    )
+    return True
+
+
+@pytest.mark.parametrize("n_state", [1, 2, 3, 4, 5, 6])
+def test_golden_block_graph_matches_oracle(n_state):
+    ok = oracles.sft_admissible(2, [(1, 1)])
+    assert compare_with_block_graph_oracle(make_golden_mean(), ok, n_state)
+    if n_state >= 3:
+        assert compare_with_block_graph_oracle(make_golden_mean(), ok, n_state, True)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=3).map(tuple),
+             min_size=1, max_size=3, unique=True),
+    st.integers(1, 5),
+)
+def test_sft_block_graphs_match_oracle(forbidden, n_state):
+    try:
+        spec = make_sft(2, forbidden)
+    except ConstructionError:
+        assume(False)
+    ok = oracles.sft_admissible(2, forbidden)
+    compare_with_block_graph_oracle(spec, ok, n_state, weighted=n_state >= 3)
+
+
+@pytest.mark.parametrize("n_state", [1, 2, 3, 4, 5, 6])
+def test_bounded_density_block_graph_matches_oracle(n_state):
+    ok = oracles.bd_admissible([0] + HALF)
+    compare_with_block_graph_oracle(make_bounded_density(1, HALF), ok, n_state)
+
+
+@pytest.mark.parametrize("n_state", [1, 2, 3])
+def test_product_block_graph_matches_oracle(n_state):
+    ok = oracles.product_admissible(oracles.sft_admissible(2, [(1, 1)]), lambda w: True, 2)
+    spec = product_subshift(make_golden_mean(), make_full_shift(2))
+    assert compare_with_block_graph_oracle(spec, ok, n_state)
 
 
 # ---------------------------------------------------------------------------
