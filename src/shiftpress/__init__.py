@@ -27,7 +27,6 @@ from .potentials import (
     RunLevelPotential,
     VarProfile,
     ZeroPotential,
-    growth_class,
     make_reciprocal_run,
     make_run_levels,
     partial_sum,
@@ -45,7 +44,6 @@ from .pressure import (
 from .subshifts import (
     SubshiftSpec,
     count_language,
-    enumerate_language,
     iter_language,
     make_bounded_density,
     make_full_shift,
@@ -100,7 +98,6 @@ __all__ = [
     "product_subshift",
     "word_admissible",
     "iter_language",
-    "enumerate_language",
     "count_language",
     "Interval",
     "Potential",
@@ -113,7 +110,6 @@ __all__ = [
     "partial_sum",
     "VarProfile",
     "variation_profile",
-    "growth_class",
     "PartitionTable",
     "partition_function",
     "partition_table",

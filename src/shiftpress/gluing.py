@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .subshifts import (
-    DEFAULT_NODE_BUDGET,
-    SubshiftSpec,
-    enumerate_language,
-    walk,
-)
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
 from .words import Word, check_symbols
 
 MODE_TRANSITIVITY = "transitivity"
@@ -133,11 +128,6 @@ def worst_glue(
     return worst, witness, None
 
 
-def _start(spec: SubshiftSpec, v: Word, w: Word):
-    check_symbols(tuple(v) + tuple(w), spec.alphabet_size)
-    return walk(spec.root_walker(), v)
-
-
 def find_glue(
     spec: SubshiftSpec,
     v: Word,
@@ -146,18 +136,9 @@ def find_glue(
     strategy: str,
 ) -> Word | None:
     """First filler of length exactly m that joins v and w, or None."""
-    got = least_glue(spec, _start(spec, v, w), w, (m,), (strategy,))
+    check_symbols(tuple(v) + tuple(w), spec.alphabet_size)
+    got = least_glue(spec, walk(spec.root_walker(), v), w, (m,), (strategy,))
     return None if got is None else got[1]
-
-
-def min_glue_gap(
-    spec: SubshiftSpec,
-    v: Word,
-    w: Word,
-    m_max: int,
-    strategy: str,
-) -> tuple[int, Word] | None:
-    return least_glue(spec, _start(spec, v, w), w, range(m_max + 1), (strategy,))
 
 
 def sample_pairs(
@@ -237,7 +218,7 @@ def min_gap_profile(
         f_declared = spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)
-    words = enumerate_language(spec, n, budget)
+    words = list(iter_language(spec, n, budget))
     if not words:
         raise InputError(f"language empty at length {n}")
     pairs, coverage = sample_pairs(words, pair_budget, seed)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConstructionError, IdentityCheckError, InputError
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
@@ -71,22 +71,12 @@ class Interval:
     def point(v: float) -> "Interval":
         return Interval(v, v)
 
-    @staticmethod
-    def hull(values: Iterable[float]) -> "Interval":
-        vals = list(values)
-        if not vals:
-            raise InputError("hull of no values")
-        return Interval(min(vals), max(vals))
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
 
     def encloses(self, other: "Interval", slack: float = 0.0) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
@@ -346,6 +336,10 @@ class _RunScanner:
         return got
 
 
+# how far the divergence flag sums 1/h(n) for a callable h (a table: its end)
+_SUMMABILITY_HORIZON = 1 << 16
+
+
 class ReciprocalRunPotential(_RunPotential):
     """phi(x) = 1/h(k) at run radius k; 0 on constant points.
 
@@ -363,7 +357,6 @@ class ReciprocalRunPotential(_RunPotential):
         h: Callable[[int], float] | Sequence[float],
         *,
         k_cap: int = 1024,
-        summability_horizon: int = 1 << 16,
     ):
         if callable(h):
             table = [float(h(k)) for k in range(k_cap + 1)]
@@ -387,7 +380,7 @@ class ReciprocalRunPotential(_RunPotential):
         sums = []
         acc = 0.0
         j = 1
-        horizon = summability_horizon if tail is not None else k_cap
+        horizon = _SUMMABILITY_HORIZON if tail is not None else k_cap
         for k in range(horizon + 1):
             hv = table[k] if k <= k_cap else float(tail(k))
             if not hv > 0.0:
@@ -497,9 +490,8 @@ def make_reciprocal_run(
     h: Callable[[int], float] | Sequence[float],
     *,
     k_cap: int = 1024,
-    summability_horizon: int = 1 << 16,
 ) -> ReciprocalRunPotential:
-    return ReciprocalRunPotential(h, k_cap=k_cap, summability_horizon=summability_horizon)
+    return ReciprocalRunPotential(h, k_cap=k_cap)
 
 
 def make_run_levels(a: Sequence[float], a_inf: float) -> RunLevelPotential:
@@ -564,64 +556,3 @@ def variation_profile(
                 f"variation must be non-increasing; var({i + 1}) > var({i})"
             )
     return VarProfile(var=tuple(var), g=variation_sum_bounds(var))
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Classification of a gap table g against logarithmic growth.
-
-    klass is one of 'bounded', 'sublog', 'log_linear', 'superlog'; c is
-    the fitted coefficient of ln n for log_linear. ratios holds
-    g(n)/ln n at dyadic n for inspection.
-    """
-
-    klass: str
-    c: float | None
-    ratios: tuple[float, ...]
-    increments: tuple[float, ...]
-
-
-def growth_class(g: Sequence[float], horizon: int | None = None) -> GrowthReport:
-    """Classify growth of g from dyadic increments.
-
-    Geometric decay of g(2^j) - g(2^(j-1)) means a summable tail
-    (bounded); increments near constant track C*ln n; growing increments
-    are superlogarithmic; in between is sublogarithmic.
-    """
-    gs = list(g)
-    if horizon is None:
-        horizon = len(gs) - 1
-    if horizon >= len(gs):
-        raise InputError("horizon beyond table")
-    if horizon < 16:
-        raise InputError("growth classification needs horizon >= 16")
-    dyads = []
-    j = 2
-    while (1 << j) <= horizon:
-        dyads.append(1 << j)
-        j += 1
-    if dyads[-1] != horizon:
-        dyads.append(horizon)
-    ratios = tuple(gs[n] / math.log(n) for n in dyads)
-    incs = [gs[b] - gs[a] for a, b in zip(dyads, dyads[1:])]
-    tail = incs[-3:] if len(incs) >= 3 else incs
-    scale = max(abs(gs[n]) for n in dyads) or 1.0
-    if all(abs(v) <= 1e-9 * scale for v in tail):
-        return GrowthReport("bounded", None, ratios, tuple(incs))
-    pos = [(a, b) for a, b in zip(tail, tail[1:]) if a > 0]
-    med_ratio = sorted(b / a for a, b in pos)[len(pos) // 2] if pos else 0.0
-    if med_ratio <= 0.80:
-        return GrowthReport("bounded", None, ratios, tuple(incs))
-    if med_ratio > 1.10:
-        return GrowthReport("superlog", None, ratios, tuple(incs))
-    if med_ratio <= 0.95:
-        return GrowthReport("sublog", None, ratios, tuple(incs))
-    # least-squares slope of g against ln n over the dyadic tail
-    pts = dyads[-min(len(dyads), 5):]
-    xs = [math.log(n) for n in pts]
-    ys = [gs[n] for n in pts]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    denom = sum((x - xbar) ** 2 for x in xs)
-    c = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
-    return GrowthReport("log_linear", c, ratios, tuple(incs))

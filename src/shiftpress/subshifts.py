@@ -114,7 +114,7 @@ class _SftWalker:
         self.short = short
 
     def child(self, sym: int):
-        m, alive, short_sets, step = self.tables
+        m, alive, short_sets = self.tables
         q = self.cur + (sym,)
         if self.short:
             if len(q) < m:
@@ -321,7 +321,7 @@ def make_sft(
         for l in range(1, m):
             for i in range(m - l + 1):
                 short_sets[l].add(u[i : i + l])
-    tables = (m, alive, short_sets, None)
+    tables = (m, alive, short_sets)
 
     f_decl = None
     mode = None
@@ -726,15 +726,6 @@ def iter_language(
         yield from words
     if full:
         tally.nodes = a_size**n
-
-
-def enumerate_language(
-    spec: SubshiftSpec,
-    n: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    prefix: Word = (),
-) -> list[Word]:
-    return list(iter_language(spec, n, budget, prefix))
 
 
 def language_counts(

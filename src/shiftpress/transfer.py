@@ -87,7 +87,7 @@ def build_transfer(
 
     Requires an exact-language oracle and n_state >= 2r+1 so every edge
     weight is a determined value, and a strongly connected graph. The
-    states come from one walk, charged to budget like enumerate_language;
+    states come from one walk, charged to budget like iter_language;
     each edge is one step of a state's end walker.
     """
     if spec.exactness is not Exactness.EXACT_LANGUAGE:

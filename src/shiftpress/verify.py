@@ -31,14 +31,8 @@ from typing import Callable, Sequence
 
 from .errors import IdentityCheckError, InputError
 from .gluing import glue_pairs, least_glue, sample_pairs, worst_glue
-from .potentials import growth_class
 from .pressure import PartitionTable, partition_function
-from .subshifts import (
-    DEFAULT_NODE_BUDGET,
-    SubshiftSpec,
-    enumerate_language,
-    walk,
-)
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
 
@@ -85,13 +79,9 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _pareto_maximal(profiles: list[tuple[tuple[int, ...], Word]]):
-    """Maximal elements under pointwise <= of the profile vectors."""
-    keep: list[tuple[tuple[int, ...], Word]] = []
-    for prof, word in sorted(profiles, key=lambda pr: (-sum(pr[0]), pr[0])):
-        if not any(all(a <= b for a, b in zip(prof, kept)) for kept, _ in keep):
-            keep.append((prof, word))
-    return keep
+def _column_maxima(rows, words: Sequence[Word]) -> list[tuple[int, Word]]:
+    """(max_i rows[i][j], a words[i] reaching it) for each column j."""
+    return [max(zip(col, words)) for col in zip(*rows)]
 
 
 def verify_density_glue(
@@ -109,13 +99,15 @@ def verify_density_glue(
     Gaps m = f(n) .. f(n)+slack are checked for every pair of length-n
     words. Admissibility of v 0^m w is decided by its gap-crossing window
     sums (windows inside v, inside w, or ending in the zero run are
-    covered by admissibility of v and w and monotonicity of h), and those
-    sums depend monotonically on the suffix-sum profile of v and the
-    prefix-sum profile of w; checking the Pareto-maximal profiles
-    therefore decides every pair. On failure the lexicographically least
-    violating pair is recovered by a direct scan. Since 0 is the minimal
-    symbol, a failing all-zero filler rules out every other filler of the
-    same length, so failures are genuine.
+    covered by admissibility of v and w and monotonicity of h). A window
+    taking the last a symbols of v and the first b of w has slack
+    h(a+m+b) - suf_v(a) - pre_w(b), whose v part and w part are
+    independent, so its least value over all pairs is
+    h(a+m+b) - max_v suf_v(a) - max_w pre_w(b), and the least of those
+    over (m, a, b) decides every pair at once. On failure the
+    lexicographically least violating pair is recovered by a direct scan.
+    Since 0 is the minimal symbol, a failing all-zero filler rules out
+    every other filler of the same length, so failures are genuine.
 
     Triples v 0^m1 w 0^m2 u are spot-checked on a deterministic sample at
     the corner gaps.
@@ -139,22 +131,15 @@ def verify_density_glue(
                 f"height table covers lengths <= {params.n_max}, need {need} "
                 f"for n={n}"
             )
-        words = enumerate_language(spec, n, budget)
-        max_suf = _pareto_maximal([(tuple(accumulate(reversed(wd))), wd) for wd in words])
-        max_pre = _pareto_maximal([(tuple(accumulate(wd)), wd) for wd in words])
+        words = list(iter_language(spec, n, budget))
+        # (max_v suf_v(a), a v reaching it) for a = 1..n, and likewise pre_w(b)
+        max_suf = _column_maxima([accumulate(reversed(wd)) for wd in words], words)
+        max_pre = _column_maxima([accumulate(wd) for wd in words], words)
         gaps = range(fn, fn + slack + 1)
-        worst = math.inf
-        worst_at = None
-        for m in gaps:
-            for sprof, svw in max_suf:
-                for pprof, pw in max_pre:
-                    for a in range(1, n + 1):
-                        sa = sprof[a - 1]
-                        for b in range(1, n + 1):
-                            slk = h[a + m + b] - sa - pprof[b - 1]
-                            if slk < worst:
-                                worst = slk
-                                worst_at = (svw, m, pw, a, b)
+        worst, worst_at = min(
+            (h[a + m + b] - max_suf[a - 1][0] - max_pre[b - 1][0], (m, a, b))
+            for m in gaps for a in range(1, n + 1) for b in range(1, n + 1)
+        )
         margins.append((n, float(worst)))
         if worst < 0:
             verdict = FAIL
@@ -167,9 +152,10 @@ def verify_density_glue(
             i, j, m = next(r for r in glue_pairs(spec, words, every, miss) if r[2] is not None)
             witnesses[n] = {"v": format_word(words[i]), "w": format_word(words[j]), "m": m}
             continue
-        v0, m0, w0, _, _ = worst_at
+        m0, a0, b0 = worst_at
+        v0, w0 = max_suf[a0 - 1][1], max_pre[b0 - 1][1]
         if walk(root, v0 + (0,) * m0 + w0) is None:
-            raise IdentityCheckError(f"n={n}: profile check passed but {worst_at[:3]} is forbidden")
+            raise IdentityCheckError(f"n={n}: profile check passed but {(v0, m0, w0)} is forbidden")
         # triple spot check at the corner gaps
         rng = random.Random(seed)
         base = words[: min(len(words), 6)] + [max(words, key=sum)]
@@ -196,26 +182,6 @@ def verify_density_glue(
         witnesses=witnesses,
         extra={"slack": slack, "e_monotone": params.e_monotone},
     )
-
-
-def density_gap_diagnostic(spec: SubshiftSpec) -> dict:
-    """Growth classification of the excess envelope e(n) against ln n.
-
-    The gluing gap bound stays o(ln n) exactly when the envelope does;
-    'bounded' or 'sublog' growth satisfies that hypothesis.
-    """
-    if spec.family != "bounded_density":
-        raise InputError("diagnostic runs on bounded density instances")
-    params = spec.params["density"]
-    env = [0.0] + [float(v) for v in params.e_envelope]
-    horizon = len(env) - 1
-    report = growth_class(env, horizon)
-    return {
-        "class": report.klass,
-        "c": report.c,
-        "sublog_hypothesis": report.klass in ("bounded", "sublog"),
-        "ratios": report.ratios,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +216,7 @@ def verify_sparse_glue(
     coverages = {}
     for n in n_range:
         fn = f_at(n)
-        words = enumerate_language(spec, n, budget)
+        words = list(iter_language(spec, n, budget))
         pairs, coverage = sample_pairs(words, pair_budget, seed)
         coverages[n] = coverage
         gaps, tries = range(fn + 1), (strategy, "exhaustive")

@@ -23,7 +23,7 @@ from shiftpress.potentials import (
 )
 from shiftpress.pressure import anchor_sequence, partition_function, partition_table
 from shiftpress.subshifts import (
-    enumerate_language,
+    iter_language,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
@@ -127,7 +127,7 @@ def test_criterion_03_brute_force_partition_oracle():
     for label, spec, oracle_lang in instances:
         for n in range(1, 11):
             words = sorted(oracle_lang(n))
-            assert enumerate_language(spec, n) == words, (label, n)
+            assert list(iter_language(spec, n)) == words, (label, n)
             padded, _ = oracles.pad_word(words[0], n + 4)
             assert word_admissible(spec, padded), (label, n)
             row = partition_function(spec, pot, n)

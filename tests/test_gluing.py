@@ -10,18 +10,19 @@ from shiftpress.gluing import (
     MODE_TRANSITIVITY,
     find_glue,
     glue_candidates,
+    least_glue,
     min_gap_profile,
-    min_glue_gap,
     sample_pairs,
 )
 from shiftpress.subshifts import (
-    enumerate_language,
+    iter_language,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
     make_sft,
     make_sparse_sturmian,
     make_sturmian_factors,
+    walk,
     word_admissible,
 )
 
@@ -78,7 +79,8 @@ def test_candidate_validation():
 def test_find_glue_and_min_gap_on_the_blocked_pair():
     gm = make_golden_mean()
     assert find_glue(gm, (0, 1), (1, 0), 0, "exhaustive") is None
-    assert min_glue_gap(gm, (0, 1), (1, 0), 4, "exhaustive") == (1, (0,))
+    start = walk(gm.root_walker(), (0, 1))
+    assert least_glue(gm, start, (1, 0), range(5), ("exhaustive",)) == (1, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +89,14 @@ def test_find_glue_and_min_gap_on_the_blocked_pair():
 
 
 def test_sample_pairs_small_sets_are_exhaustive():
-    words = enumerate_language(make_golden_mean(), 3)
+    words = list(iter_language(make_golden_mean(), 3))
     pairs, coverage = sample_pairs(words, 10_000, seed=7)
     assert coverage == 1.0
     assert len(pairs) == len(words) ** 2
 
 
 def test_sample_pairs_budgeted_sample_is_deterministic_and_marked():
-    words = enumerate_language(make_golden_mean(), 6)  # 21 words
+    words = list(iter_language(make_golden_mean(), 6))  # 21 words
     pairs, coverage = sample_pairs(words, 120, seed=3)
     again, coverage2 = sample_pairs(words, 120, seed=3)
     assert pairs == again and coverage == coverage2
@@ -110,7 +112,7 @@ def test_sample_pairs_budgeted_sample_is_deterministic_and_marked():
 
 
 def test_sample_pairs_different_seeds_differ():
-    words = enumerate_language(make_golden_mean(), 6)
+    words = list(iter_language(make_golden_mean(), 6))
     a, _ = sample_pairs(words, 120, seed=0)
     b, _ = sample_pairs(words, 120, seed=1)
     assert a != b

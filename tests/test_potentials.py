@@ -13,7 +13,6 @@ from shiftpress.potentials import (
     Interval,
     LocallyConstantPotential,
     ZeroPotential,
-    growth_class,
     make_reciprocal_run,
     make_run_levels,
     partial_sum,
@@ -21,7 +20,7 @@ from shiftpress.potentials import (
     variation_sum_bounds,
 )
 from shiftpress.subshifts import (
-    enumerate_language,
+    iter_language,
     make_full_shift,
     make_golden_mean,
     make_sft,
@@ -177,25 +176,6 @@ def test_run_levels_eval():
     assert (iv.lo, iv.hi) == (0.5, 1.0)
 
 
-def test_growth_classes():
-    n = 1025
-    bounded = [3.0 * (1 - 0.5**k) for k in range(n)]
-    assert growth_class(bounded).klass == "bounded"
-    loglin = [0.0] + [2.5 * math.log(k) for k in range(1, n)]
-    rep = growth_class(loglin)
-    assert rep.klass == "log_linear"
-    assert rep.c == pytest.approx(2.5, rel=1e-6)
-    sublog = [0.0] + [math.sqrt(math.log(k + 1)) for k in range(1, n)]
-    assert growth_class(sublog).klass == "sublog"
-    superlog = [float(k) ** 0.8 for k in range(n)]
-    assert growth_class(superlog).klass == "superlog"
-
-
-def test_growth_class_needs_a_horizon():
-    with pytest.raises(InputError):
-        growth_class([0.0, 1.0, 2.0])
-
-
 def test_variation_on_golden_mean_skips_forbidden_blocks():
     pot = make_reciprocal_run(h_lin)
     gm = make_golden_mean()
@@ -250,7 +230,7 @@ def test_run_scanner_reads_each_run_length_once():
 def enumerated_var(pot, spec, n_max):
     """The worst center width over every admissible (2n+1)-block."""
     return [
-        max(pot.eval(w, n).width for w in enumerate_language(spec, 2 * n + 1))
+        max(pot.eval(w, n).width for w in iter_language(spec, 2 * n + 1))
         for n in range(n_max + 1)
     ]
 

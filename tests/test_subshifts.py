@@ -12,7 +12,6 @@ from shiftpress.errors import BudgetExceededError, ConstructionError, InputError
 from shiftpress.subshifts import (
     Tally,
     count_language,
-    enumerate_language,
     iter_language,
     language_counts,
     make_bounded_density,
@@ -33,13 +32,13 @@ HALF = [math.ceil(n / 2) for n in range(1, 41)]
 def test_full_shift_language():
     fs = make_full_shift(2)
     for n in range(1, 7):
-        assert enumerate_language(fs, n) == oracles.all_words(2, n)
+        assert list(iter_language(fs, n)) == oracles.all_words(2, n)
 
 
 def test_golden_mean_language_matches_bfs_oracle():
     gm = make_golden_mean()
     for n in range(1, 11):
-        assert enumerate_language(gm, n) == oracles.sft_language(2, [(1, 1)], n)
+        assert list(iter_language(gm, n)) == oracles.sft_language(2, [(1, 1)], n)
 
 
 def test_golden_mean_counts_are_fibonacci():
@@ -52,8 +51,8 @@ def test_sft_with_dead_blocks_trims_to_exact_language():
     # forbidding 00 and 01 leaves only the all-ones point
     spec = make_sft(2, [(0, 0), (0, 1)])
     for n in range(1, 6):
-        assert enumerate_language(spec, n) == [(1,) * n]
-        assert enumerate_language(spec, n) == oracles.sft_language(
+        assert list(iter_language(spec, n)) == [(1,) * n]
+        assert list(iter_language(spec, n)) == oracles.sft_language(
             2, [(0, 0), (0, 1)], n
         )
 
@@ -62,7 +61,7 @@ def test_sft_longer_blocks():
     forb = [(0, 0, 0), (1, 1, 1)]
     spec = make_sft(2, forb)
     for n in range(1, 9):
-        assert enumerate_language(spec, n) == oracles.sft_language(2, forb, n)
+        assert list(iter_language(spec, n)) == oracles.sft_language(2, forb, n)
 
 
 def test_sft_empty_language_is_a_construction_error():
@@ -73,7 +72,7 @@ def test_sft_empty_language_is_a_construction_error():
 def test_bounded_density_language_matches_filter_oracle():
     bd = make_bounded_density(1, HALF)
     for n in range(1, 11):
-        assert enumerate_language(bd, n) == oracles.bd_language(1, [0] + HALF, n)
+        assert list(iter_language(bd, n)) == oracles.bd_language(1, [0] + HALF, n)
 
 
 def test_bounded_density_equals_golden_mean_here():
@@ -81,7 +80,7 @@ def test_bounded_density_equals_golden_mean_here():
     bd = make_bounded_density(1, HALF)
     gm = make_golden_mean()
     for n in range(1, 11):
-        assert enumerate_language(bd, n) == enumerate_language(gm, n)
+        assert list(iter_language(bd, n)) == list(iter_language(gm, n))
 
 
 def test_bounded_density_alpha_and_gap():
@@ -97,7 +96,7 @@ def test_bounded_density_three_symbols():
     h = [2 * n for n in range(1, 13)]
     bd = make_bounded_density(2, h)
     for n in range(1, 6):
-        assert enumerate_language(bd, n) == oracles.bd_language(2, [0] + h, n)
+        assert list(iter_language(bd, n)) == oracles.bd_language(2, [0] + h, n)
 
 
 def test_bounded_density_rejects_bad_height():
@@ -127,7 +126,7 @@ def test_sparse_language_matches_window_oracle():
     fs = make_sturmian_factors(8, 21, 2)
     sp = make_sparse_sturmian(fs, (4, 12))
     for n in range(1, 9):
-        assert enumerate_language(sp, n) == oracles.sparse_language(8, 21, (4, 12), n)
+        assert list(iter_language(sp, n)) == oracles.sparse_language(8, 21, (4, 12), n)
 
 
 def test_sparse_constraints_bind_past_the_window():
@@ -136,7 +135,7 @@ def test_sparse_constraints_bind_past_the_window():
     fs = make_sturmian_factors(13, 21, 2)
     sp = make_sparse_sturmian(fs, (2, 8))
     assert count_language(sp, 11) == 2**11
-    lang = enumerate_language(sp, 12)
+    lang = list(iter_language(sp, 12))
     assert (0,) * 12 not in lang  # 00 is not a slope-13/21 factor
     assert lang == oracles.sparse_language(13, 21, (2, 8), 12)
 
@@ -164,13 +163,13 @@ def test_product_language():
     fs = make_full_shift(2)
     prod = product_subshift(gm, fs)
     for n in range(1, 7):
-        left = enumerate_language(gm, n)
+        left = list(iter_language(gm, n))
         expect = sorted(
             tuple(a * 2 + b for a, b in zip(wa, wb))
             for wa in left
             for wb in oracles.all_words(2, n)
         )
-        assert enumerate_language(prod, n) == expect
+        assert list(iter_language(prod, n)) == expect
         assert count_language(prod, n) == len(left) * 2**n
 
 
@@ -192,7 +191,7 @@ def test_iter_language_prefix():
 def test_budget_exhaustion_reports_progress():
     fs = make_full_shift(3)
     with pytest.raises(BudgetExceededError) as ei:
-        enumerate_language(fs, 12, budget=50)
+        list(iter_language(fs, 12, budget=50))
     assert ei.value.budget == 50
     assert ei.value.nodes >= 50
 
@@ -210,7 +209,7 @@ def test_text_lines_are_the_formatted_words(label, make, n_top):
     spec = make()
     for n in range(n_top + 1):
         for prefix in ((), (1,), (1, 1)):
-            words = enumerate_language(spec, n, prefix=prefix)
+            words = list(iter_language(spec, n, prefix=prefix))
             want = "".join(format_word(w) + "\n" for w in words)
             assert "".join(iter_language(spec, n, prefix=prefix, text=True)) == want
     lines = list(iter_language(spec, n_top, text=True))
@@ -242,7 +241,7 @@ def test_one_walk_counts_every_length(fam):
 def test_language_is_hereditary(n, data):
     # every factor of an admissible word is admissible
     gm = make_golden_mean()
-    words = enumerate_language(gm, n)
+    words = list(iter_language(gm, n))
     w = data.draw(st.sampled_from(words))
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=i + 1, max_value=n))
@@ -259,7 +258,7 @@ def test_counts_agree_with_enumeration(n):
         make_bounded_density(1, HALF),
         make_sparse_sturmian(fs, (4, 12)),
     ):
-        assert count_language(spec, n) == len(enumerate_language(spec, n))
+        assert count_language(spec, n) == len(list(iter_language(spec, n)))
 
 
 def test_enumeration_is_sorted_and_deduplicated():
@@ -267,7 +266,7 @@ def test_enumeration_is_sorted_and_deduplicated():
     forb = [(0, 0, 0), (1, 0, 1)]
     spec = make_sft(2, forb)
     for n in (3, 5, 7):
-        words = enumerate_language(spec, n)
+        words = list(iter_language(spec, n))
         assert words == sorted(set(words))
 
 
@@ -350,10 +349,10 @@ def test_equal_keys_admit_the_same_continuations(family):
 def test_keys_merge_states():
     # the contract above is not vacuous: keys identify many words
     gm = make_golden_mean()
-    assert {walk(gm.root_walker(), w).key() for w in enumerate_language(gm, 6)} == {
+    assert {walk(gm.root_walker(), w).key() for w in list(iter_language(gm, 6))} == {
         (0, 0), (0, 1), (1, 0)
     }
     sp = make_sparse_sturmian(make_sturmian_factors(8, 21, 2), (2, 8))
-    words = enumerate_language(sp, 13)
+    words = list(iter_language(sp, 13))
     assert len({walk(sp.root_walker(), w).key() for w in words}) < len(words)
     assert walk(make_full_shift(3).root_walker(), (2, 0, 1)).key() == ()

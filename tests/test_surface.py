@@ -1,0 +1,46 @@
+"""Names that other code reaches by string: the package exports and the
+benchmark tracer's hooks. perfbench/trace_boot.py looks each hooked name
+up with getattr and no default, so deleting a hooked function would crash
+every traced run; this test fails first."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import shiftpress
+
+TRACE_BOOT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+
+
+def _hooked_names():
+    spec = importlib.util.spec_from_file_location("trace_boot", TRACE_BOOT)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines its tables; main() runs only as a script
+    return {
+        (mod_name, fn_name)
+        for table in (tracer.COARSE, tracer.HOT, tracer.GENERATORS)
+        for mod_name, names in table.items()
+        for fn_name in names
+    }
+
+
+def test_every_traced_name_is_a_live_function():
+    hooked = _hooked_names()
+    # kept only because the tracer hooks them
+    assert {
+        ("gluing", "find_glue"),
+        ("subshifts", "word_admissible"),
+        ("potentials", "partial_sum"),
+        ("subshifts", "count_language"),
+    } <= hooked
+    missing = [
+        f"{mod_name}.{fn_name}"
+        for mod_name, fn_name in sorted(hooked)
+        if not callable(getattr(importlib.import_module(f"shiftpress.{mod_name}"), fn_name, None))
+    ]
+    assert missing == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(shiftpress.__all__)) == len(shiftpress.__all__)
+    assert [name for name in shiftpress.__all__ if not hasattr(shiftpress, name)] == []

@@ -18,7 +18,7 @@ from shiftpress.potentials import (
     make_reciprocal_run,
 )
 from shiftpress.subshifts import (
-    enumerate_language,
+    iter_language,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
@@ -218,15 +218,15 @@ def test_golden_equilibrium_frozen_cylinders():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cylinders_partition_the_space(n):
     mm = markov_equilibrium(golden_model())
-    total = sum(cylinder_measure(mm, w) for w in enumerate_language(make_golden_mean(), n))
+    total = sum(cylinder_measure(mm, w) for w in iter_language(make_golden_mean(), n))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cylinder_additivity():
     mm = markov_equilibrium(golden_model())
     gm = make_golden_mean()
-    for w in enumerate_language(gm, 4):
-        children = [w + (s,) for s in (0, 1) if (w + (s,)) in set(enumerate_language(gm, 5))]
+    for w in iter_language(gm, 4):
+        children = [w + (s,) for s in (0, 1) if (w + (s,)) in set(iter_language(gm, 5))]
         assert cylinder_measure(mm, w) == pytest.approx(
             sum(cylinder_measure(mm, c) for c in children), abs=1e-12
         )

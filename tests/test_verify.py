@@ -20,7 +20,6 @@ from shiftpress.verify import (
     PASS,
     PRECONDITION_FAIL,
     BoundReport,
-    density_gap_diagnostic,
     verify_density_glue,
     verify_measure_lower,
     verify_partition_upper_anchor,
@@ -83,20 +82,55 @@ def test_density_glue_raises_when_the_walker_contradicts_the_profiles():
         verify_density_glue(strict, [2], f=lambda n: 0)
 
 
+def _density_glue_reference(k, h, n, gaps):
+    """Brute-force least slack h(a+m+b) - (last a of v) - (first b of w) over
+    every pair (v, w) of length-n words, gap m and window split (a, b), and
+    the lexicographically least pair with a gap whose zero filler fails."""
+    words = oracles.bd_language(k, h, n)
+    ok = oracles.bd_admissible(h)
+    worst = min(
+        h[a + m + b] - sum(v[n - a:]) - sum(w[:b])
+        for v in words for w in words for m in gaps
+        for a in range(1, n + 1) for b in range(1, n + 1)
+    )
+    witness = next(
+        ({"v": "".join(map(str, v)), "w": "".join(map(str, w)), "m": m}
+         for v in words for w in words for m in gaps if not ok(v + (0,) * m + w)),
+        None,
+    )
+    return float(worst), witness
+
+
+@pytest.mark.parametrize("k, heights, n_range, f", [
+    (1, [math.ceil(n / 2) for n in range(1, 25)], range(2, 8), None),  # e not monotone
+    (2, [n + 1 for n in range(1, 17)], range(2, 5), None),
+    (1, [math.ceil(n / 2) for n in range(1, 25)], range(2, 6), lambda n: 0),
+])
+def test_density_glue_margins_match_brute_force(k, heights, n_range, f):
+    bd = make_bounded_density(k, heights)
+    f_at = f if f is not None else bd.declared_gap
+    rep = verify_density_glue(bd, n_range, f=f)
+    h = [0] + heights
+    expect, failing = [], {}
+    for n in n_range:
+        worst, witness = _density_glue_reference(k, h, n, range(f_at(n), f_at(n) + 5))
+        expect.append((n, worst))
+        if witness is not None:
+            failing[n] = witness
+    assert rep.margins == tuple(expect)
+    assert {n: rep.witnesses[n] for n in failing} == failing
+    assert rep.verdict == (FAIL if failing else PASS)
+    assert (min(m for _, m in expect) < 0) == bool(failing)
+    if f is not None:
+        assert failing[2] == {"v": "01", "w": "10", "m": 0}
+
+
 def test_density_glue_input_guards():
     with pytest.raises(InputError):
         verify_density_glue(make_golden_mean(), [2])
     bd = half_density(n_max=10)
     with pytest.raises(InputError):
         verify_density_glue(bd, [4])  # needs heights past the table end
-
-
-def test_density_diagnostic_on_the_half_table():
-    diag = density_gap_diagnostic(half_density())
-    assert diag["class"] == "bounded"
-    assert diag["sublog_hypothesis"] is True
-    with pytest.raises(InputError):
-        density_gap_diagnostic(make_full_shift(2))
 
 
 # ---------------------------------------------------------------------------
