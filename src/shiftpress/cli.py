@@ -12,6 +12,7 @@ output directory, and reports through the exit code:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -28,7 +29,7 @@ from .errors import (
     InputError,
     ReducibleGraphError,
 )
-from .gluing import min_gap_profile
+from .gluing import GlueWork, min_gap_profile
 from .potentials import Potential, variation_profile
 from .pressure import anchor_sequence, partition_table, pressure_bracket
 from .reports import (
@@ -99,6 +100,7 @@ class _Run:
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(config_digest=self.digest, command=args.command)
+        self.glue: GlueWork | None = None
         self.started = time.monotonic()
 
     def check_params(self, name: str) -> dict:
@@ -107,12 +109,22 @@ class _Run:
             raise InputError(f"checks.{name} must be a mapping")
         return params
 
+    def glue_work(self) -> GlueWork:
+        """Counters for this run's glue search; they go to status.glue."""
+        self.glue = GlueWork()
+        return self.glue
+
     def gap_callable(self) -> Callable[[int], int]:
         if self.spec.declared_gap is None:
             raise InputError(
                 f"{self.spec.family} declares no gap bound; set one in the config"
             )
         return self.spec.declared_gap
+
+    def anchor_horizon(self, horizon: int) -> int:
+        """horizon, cut to the largest n the declared gap bound answers."""
+        reach = self.spec.gap_reach
+        return horizon if reach is None else min(horizon, reach)
 
     def variation_callable(self) -> Callable[[int], float]:
         return self._bracket_g().g_at
@@ -156,6 +168,8 @@ class _Run:
     def finish(self, extra_status: dict | None = None) -> None:
         if extra_status:
             self.manifest.status.update(extra_status)
+        if self.glue is not None:
+            self.manifest.status["glue"] = dataclasses.asdict(self.glue)
         self.manifest.wall_clock_s = time.monotonic() - self.started
         write_manifest(self.manifest, self.out)
 
@@ -252,6 +266,7 @@ def cmd_gap_profile(run: _Run) -> int:
     cfg = run.cfg
     params = run.check_params("gap_profile")
     ns = _n_range(params, list(range(1, min(cfg.horizons.n_max, 8) + 1)))
+    work = run.glue_work()
     rows = []
     for n in ns:
         rows.append(
@@ -262,6 +277,7 @@ def cmd_gap_profile(run: _Run) -> int:
                 budget=run.budget,
                 pair_budget=cfg.pair_budget,
                 seed=cfg.seed,
+                work=work,
             )
         )
     path = write_csv(
@@ -311,6 +327,7 @@ def _run_check(run: _Run, tag: str):
             f=_check_f(params),
             budget=run.budget,
             seed=cfg.seed,
+            work=run.glue_work(),
         )
     if tag == CHECK_SPARSE_GLUE:
         params = run.check_params(tag)
@@ -321,6 +338,7 @@ def _run_check(run: _Run, tag: str):
             budget=run.budget,
             pair_budget=cfg.pair_budget,
             seed=cfg.seed,
+            work=run.glue_work(),
         )
     table = partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
     if tag == CHECK_PARTITION_SPEC:
@@ -343,7 +361,7 @@ def _run_check(run: _Run, tag: str):
             eps_list = [float(e) for e in params.get("epsilons", [epsilon])]
             seq = anchor_sequence(
                 run.gap_callable(), run.variation_callable(),
-                table.horizon, eps_list,
+                run.anchor_horizon(table.horizon), eps_list,
             )
             if not seq.indices:
                 raise InputError(
@@ -430,7 +448,8 @@ def cmd_anchors(run: _Run) -> int:
     params = run.check_params("anchors")
     eps_list = [float(e) for e in params.get("epsilons", [0.5, 0.4, 0.3])]
     seq = anchor_sequence(
-        run.gap_callable(), run.variation_callable(), cfg.horizons.n_max, eps_list
+        run.gap_callable(), run.variation_callable(),
+        run.anchor_horizon(cfg.horizons.n_max), eps_list,
     )
     rows = [
         (k + 1, eps, n, score)

@@ -17,6 +17,8 @@ Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, fillers are tried from there,
 and a pair is answered once per (key class of v, w). Only keys that two
 or more words share are memoised; a lone word meets each w only once.
+All walks of one search start from one root walker, so they share its
+states. GlueWork counts the work for the run manifest.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
 from .words import Word, check_symbols
 
 MODE_TRANSITIVITY = "transitivity"
@@ -90,37 +92,56 @@ def least_glue(
     return None
 
 
+@dataclass
+class GlueWork:
+    """Work of glue searches, summed over lengths: words read, (v, w) pairs
+    sampled, probe calls made, pairs answered from a shared key's memo
+    instead, and the states built by the walks from each root walker. A
+    pass over the sample answers each pair it reaches by a probe or a hit."""
+
+    words: int = 0
+    pairs: int = 0
+    probes: int = 0
+    memo_hits: int = 0
+    states: int = 0
+
+
 def glue_pairs(
-    spec: SubshiftSpec, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable
+    root, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable,
+    work: GlueWork,
 ) -> Iterator[tuple[int, int, object]]:
-    """Yield (i, j, probe(walker after words[i], words[j])) pair by pair.
+    """Yield (i, j, probe(walker after words[i] from root, words[j])) pair
+    by pair.
 
     The words must be admissible and the probe may see the walker only
     through what it admits: first words sharing a key share probe calls.
     """
-    root = spec.root_walker()
     starts = [walk(root, v) for v in words]
     keys = [s.key() for s in starts]
     shared = {k for k, c in Counter(keys).items() if c > 1}
     memo: dict = {}
     for i, j in pairs:
         k = keys[i]
-        if k not in shared:
-            yield i, j, probe(starts[i], words[j])
+        if k in shared and (k, j) in memo:
+            work.memo_hits += 1
+            yield i, j, memo[k, j]
             continue
-        if (k, j) not in memo:
-            memo[k, j] = probe(starts[i], words[j])
-        yield i, j, memo[k, j]
+        work.probes += 1
+        got = probe(starts[i], words[j])
+        if k in shared:
+            memo[k, j] = got
+        yield i, j, got
 
 
 def worst_glue(
-    spec: SubshiftSpec, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable
+    root, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable,
+    work: GlueWork,
 ) -> tuple[int, tuple[Word, Word, Word] | None, tuple[Word, Word] | None]:
     """(largest probed m, (v, u, w) of the first pair reaching it, None),
     scanning (m, u) probes in pair order; at the first pair probed None it
     stops and returns that pair's (v, w) in place of None."""
     worst, witness = -1, None
-    for i, j, got in glue_pairs(spec, words, pairs, probe):
+    for i, j, got in glue_pairs(root, words, pairs, probe, work):
         if got is None:
             return worst, witness, (words[i], words[j])
         if got[0] > worst:
@@ -201,13 +222,15 @@ def min_gap_profile(
     budget: int = DEFAULT_NODE_BUDGET,
     pair_budget: int = 200_000,
     seed: int = 0,
+    work: GlueWork | None = None,
 ) -> GapRow:
     """Measure gluing gaps at length n.
 
     In specification mode every m from f_declared (or the measured
     minimum) up to m_max must glue; a failing m yields a counterexample.
     For non-exhaustive strategies a miss is retried exhaustively before
-    being reported, so counterexamples are genuine.
+    being reported, so counterexamples are genuine. work, when given,
+    gets the search's counters added.
     """
     if mode not in (MODE_TRANSITIVITY, MODE_SPECIFICATION):
         raise InputError(f"unknown mode {mode!r}")
@@ -223,6 +246,10 @@ def min_gap_profile(
         raise InputError(f"language empty at length {n}")
     pairs, coverage = sample_pairs(words, pair_budget, seed)
     gaps = range(m_max + 1)
+    root = spec.root_walker()
+    work = GlueWork() if work is None else work
+    work.words += len(words)
+    work.pairs += len(pairs)
 
     def least(start, w):
         got = least_glue(spec, start, w, gaps, (strategy,))
@@ -230,7 +257,7 @@ def min_gap_profile(
             got = least_glue(spec, start, w, gaps, ("exhaustive",))
         return got
 
-    worst_gap, witness, missed = worst_glue(spec, words, pairs, least)
+    worst_gap, witness, missed = worst_glue(root, words, pairs, least, work)
     status = "ok" if missed is None else "horizon_exhausted"
     counterexample = None if missed is None else (*missed, m_max)
     f_emp = worst_gap if status == "ok" else None
@@ -242,9 +269,10 @@ def min_gap_profile(
             glued = (least_glue(spec, start, w, (m,), (strategy, "exhaustive")) for m in checked)
             return next((m for m, got in zip(checked, glued) if got is None), None)
 
-        scan = glue_pairs(spec, words, pairs, first_miss)
+        scan = glue_pairs(root, words, pairs, first_miss, work)
         i, j, m = next((r for r in scan if r[2] is not None), (0, 0, None))
         counterexample = None if m is None else (words[i], words[j], m)
+    work.states += states_built(root)
 
     return GapRow(
         n=n,

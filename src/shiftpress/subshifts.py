@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConstructionError, InputError
 from .words import Word, check_symbols, format_word
@@ -59,7 +62,8 @@ class SubshiftSpec:
     declared_gap, when set, maps a word length n to the family's declared
     gluing gap bound f(n); gap_mode records whether that bound promises
     gluing at every gap >= f(n) ("specification") or only at some single
-    gap <= f(n) ("transitivity").
+    gap <= f(n) ("transitivity"). gap_reach is the largest n declared_gap
+    answers, None when it answers every n.
     """
 
     alphabet_size: int
@@ -70,6 +74,7 @@ class SubshiftSpec:
     params: dict = field(default_factory=dict)
     declared_gap: Callable[[int], int] | None = None
     gap_mode: str | None = None
+    gap_reach: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -81,157 +86,176 @@ class SubshiftSpec:
 # longer prefix is rejected. key() returns a hashable summary of the state
 # with one contract: two walkers of the same subshift with equal keys admit
 # exactly the same continuations (the key names the follower set of the
-# prefix, Lind & Marcus, Symbolic Dynamics and Coding, section 3.2). Keys
-# are computed on demand, so enumeration never pays for them.
+# prefix, Lind & Marcus, Symbolic Dynamics and Coding, section 3.2).
+#
+# Walkers are the states of that follower-set automaton, built lazily: all
+# states reached from one root_walker() call share one table from key to
+# state, so each key is built once per walk and each child once per
+# (state, symbol). The table goes when the last walker from that root does.
+# Keys by family:
+#
+# * full shift: (), one state;
+# * SFT: the prefix while it is shorter than the block length, then its
+#   last block;
+# * bounded density: the allowance profile a(j), the largest sum the next
+#   j symbols may have, for j up to the height table's remaining reach;
+# * sparse Sturmian: the last (longest factor - 1) symbols, and for each
+#   constraint j the distance d_j back to the end of the latest j-factor;
+# * product: the pair of factor keys.
+
+_UNBUILT = object()
 
 
-class _FullWalker:
+class _Automaton:
+    """The states built so far from one root walker, by key, with the
+    family's tables. Every state is held by its root or by the kids of the
+    state it was first built from, so the table holds them weakly: a state
+    would otherwise hold itself through its table, and a finished walk
+    would wait for the cycle collector to free its states."""
+
+    __slots__ = ("states", "tables", "a_size")
+
+    def __init__(self, tables, a_size: int):
+        self.states = weakref.WeakValueDictionary()
+        self.tables = tables
+        self.a_size = a_size
+
+
+class _State:
+    """A state of a lazily built follower-set automaton.
+
+    kids[s] is the child on symbol s once built: a state, or None when s is
+    rejected. Subclasses give _grow(sym), which builds it.
+    """
+
+    __slots__ = ("auto", "k", "kids", "__weakref__")
+
+    def __init__(self, auto: _Automaton, k):
+        self.auto = auto
+        self.k = k
+        self.kids = [_UNBUILT] * auto.a_size
+        auto.states[k] = self
+
+    @classmethod
+    def root(cls, tables, a_size: int, k, *parts):
+        return cls(_Automaton(tables, a_size), k, *parts)
+
+    def child(self, sym: int):
+        got = self.kids[sym]
+        if got is _UNBUILT:
+            got = self.kids[sym] = self._grow(sym)
+        return got
+
+    def key(self):
+        return self.k
+
+    def _state(self, k, *parts):
+        """The state with key k, built on first use."""
+        got = self.auto.states.get(k)
+        return got if got is not None else type(self)(self.auto, k, *parts)
+
+
+def states_built(walker) -> int:
+    """States built so far in walker's automaton: every one of them while
+    the root walker it was reached from is held."""
+    return len(walker.auto.states)
+
+
+class _FullWalker(_State):
     __slots__ = ()
 
     def child(self, sym: int):
         return self
 
-    def key(self):
-        return ()
 
-
-_FULL_WALKER = _FullWalker()
-
-
-class _SftWalker:
+class _SftWalker(_State):
     """Position in the trimmed block graph of an SFT.
 
-    While the prefix is shorter than the block length m the state is the
+    While the prefix is shorter than the block length m the key is the
     prefix itself, checked against the sets of subwords of surviving
-    blocks; afterwards it is the last m symbols.
+    blocks; afterwards it is the last m symbols. A short prefix is shorter
+    than m, so the key also tells which case holds.
     """
 
-    __slots__ = ("tables", "cur", "short")
+    __slots__ = ()
 
-    def __init__(self, tables, cur, short):
-        self.tables = tables
-        self.cur = cur
-        self.short = short
-
-    def child(self, sym: int):
-        m, alive, short_sets = self.tables
-        q = self.cur + (sym,)
-        if self.short:
-            if len(q) < m:
-                if q in short_sets[len(q)]:
-                    return _SftWalker(self.tables, q, True)
-                return None
-            if q in alive:
-                return _SftWalker(self.tables, q, False)
-            return None
-        nxt = q[1:]
-        if nxt in alive:
-            return _SftWalker(self.tables, nxt, False)
-        return None
-
-    def key(self):
-        # short prefixes are shorter than m, so cur also fixes `short`
-        return self.cur
+    def _grow(self, sym: int):
+        m, alive, short_sets = self.auto.tables
+        q = self.k + (sym,)
+        if len(q) <= m:
+            ok = q in alive if len(q) == m else q in short_sets[len(q)]
+        else:
+            q = q[1:]
+            ok = q in alive
+        return self._state(q) if ok else None
 
 
-class _DensityWalker:
-    """Suffix window sums of the current prefix, newest first.
+class _DensityWalker(_State):
+    """Allowance profile of the prefix, as the bytes of an integer array.
 
-    sums[i] is the sum of the last i+1 symbols. Appending a symbol only
-    creates windows ending at the new position, so those are the only
-    checks needed (the prefix was already admissible).
+    a(j) = min(h(j), min_i h(i+j) - (sum of the last i symbols)) for
+    j = 1..n_cap - length. Symbol s is admissible iff s <= a(1), and then
+    a'(j) = min(h(j), a(j+1) - s). Equal profiles admit the same
+    continuations, and the profile's length fixes the prefix length and
+    with it the n_cap error.
     """
 
-    __slots__ = ("h", "sums", "n_cap")
+    __slots__ = ()
 
-    def __init__(self, h, sums, n_cap):
-        self.h = h
-        self.sums = sums
-        self.n_cap = n_cap
-
-    def child(self, sym: int):
-        h = self.h
-        old = self.sums
-        if len(old) + 1 > self.n_cap:
+    def _grow(self, sym: int):
+        h, dtype, n_cap = self.auto.tables
+        a = np.frombuffer(self.k, dtype)
+        if not len(a):
             raise InputError(
-                f"bounded density height table only covers lengths <= {self.n_cap}"
+                f"bounded density height table only covers lengths <= {n_cap}"
             )
-        new = [sym]
-        if sym > h[1]:
+        if sym > a[0]:
             return None
-        ln = 2
-        for s in old:
-            t = s + sym
-            if t > h[ln]:
-                return None
-            new.append(t)
-            ln += 1
-        return _DensityWalker(h, new, self.n_cap)
-
-    def key(self):
-        # the sums also fix the prefix length, and with it the n_cap error
-        return tuple(self.sums)
+        return self._state(np.minimum(h[: len(a) - 1], a[1:] - sym).tobytes())
 
 
-class _SparseWalker:
-    """Last window-length-minus-one symbols plus current length.
+class _SparseWalker(_State):
+    """Last (longest factor - 1) symbols and, per constraint j, d_j.
 
-    On each push, for every non-vacuous constraint j whose window now fits,
-    the single new window (the one ending at the new position) is scanned
-    for a factor of length j.
+    d_j is the distance from the end of the prefix back to the end of its
+    latest j-factor; it starts at 1 - j, a virtual factor ending at
+    position j - 1, so no window shorter than W_j = n_j + 2j is tested. The
+    prefix is rejected once some d_j exceeds W_j - j: its last W_j symbols
+    then hold no j-factor.
     """
 
-    __slots__ = ("tables", "suffix", "length")
+    __slots__ = ()
 
-    def __init__(self, tables, suffix, length):
-        self.tables = tables
-        self.suffix = suffix
-        self.length = length
-
-    def child(self, sym: int):
-        checks, keep = self.tables
-        suffix = self.suffix + (sym,)
-        if len(suffix) > keep:
-            suffix = suffix[-keep:]
-        length = self.length + 1
-        for j, win_len, facs in checks:
-            if win_len > length:
-                continue
-            window = suffix[-win_len:]
-            ok = False
-            for i in range(win_len - j + 1):
-                if window[i : i + j] in facs:
-                    ok = True
-                    break
-            if not ok:
+    def _grow(self, sym: int):
+        checks, keep = self.auto.tables
+        tail, ds = self.k
+        q = tail + (sym,)
+        new = []
+        for (j, limit, facs), d in zip(checks, ds):
+            d = 0 if q[-j:] in facs else d + 1
+            if d > limit:
                 return None
-        return _SparseWalker(self.tables, suffix, length)
-
-    def key(self):
-        # lengths past the longest window test the same windows
-        return (self.suffix, min(self.length, self.tables[1]))
+            new.append(d)
+        return self._state((q[1:] if len(q) > keep else q, tuple(new)))
 
 
-class _ProductWalker:
-    __slots__ = ("wa", "wb", "b_size")
+class _ProductWalker(_State):
+    __slots__ = ("wa", "wb")
 
-    def __init__(self, wa, wb, b_size):
+    def __init__(self, auto, k, wa, wb):
+        super().__init__(auto, k)
         self.wa = wa
         self.wb = wb
-        self.b_size = b_size
 
-    def child(self, sym: int):
-        i, j = divmod(sym, self.b_size)
+    def _grow(self, sym: int):
+        i, j = divmod(sym, self.auto.tables)
         ca = self.wa.child(i)
         if ca is None:
             return None
         cb = self.wb.child(j)
         if cb is None:
             return None
-        return _ProductWalker(ca, cb, self.b_size)
-
-    def key(self):
-        return (self.wa.key(), self.wb.key())
+        return self._state((ca.key(), cb.key()), ca, cb)
 
 
 def walk(walker, word: Word):
@@ -260,7 +284,7 @@ def make_full_shift(alphabet_size: int) -> SubshiftSpec:
         family="full",
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"full shift on {alphabet_size} symbols",
-        root_walker=lambda: _FULL_WALKER,
+        root_walker=lambda: _FullWalker.root(None, alphabet_size, ()),
         params={},
         declared_gap=lambda n: 0,
         gap_mode=GAP_SPECIFICATION,
@@ -337,7 +361,7 @@ def make_sft(
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"SFT on {alphabet_size} symbols avoiding "
         + ",".join(format_word(f) for f in sorted(forb)),
-        root_walker=lambda: _SftWalker(tables, (), True),
+        root_walker=lambda: _SftWalker.root(tables, alphabet_size, ()),
         params={"forbidden": sorted(forb), "block_len": m, "alive": alive,
                 "short_sets": short_sets},
         declared_gap=f_decl,
@@ -434,6 +458,15 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
         n_max=n_max,
     )
 
+    # a window of length j sums to at most k j, so capping h there keeps the
+    # language; profile entries then lie in 0 .. k n_max (a is
+    # non-decreasing in j, so a(j+1) - s >= a(1) - s >= 0), and the
+    # smallest unsigned type that holds them keeps the keys short
+    caps = np.minimum(table[1:], k * np.arange(1, n_max + 1, dtype=object))
+    dtype = np.min_scalar_type(k * n_max)
+    tables = (caps.astype(dtype), dtype, n_max)
+    root_key = tables[0].tobytes()
+
     def f_decl(n: int) -> int:
         if n < 1 or n > n_max:
             raise InputError(f"gap bound queried at n={n}, table covers 1..{n_max}")
@@ -445,10 +478,11 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
         family="bounded_density",
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"bounded density shift, k={k}, alpha={alpha}",
-        root_walker=lambda: _DensityWalker(table, [], n_max),
+        root_walker=lambda: _DensityWalker.root(tables, k + 1, root_key),
         params={"density": params},
         declared_gap=f_decl,
         gap_mode=GAP_SPECIFICATION,
+        gap_reach=n_max,
     )
 
 
@@ -536,9 +570,11 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
         if len(facs) == 2 ** j:
             # constraint is vacuous: every length-j binary word is a factor
             continue
-        checks.append((j, nj + 2 * j, facs))
-    keep = max((w for _, w, _ in checks), default=1)
+        # a window of length n_j + 2j ending here needs d_j <= n_j + j
+        checks.append((j, nj + j, facs))
+    keep = max((j for j, _, _ in checks), default=1) - 1
     tables = (tuple(checks), keep)
+    root_key = ((), tuple(1 - j for j, _, _ in checks))
     horizon = ns[-1]
 
     def f_decl(n: int) -> int:
@@ -554,11 +590,18 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
         family="sparse_sturmian",
         exactness=Exactness.LOCAL_SUPERSET,
         label=f"sparse Sturmian shift, slope {fs.slope}, n_seq={tuple(ns)}",
-        root_walker=lambda: _SparseWalker(tables, (), 0),
+        root_walker=lambda: _SparseWalker.root(tables, 2, root_key),
         params={"factor_set": fs, "n_seq": tuple(ns)},
         declared_gap=f_decl,
         gap_mode=GAP_TRANSITIVITY,
+        gap_reach=horizon,
     )
+
+
+def _product_root(a: SubshiftSpec, b: SubshiftSpec):
+    wa, wb = a.root_walker(), b.root_walker()
+    b_size = b.alphabet_size
+    return _ProductWalker.root(b_size, a.alphabet_size * b_size, (wa.key(), wb.key()), wa, wb)
 
 
 def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
@@ -576,8 +619,7 @@ def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
         and b.exactness is Exactness.EXACT_LANGUAGE
         else Exactness.LOCAL_SUPERSET
     )
-    f_decl = None
-    mode = None
+    f_decl = mode = reach = None
     if (
         a.declared_gap is not None
         and b.declared_gap is not None
@@ -587,15 +629,17 @@ def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
         fa, fb = a.declared_gap, b.declared_gap
         f_decl = lambda n: max(fa(n), fb(n))
         mode = GAP_SPECIFICATION
+        reach = min((r for r in (a.gap_reach, b.gap_reach) if r is not None), default=None)
     return SubshiftSpec(
         alphabet_size=a.alphabet_size * b_size,
         family="product",
         exactness=exact,
         label=f"product of ({a.label}) and ({b.label})",
-        root_walker=lambda: _ProductWalker(a.root_walker(), b.root_walker(), b_size),
+        root_walker=lambda: _product_root(a, b),
         params={"a": a, "b": b},
         declared_gap=f_decl,
         gap_mode=mode,
+        gap_reach=reach,
     )
 
 

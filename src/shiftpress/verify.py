@@ -30,9 +30,9 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import IdentityCheckError, InputError
-from .gluing import glue_pairs, least_glue, sample_pairs, worst_glue
+from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs, worst_glue
 from .pressure import PartitionTable, partition_function
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
 
@@ -93,6 +93,7 @@ def verify_density_glue(
     budget: int = DEFAULT_NODE_BUDGET,
     triple_sample: int = 200,
     seed: int = 0,
+    work: GlueWork | None = None,
 ) -> BoundReport:
     """Certificate that v 0^m w stays admissible for all m >= f(n).
 
@@ -110,13 +111,16 @@ def verify_density_glue(
     every other filler of the same length, so failures are genuine.
 
     Triples v 0^m1 w 0^m2 u are spot-checked on a deterministic sample at
-    the corner gaps.
+    the corner gaps. work, when given, gets the counters added: every pair
+    counts as sampled, each triple walk and witness scan call as a probe,
+    and a triple reusing the walker after v 0^m w 0^m as a memo hit.
     """
     if spec.family != "bounded_density":
         raise InputError("density_glue runs on bounded density instances")
     params = spec.params["density"]
     h = params.h
     root = spec.root_walker()
+    work = GlueWork() if work is None else work
     f_at = f if f is not None else spec.declared_gap
     margins = []
     witnesses: dict = {}
@@ -132,6 +136,8 @@ def verify_density_glue(
                 f"for n={n}"
             )
         words = list(iter_language(spec, n, budget))
+        work.words += len(words)
+        work.pairs += len(words) ** 2
         # (max_v suf_v(a), a v reaching it) for a = 1..n, and likewise pre_w(b)
         max_suf = _column_maxima([accumulate(reversed(wd)) for wd in words], words)
         max_pre = _column_maxima([accumulate(wd) for wd in words], words)
@@ -149,7 +155,8 @@ def verify_density_glue(
                 return next((m for m in gaps if walk(start, (0,) * m + w) is None), None)
 
             every = ((i, j) for i in range(len(words)) for j in range(len(words)))
-            i, j, m = next(r for r in glue_pairs(spec, words, every, miss) if r[2] is not None)
+            scan = glue_pairs(root, words, every, miss, work)
+            i, j, m = next(r for r in scan if r[2] is not None)
             witnesses[n] = {"v": format_word(words[i]), "w": format_word(words[j]), "m": m}
             continue
         m0, a0, b0 = worst_at
@@ -167,14 +174,18 @@ def verify_density_glue(
                 continue
             heads: dict = {}  # walker after va 0^m vb 0^m
             for va, vb, vc in triples:
+                work.probes += 1
                 if (va, vb) not in heads:
                     heads[va, vb] = walk(root, va + (0,) * m + vb + (0,) * m)
+                else:
+                    work.memo_hits += 1
                 if heads[va, vb] is None or walk(heads[va, vb], vc) is None:
                     verdict = FAIL
                     witnesses[n] = {"triple": [format_word(x) for x in (va, vb, vc)], "m": m}
                     break
             if n in witnesses:
                 break
+    work.states += states_built(root)
     return BoundReport(
         check=CHECK_DENSITY_GLUE,
         verdict=verdict,
@@ -198,6 +209,7 @@ def verify_sparse_glue(
     budget: int = DEFAULT_NODE_BUDGET,
     pair_budget: int = 150_000,
     seed: int = 0,
+    work: GlueWork | None = None,
 ) -> BoundReport:
     """Certificate that some filler of length <= f(n) joins every pair.
 
@@ -205,11 +217,14 @@ def verify_sparse_glue(
     pairs touching the lexicographic extremes and a maximal-density word,
     plus a seeded fill); the coverage fraction is reported. A pair with no
     filler at any length up to f(n) is a genuine counterexample when the
-    exhaustive strategy (or the exhaustive retry) was used.
+    exhaustive strategy (or the exhaustive retry) was used. work, when
+    given, gets the search's counters added.
     """
     f_at = f if f is not None else spec.declared_gap
     if f_at is None:
         raise InputError("no gap bound declared or supplied")
+    root = spec.root_walker()
+    work = GlueWork() if work is None else work
     margins = []
     witnesses: dict = {}
     verdict = PASS
@@ -219,9 +234,11 @@ def verify_sparse_glue(
         words = list(iter_language(spec, n, budget))
         pairs, coverage = sample_pairs(words, pair_budget, seed)
         coverages[n] = coverage
+        work.words += len(words)
+        work.pairs += len(pairs)
         gaps, tries = range(fn + 1), (strategy, "exhaustive")
         worst, worst_pair, failed = worst_glue(
-            spec, words, pairs, lambda start, w: least_glue(spec, start, w, gaps, tries)
+            root, words, pairs, lambda start, w: least_glue(spec, start, w, gaps, tries), work
         )
         if failed is not None:
             verdict = FAIL
@@ -231,6 +248,7 @@ def verify_sparse_glue(
         margins.append((n, float(fn - worst)))
         if worst_pair is not None:
             witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, worst_pair)))
+    work.states += states_built(root)
     return BoundReport(
         check=CHECK_SPARSE_GLUE,
         verdict=verdict,

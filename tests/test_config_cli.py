@@ -238,6 +238,7 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # before).
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
+GLUE_COMMANDS = ("gap-profile", "verify density_glue", "verify sparse_glue")
 
 
 def _near(want, got, tol=1e-10):
@@ -258,6 +259,12 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     for payload, digest in want.get("sha256", {}).items():
         assert sha256_file(out / payload) == digest, payload
     status = json.loads((out / "manifest.json").read_text())["status"]
+    assert ("glue" in status) == (command in GLUE_COMMANDS)
+    if command in GLUE_COMMANDS:
+        work = status["glue"]
+        assert sorted(work) == ["memo_hits", "pairs", "probes", "states", "words"]
+        assert work["words"] >= 1 and work["pairs"] >= 1 and work["states"] >= 1
+        assert work["probes"] >= 1 and work["memo_hits"] >= 0
     n_state = load_config(config).horizons.n_state
     if command in TRANSFER_COMMANDS and n_state is not None:
         work = status["transfer"]

@@ -21,6 +21,7 @@ from shiftpress.subshifts import (
     make_sparse_sturmian,
     make_sturmian_factors,
     product_subshift,
+    states_built,
     walk,
     word_admissible,
 )
@@ -312,6 +313,8 @@ _HEIGHTS = st.builds(
     lambda num, den, c: tuple(-(-num * n // den) + c for n in range(1, 17)),
     st.integers(1, 3), st.integers(2, 5), st.integers(0, 2),
 )
+# floor(n/3) + ceil(2 sqrt n): excess growing like sqrt n, far past the walk
+_SQRT = tuple(n // 3 + math.isqrt(4 * n - 1) + 1 for n in range(1, 41))
 # (description, prefix lengths, longest continuation), sized so that the
 # brute-force languages stay below 2^15 words
 _FAMILIES = st.one_of(
@@ -322,8 +325,13 @@ _FAMILIES = st.one_of(
         (0, 7), 3,
     ),
     _family(st.tuples(st.just("bd"), st.just(1), _HEIGHTS), (0, 7), 3),
+    # the table ends where the longest continuation does, so every entry
+    # of the allowance profile is tested
+    _family(st.tuples(st.just("bd"), st.just(1), _HEIGHTS.map(lambda h: h[:10])), (0, 7), 3),
+    _family(st.just(("bd", 1, _SQRT)), (0, 8), 3),
     _family(st.tuples(st.just("bd"), st.just(2), _HEIGHTS), (0, 5), 2),
-    _family(st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8))]), (10, 13), 2),
+    # sparse keys hold no length, so prefixes start at the empty word
+    _family(st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8))]), (0, 13), 2),
     _family(st.just(("product",)), (0, 4), 2),
 )
 
@@ -356,3 +364,37 @@ def test_keys_merge_states():
     words = list(iter_language(sp, 13))
     assert len({walk(sp.root_walker(), w).key() for w in words}) < len(words)
     assert walk(make_full_shift(3).root_walker(), (2, 0, 1)).key() == ()
+    # the golden-mean height table: a word ends in 1 or it does not
+    bd = make_bounded_density(1, HALF)
+    assert len({walk(bd.root_walker(), w).key() for w in iter_language(bd, 12)}) == 2
+    # one constraint j = 2, W = 16: the last symbol and d_2 in -1 .. W - j
+    sp = make_sparse_sturmian(make_sturmian_factors(8, 21, 2), (4, 12))
+    words = list(iter_language(sp, 8))
+    assert len(words) == 256
+    assert len({walk(sp.root_walker(), w).key() for w in words}) <= 2 * (16 - 2 + 2)
+
+
+@pytest.mark.parametrize("fam", cases.FAMILIES, ids=[f.label for f in cases.FAMILIES])
+def test_each_state_is_built_once_per_root(fam):
+    spec = fam.spec()
+    root = spec.root_walker()
+    prefixes = [w for n in range(7) for w in iter_language(spec, n)]
+    ends = [walk(root, w) for w in prefixes]
+    assert all(walk(root, w) is end for w, end in zip(prefixes, ends))
+    keys = {end.key() for end in ends}
+    assert len({id(end) for end in ends}) == len(keys)
+    assert states_built(root) == len(keys)
+    other = walk(spec.root_walker(), prefixes[-1])
+    assert other is not ends[-1] and other.key() == ends[-1].key()
+
+
+def test_height_table_end_raises_where_it_did():
+    spec = make_bounded_density(1, HALF[:6])
+    assert count_language(spec, 6) == oracles.fib(8)
+    msg = "^bounded density height table only covers lengths <= 6$"
+    with pytest.raises(InputError, match=msg):
+        count_language(spec, 7)
+    end = walk(spec.root_walker(), (0, 1, 0, 1, 0, 1))
+    for s in (0, 1):  # before the symbol itself is checked
+        with pytest.raises(InputError, match=msg):
+            end.child(s)
