@@ -203,8 +203,8 @@ class _DensityWalker(_State):
     __slots__ = ()
 
     def _grow(self, sym: int):
-        h, dtype, n_cap = self.auto.tables
-        a = np.frombuffer(self.k, dtype)
+        h, n_cap = self.auto.tables
+        a = np.frombuffer(self.k, h.dtype)
         if not len(a):
             raise InputError(
                 f"bounded density height table only covers lengths <= {n_cap}"
@@ -463,9 +463,8 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
     # non-decreasing in j, so a(j+1) - s >= a(1) - s >= 0), and the
     # smallest unsigned type that holds them keeps the keys short
     caps = np.minimum(table[1:], k * np.arange(1, n_max + 1, dtype=object))
-    dtype = np.min_scalar_type(k * n_max)
-    tables = (caps.astype(dtype), dtype, n_max)
-    root_key = tables[0].tobytes()
+    caps = caps.astype(np.min_scalar_type(k * n_max))
+    tables, root_key = (caps, n_max), caps.tobytes()
 
     def f_decl(n: int) -> int:
         if n < 1 or n > n_max:
