@@ -188,7 +188,7 @@ def _n_range(params: dict, default: list[int]) -> list[int]:
 
 
 def cmd_enumerate(run: _Run) -> int:
-    # one walk counts every length and streams the words of the last
+    # one count over walker states fills the tally, then the words stream out
     n = run.cfg.horizons.n_max
     tally = Tally()
     path = write_words(
@@ -199,7 +199,8 @@ def cmd_enumerate(run: _Run) -> int:
     counts = list(enumerate(tally.counts))[1:]
     path = write_csv(run.out / "counts.csv", ("n", "count"), counts, run.digest)
     run.manifest.record(path)
-    status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes, "budget": run.budget}
+    status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes,
+              "budget": run.budget, "states": tally.states}
     run.finish({"enumerate": status})
     print(f"{run.spec.label}: |L_{n}| = {tally.counts[n]}")
     return EXIT_OK
@@ -359,15 +360,15 @@ def _run_check(run: _Run, tag: str):
             anchors = [int(a) for a in params["anchors"]]
         else:
             eps_list = [float(e) for e in params.get("epsilons", [epsilon])]
+            horizon = run.anchor_horizon(table.horizon)
             seq = anchor_sequence(
-                run.gap_callable(), run.variation_callable(),
-                run.anchor_horizon(table.horizon), eps_list,
+                run.gap_callable(), run.variation_callable(), horizon, eps_list
             )
             if not seq.indices:
-                raise InputError(
-                    "no anchor lengths found below the horizon; "
-                    "raise horizons.n_max or the epsilons"
-                )
+                raise InputError("no anchor lengths found " + (
+                    f"up to n={horizon}, the reach of the declared gap bound; raise the epsilons"
+                    if horizon < table.horizon
+                    else "below the horizon; raise horizons.n_max or the epsilons"))
             anchors = list(seq.indices)
         return verify_partition_upper_anchor(
             table, run.pressure_value(params, table), anchors, epsilon, tol
@@ -469,6 +470,11 @@ def cmd_anchors(run: _Run) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"enumerate": cmd_enumerate, "pressure": cmd_pressure,
+            "gap-profile": cmd_gap_profile, "equilibrium": cmd_equilibrium,
+            "anchors": cmd_anchors}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -503,19 +509,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = _Run(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(run)
-        if args.command == "pressure":
-            return cmd_pressure(run)
-        if args.command == "gap-profile":
-            return cmd_gap_profile(run)
         if args.command == "verify":
             return cmd_verify(run, args.tag)
-        if args.command == "equilibrium":
-            return cmd_equilibrium(run)
-        if args.command == "anchors":
-            return cmd_anchors(run)
-        raise InputError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](run)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

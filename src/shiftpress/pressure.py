@@ -15,7 +15,8 @@ long runs emitted at once neither overflow nor underflow. Every float
 operation on them is rounded outward (one ulp for + and x, two for exp
 and log) and exponents move only by exact powers of two, so
 [lnz_lo, lnz_hi] encloses the exact value. Zero-potential rows are
-ln(count) from language_counts, a rounded point rather than an enclosure.
+ln(count), with the count from language_counts (a forward pass over
+walker keys alone), and are a rounded point rather than an enclosure.
 
 Pressure brackets combine a submultiplicative upper bound
 min_m lnZ_hi(m)/m with the gluing lower bound
@@ -38,8 +39,7 @@ from .subshifts import (
     DEFAULT_NODE_BUDGET,
     Exactness,
     SubshiftSpec,
-    count_language,
-    iter_language,
+    Tally,
     language_counts,
     walk,
 )
@@ -244,18 +244,14 @@ def partition_function(
     """One partition row: word count and enclosed lnZ at length n.
 
     For the zero potential the sum is exactly the word count, so the row
-    is ln(count) with zero width (counts use the family's closed form
-    where one exists). A non-empty prefix restricts the sum to words
-    extending it. Other potentials run the sweep up to length n.
+    is ln(count) with zero width, counted from the prefix's walker. A
+    non-empty prefix restricts the sum to words extending it. Other
+    potentials run the sweep up to length n.
     """
     if n < 1:
         raise InputError("partition length must be >= 1")
     if pot.is_constant_zero:
-        if prefix:
-            count = sum(1 for _ in iter_language(spec, n, budget, prefix))
-        else:
-            count = count_language(spec, n, budget)
-        return _count_row(n, count)
+        return _count_row(n, language_counts(spec, n, budget, prefix)[n])
     if len(prefix) > n:
         check_symbols(tuple(prefix), spec.alphabet_size)
         return PartitionRow(n=n, count=0, lnz_lo=-_INF, lnz_hi=-_INF)
@@ -265,13 +261,13 @@ def partition_function(
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Rows 1..horizon; nodes and max_states report the sweep's work
-    (None for zero-potential tables, whose counts come from language_counts)."""
+    """Rows 1..horizon; nodes and max_states report the work of the sweep
+    (of language_counts for zero-potential tables)."""
 
     rows: tuple[PartitionRow, ...]
     upper_bound_only: bool
-    nodes: int | None = None
-    max_states: int | None = None
+    nodes: int
+    max_states: int
 
     def row(self, n: int) -> PartitionRow:
         if not 1 <= n <= len(self.rows):
@@ -293,9 +289,10 @@ def partition_table(
         raise InputError("n_max must be >= 1")
     upper_only = spec.exactness is Exactness.LOCAL_SUPERSET
     if pot.is_constant_zero:
-        counts = language_counts(spec, n_max, budget)
+        tally = Tally()
+        counts = language_counts(spec, n_max, budget, tally=tally)
         rows = tuple(_count_row(n, counts[n]) for n in range(1, n_max + 1))
-        return PartitionTable(rows=rows, upper_bound_only=upper_only)
+        return PartitionTable(rows, upper_only, tally.nodes, tally.states)
     rows, nodes, max_states = _sweep(spec, pot, n_max, budget)
     return PartitionTable(
         rows=tuple(rows),

@@ -73,7 +73,7 @@ def write_json(path: str | Path, payload: dict, digest: str) -> Path:
 
 
 def write_words(path: str | Path, lines: Iterable[str]) -> Path:
-    """Stream language lines to path through a temporary name beside it,
+    """Stream language text to path through a temporary name beside it,
     renamed on success, so a walk that fails part way leaves no file."""
     path = Path(path)
     part = path.with_name(path.name + ".part")

@@ -10,10 +10,12 @@ admissible superset of it. Five families are provided:
 * sparse Sturmian shifts (long windows must contain short Sturmian factors),
 * products of two subshifts.
 
-Enumeration is depth-first with hereditary pruning: each family exposes an
-incremental prefix walker so a prefix is rejected as soon as it can no
-longer begin an admissible word. Output order is always lexicographic and
-a node budget caps the walk.
+Each family exposes an incremental prefix walker, a state of its
+follower-set automaton, so a prefix is rejected as soon as it can no
+longer begin an admissible word. Counting is one forward pass over the
+distinct states of each length; enumeration is depth-first in
+lexicographic order, with a node budget checked against the counts
+before the first word.
 """
 
 from __future__ import annotations
@@ -362,8 +364,7 @@ def make_sft(
         label=f"SFT on {alphabet_size} symbols avoiding "
         + ",".join(format_word(f) for f in sorted(forb)),
         root_walker=lambda: _SftWalker.root(tables, alphabet_size, ()),
-        params={"forbidden": sorted(forb), "block_len": m, "alive": alive,
-                "short_sets": short_sets},
+        params={"forbidden": sorted(forb)},
         declared_gap=f_decl,
         gap_mode=mode,
     )
@@ -658,56 +659,89 @@ def word_admissible(spec: SubshiftSpec, w: Word) -> Verdict:
 
 @dataclass
 class Tally:
-    """Filled in by a completed walk to length n: counts[k] admissible words
-    of length k (0 below the prefix length), and the nodes charged."""
+    """Filled in by a count to length n: counts[k] admissible words of
+    length k (0 below the prefix length), the nodes charged, and the most
+    distinct walker states on one level."""
 
     counts: list[int] = field(default_factory=list)
     nodes: int = 0
+    states: int = 0
 
 
-def _walk(walker, start: int, n: int, budget, root, units, leaf_units, tally: Tally,
-          ends: bool = False):
-    """The one depth-first walk of the prefix tree, from length start to n.
+def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: int = -1):
+    """One forward count over the distinct walker states, from length start to n.
 
-    Yields the labels of the admissible words of length n in lexicographic
-    order, each paired with its end walker when ends is set. A node's label
-    is its parent's plus units[s] for the symbol s read (leaf_units[s] on
-    the last level), so each prefix is labelled once. Every walker child
-    call counts against budget; tally gets every count.
+    Each level maps walker key -> [walker, multiplicity], the number of
+    words of that length reaching the key; equal keys admit the same
+    continuations, so the multiplicities add. Every (state, symbol) child
+    call counts against budget, as in pressure._sweep. Fills in tally and
+    returns the level at length keep (None when no level has that length).
     """
-    tally.counts = counts = [0] * (n + 1)
+    counts, level = tally.counts, {walker.key(): [walker, 1]}  # counts zeroed by _start
     counts[start] = 1
-    if start == n:
-        yield (root, walker) if ends else root
-        return
-    a_size, last, nodes, words = len(units), n - 1, 0, 0
-    leaves = tuple(enumerate(leaf_units))
-    down = range(a_size - 1, -1, -1)  # pushed high to low, popped low to high
-    stack = [(walker, root, start)]
-    while stack:
-        w, label, k = stack.pop()
-        nodes += a_size
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"node budget {budget} exhausted at length {n}",
-                words_done=words, nodes=budget + 1, budget=budget,
-            )
-        child = w.child
-        if k == last:
-            for s, unit in leaves:
-                end = child(s)
-                if end is not None:
-                    words += 1
-                    yield (label + unit, end) if ends else label + unit
-        else:
-            k += 1
-            below = len(stack)
-            for s in down:
+    kept = level if keep == start else None
+    nodes = widest = 0
+    symbols = range(a_size)
+    for k in range(start + 1, n + 1):
+        grown: dict = {}
+        total = 0
+        for w, mult in level.values():
+            nodes += a_size
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"node budget {budget} exhausted at length {n}",
+                    words_done=0, nodes=nodes, budget=budget,
+                )
+            child = w.child
+            for s in symbols:
                 ch = child(s)
                 if ch is not None:
-                    stack.append((ch, label + units[s], k))
-            counts[k] += len(stack) - below
-    counts[n], tally.nodes = words, nodes
+                    total += mult
+                    got = grown.get(key := ch.key())
+                    if got is None:
+                        grown[key] = [ch, mult]
+                    else:
+                        got[1] += mult
+        level, counts[k] = grown, total
+        widest = max(widest, len(level))
+        if k == keep:
+            kept = level
+    tally.nodes, tally.states = nodes, widest
+    return kept
+
+
+def _walk(walker, a_size: int, root: Word, depth: int, ends: bool = False):
+    """The one depth-first walk of the prefix tree below walker: root
+    extended by each admissible word of length depth from walker, in
+    lexicographic order, paired with its end walker when ends is set."""
+    down = range(a_size - 1, -1, -1)  # pushed high to low, popped low to high
+    stack = [(walker, root, 0)]
+    while stack:
+        w, label, k = stack.pop()
+        if k == depth:
+            yield (label, w) if ends else label
+            continue
+        child, k = w.child, k + 1
+        for s in down:
+            ch = child(s)
+            if ch is not None:
+                stack.append((ch, label + (s,), k))
+
+
+_DIGITS = bytes(range(48, 58)) + bytes(range(10, 256))  # 0-9 -> digits, others kept
+
+
+def _digits(w: Word) -> str:  # format_word(w) over at most 10 symbols
+    return bytes(w).translate(_DIGITS).decode()
+
+
+def _start(spec: SubshiftSpec, n: int, prefix: Word, tally: Tally):
+    """prefix's walker (None when no word of length n extends it); zeroes tally."""
+    if n < 0:
+        raise InputError("word length must be >= 0")
+    check_symbols(prefix, spec.alphabet_size)
+    tally.counts, tally.nodes, tally.states = [0] * (n + 1), 0, 0
+    return walk(spec.root_walker(), prefix) if len(prefix) <= n else None
 
 
 def iter_language(
@@ -722,101 +756,74 @@ def iter_language(
 ) -> Iterator[Word] | Iterator[str]:
     """Yield the admissible words of length n in lexicographic order.
 
-    Budget counts walker extension attempts (a full shift without a prefix
-    is charged its a^n words instead); exceeding it raises
-    BudgetExceededError carrying the number of words already produced.
-    With a prefix, only words extending it are yielded. With text, each
-    word comes as its language-file line, format_word(w) + "\\n". With
-    ends (tuple words only), each word comes as (w, end walker of w). A
-    tally, when given, is filled in once the walk completes.
+    A forward count over walker states (_count) runs first and fills in
+    tally. The budget is charged what a walk of the prefix tree makes: a
+    child call per symbol for each admissible word shorter than n (a^n for
+    a full shift without a prefix). When that exceeds it,
+    BudgetExceededError is raised before any word is yielded. With a
+    prefix, only words extending it are yielded. With ends (tuple words
+    only), each word comes as (w, end walker of w). With text, the words
+    come as language-file text, format_word(w) + "\\n" per word, in chunks
+    of whole lines.
     """
-    if n < 0:
-        raise InputError("word length must be >= 0")
     if budget < 1:
         raise InputError("budget must be >= 1")
-    prefix = tuple(prefix)
-    a_size = spec.alphabet_size
-    check_symbols(prefix, a_size)
-    tally = Tally() if tally is None else tally
-    tally.counts, tally.nodes = [0] * (n + 1), 0
-    walker = walk(spec.root_walker(), prefix) if len(prefix) <= n else None
+    prefix, tally = tuple(prefix), Tally() if tally is None else tally
+    walker = _start(spec, n, prefix, tally)
     if walker is None:
         return
+    a_size, start = spec.alphabet_size, len(prefix)
     full = spec.family == "full" and not prefix
-    if full:
-        if a_size**n > budget:
-            raise BudgetExceededError(
-                f"enumeration of {a_size**n} words exceeds budget {budget}",
-                words_done=0, nodes=a_size**n, budget=budget,
-            )
-        budget = math.inf
-    if full and not text and not ends:
-        # identical output to the walk, at C speed
-        yield from itertools.product(range(a_size), repeat=n)
-        tally.counts = [a_size**k for k in range(n + 1)]
+    # text lines are joined from suffix blocks when symbols are one digit
+    # (format_word dots a word only when it holds a symbol >= 10)
+    split = start + (n - start) // 2 if text and a_size <= 10 else -1
+    level = _count(walker, a_size, start, n, math.inf if full else budget, tally, split)
+    tally.nodes = a_size**n if full else a_size * sum(tally.counts[start:n])
+    if tally.nodes > budget:
+        raise BudgetExceededError(
+            f"enumeration of {tally.nodes} words exceeds budget {budget}" if full
+            else f"node budget {budget} exhausted at length {n}",
+            words_done=0, nodes=tally.nodes, budget=budget,
+        )
+    if level is not None:
+        # one chunk of lines per length-split prefix p: the block of p's end
+        # state, a "*" + suffix + "\n" line per admissible word of length
+        # n - split from there, with p in place of each "*". A block is
+        # built once per state key and dropped once every prefix the count
+        # saw reaching that key has used it
+        blocks: dict = {}
+        for p, end in _walk(walker, a_size, prefix, split - start, ends=True):
+            got = blocks.get(key := end.key())
+            if got is None:
+                block = bytearray()
+                for w in _walk(end, a_size, (), n - split):
+                    block += bytes((42, *w, 10))  # "*", the symbols, "\n"
+                got = blocks[key] = [level[key][1], block.translate(_DIGITS).decode()]
+            got[0] -= 1
+            if not got[0]:
+                del blocks[key]
+            if got[1]:
+                yield got[1].replace("*", _digits(p))
     else:
-        units = leaf_units = [(s,) for s in range(a_size)]
-        root = prefix
-        # text labels need one-digit symbols (format_word dots a word only
-        # when it holds a symbol >= 10) and a last symbol to end the line
-        fast_text = text and a_size <= 10 and len(prefix) < n
-        if fast_text:
-            units = [str(s) for s in range(a_size)]
-            root, leaf_units = format_word(prefix), [u + "\n" for u in units]
-        words = _walk(walker, len(prefix), n, budget, root, units, leaf_units, tally, ends)
-        if text and not fast_text:
-            words = (format_word(w) + "\n" for w in words)
-        yield from words
-    if full:
-        tally.nodes = a_size**n
+        words = _walk(walker, a_size, prefix, n - start, ends)
+        yield from (format_word(w) + "\n" for w in words) if text else words
 
 
 def language_counts(
     spec: SubshiftSpec,
     n: int,
     budget: int = DEFAULT_NODE_BUDGET,
+    prefix: Word = (),
+    tally: Tally | None = None,
 ) -> list[int]:
-    """[|L_0|, ..., |L_n|], using exact closed forms where the family has one.
-
-    Full shifts count as powers, SFTs by integer path counting in the
-    block graph, products multiply factor counts; these agree with the
-    enumeration by construction and skip the node budget. Other families
-    count every length on one walk of the prefix tree.
+    """[|L_0|, ..., |L_n|] of the words extending prefix (0 below its
+    length), from one forward count over walker states (_count) for every
+    family. tally, when given, gets the nodes charged and the widest level.
     """
-    if n < 0:
-        raise InputError("word length must be >= 0")
-    a_size = spec.alphabet_size
-    if spec.family == "full":
-        return [a_size**k for k in range(n + 1)]
-    if spec.family == "sft":
-        m, alive, short = (spec.params[k] for k in ("block_len", "alive", "short_sets"))
-        counts = [1] + [len(short[k]) for k in range(1, min(n + 1, m))]
-        if n < m:
-            return counts
-        states = sorted(alive)
-        idx = {u: i for i, u in enumerate(states)}
-        succ = [
-            [idx[u[1:] + (s,)] for s in range(a_size) if u[1:] + (s,) in alive]
-            for u in states
-        ]
-        vec = [1] * len(states)
-        counts.append(len(states))
-        for _ in range(n - m):
-            nxt = [0] * len(states)
-            for i, outs in enumerate(succ):
-                v = vec[i]
-                if v:
-                    for j in outs:
-                        nxt[j] += v
-            vec = nxt
-            counts.append(sum(vec))
-        return counts
-    if spec.family == "product":
-        ca, cb = (language_counts(spec.params[f], n, budget) for f in ("a", "b"))
-        return [x * y for x, y in zip(ca, cb)]
-    tally = Tally()
-    for _ in iter_language(spec, n, budget, tally=tally):
-        pass
+    prefix, tally = tuple(prefix), Tally() if tally is None else tally
+    walker = _start(spec, n, prefix, tally)
+    if walker is not None:
+        _count(walker, spec.alphabet_size, len(prefix), n, budget, tally)
     return tally.counts
 
 

@@ -96,6 +96,14 @@ class CountedWalker:
         return self.inner.key()
 
 
+def count_calls(label: str, n: int) -> int | None:
+    """Child calls of the forward count to length n >= 2, where its levels
+    are known: the full shift on 2 symbols has one state per level; the
+    golden mean has (), then 0 and 1, then the blocks 00, 01 and 10. None
+    for the other families."""
+    return {"full": 2 * n, "golden": 2 * (1 + 2 + 3 * (n - 2))}.get(label)
+
+
 def counted(spec: SubshiftSpec):
     """(a copy of spec whose walkers count their child calls, the counter)."""
     calls = [0]

@@ -274,7 +274,7 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     if command == "enumerate":
         work = status["enumerate"]
         assert work["count"] == want["count"] and work["budget"] == DEFAULT_NODE_BUDGET
-        assert 0 < work["nodes"] <= work["budget"]
+        assert 0 < work["nodes"] <= work["budget"] and 1 <= work["states"] <= work["count"]
         return
     if command.startswith("verify"):
         report = json.loads((out / f"report_{command.split()[1]}.json").read_text())
@@ -292,10 +292,8 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     assert _near(want["best_hi"], status["bracket"]["best_hi"])
     work = status["partition"]
     assert work["budget"] == DEFAULT_NODE_BUDGET
-    if "partition.csv" in want.get("sha256", {}):  # zero potential: rows from count_language
-        assert work["nodes"] is None and work["max_states"] is None
-    else:
-        assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
+    # the sweep's work, or the forward count's for the zero potential
+    assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
 
 
 def test_invalid_family_exits_2_and_writes_nothing(tmp_path):
@@ -334,9 +332,18 @@ def test_enumerate_budget_is_exact_and_exit_3_leaves_no_language_file(
     manifest = json.loads((tmp_path / "free" / "manifest.json").read_text())
     nodes = manifest["status"]["enumerate"]["nodes"]
     _, _, rows = read_csv_payload(tmp_path / "free" / "counts.csv")
-    # one walk: each admissible word shorter than 9 is extended once
+    # the budget unit is unchanged: each admissible word shorter than 9
+    # is charged one node per symbol (2^9 words on the full shift)
     spec, calls = built[0]
-    assert calls[0] == spec.alphabet_size * (1 + sum(int(r[1]) for r in rows[:-1]))
+    tree = spec.alphabet_size * (1 + sum(int(r[1]) for r in rows[:-1]))
+    assert nodes == (2**9 if name == "full_shift" else tree)
+    # the count, the walk to the split at length 4 and one block of
+    # length-5 suffixes per state there make no more calls than the tree
+    # walk did; on the full shift 18 + 30 + 62, on the golden mean 48 + 22
+    # + (38 + 24 + 38) for the blocks from 00, 01 and 10
+    assert calls[0] <= tree
+    assert {"full_shift": 110, "golden_mean": 170}.get(name, calls[0]) == calls[0]
+    assert 1 <= manifest["status"]["enumerate"]["states"] <= int(rows[-1][1])
     assert run(tmp_path / "exact", "--budget", str(nodes)) == 0
     language = (tmp_path / "free" / "language_n9.txt").read_bytes()
     assert (tmp_path / "exact" / "language_n9.txt").read_bytes() == language
@@ -482,6 +489,19 @@ def test_verify_anchor_via_cli(tmp_path):
     report = json.loads((out / "report_partition_upper_anchor.json").read_text())
     assert report["extra"]["onset_index"] == 1
     assert [n for n, _ in report["margins"]] == [8, 13]
+
+
+def test_anchor_search_names_the_limit_that_binds(tmp_path, capsys):
+    # sparse_sturmian's gap bound answers n <= 12, below its n_max of 14
+    argv = ["verify", "partition_upper_anchor", "--out", str(tmp_path / "sparse")]
+    assert main([*argv, "--config", str(CONFIG_DIR / "sparse_sturmian.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert "up to n=12, the reach of the declared gap bound" in err
+    assert "horizons.n_max" not in err
+    doc = golden_doc(checks={"partition_upper_anchor": {"epsilons": [0.01]}})
+    argv = ["verify", "partition_upper_anchor", "--out", str(tmp_path / "golden")]
+    assert main([*argv, "--config", str(write_yaml(tmp_path, doc))]) == 2
+    assert "raise horizons.n_max or the epsilons" in capsys.readouterr().err
 
 
 def test_equilibrium_via_cli(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cases
 import oracles
 from cases import FAMILIES, POTENTIALS, counted, h_lin
 from shiftpress.errors import (
@@ -134,8 +135,9 @@ def test_budget_counts_sweep_nodes():
     with pytest.raises(BudgetExceededError) as ei:
         partition_table(gm, pot, 12, budget=table.nodes - 1)
     assert ei.value.nodes == table.nodes and ei.value.budget == table.nodes - 1
+    # zero rows report the count's work: the levels (), 0 and 1, then 00, 01, 10
     zero = partition_table(gm, ZeroPotential(), 12)
-    assert zero.nodes is None and zero.max_states is None
+    assert zero.nodes == cases.count_calls("golden", 12) and zero.max_states == 3
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label for f in FAMILIES])
@@ -146,8 +148,11 @@ def test_zero_rows_come_from_one_walk_or_a_closed_form(fam):
     table = partition_table(spec, ZeroPotential(), n_max)
     assert [row.count for row in table.rows] == counts
     assert [row.lnz_lo for row in table.rows] == [math.log(c) for c in counts]
-    closed_form = spec.family in ("full", "sft", "product")
-    assert calls[0] == (0 if closed_form else spec.alphabet_size * (1 + sum(counts[:-1])))
+    # one forward count, charged and reported per state and symbol: no more
+    # than a walk of the prefix tree would make
+    assert calls[0] == table.nodes <= spec.alphabet_size * (1 + sum(counts[:-1]))
+    assert cases.count_calls(fam.label, n_max) in (None, calls[0])
+    assert table.max_states >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import cases
 import oracles
 from shiftpress.errors import BudgetExceededError, ConstructionError, InputError
+from shiftpress.potentials import ZeroPotential
+from shiftpress.pressure import partition_function, partition_table
 from shiftpress.subshifts import (
     Tally,
     count_language,
@@ -222,19 +225,116 @@ def test_one_walk_counts_every_length(fam):
     spec, calls = cases.counted(fam.spec())
     n, a_size = 8, spec.alphabet_size
     want = [1] + [len(fam.language(k)) for k in range(1, n + 1)]
+    tree = a_size * sum(want[:n])  # a prefix-tree walk's child calls
     tally = Tally()
-    lines = list(iter_language(spec, n, text=True, tally=tally))
-    assert tally.counts == want and len(lines) == want[n]
-    # each admissible word shorter than n is extended by every symbol, once
-    assert calls[0] == a_size * sum(want[:n])
-    assert tally.nodes == (a_size**n if spec.family == "full" else calls[0])
+    text = "".join(iter_language(spec, n, text=True, tally=tally))
+    assert tally.counts == want and text.count("\n") == want[n]
+    # the budget is still charged what the tree walk makes; the count and
+    # the text together make no more calls than that walk
+    assert tally.nodes == (a_size**n if spec.family == "full" else tree)
+    assert calls[0] <= tree
+    # the count makes exactly the calls it reports, one per state and symbol
     calls[0] = 0
-    assert language_counts(spec, n) == want
-    closed_form = spec.family in ("full", "sft", "product")
-    assert calls[0] == (0 if closed_form else a_size * sum(want[:n]))
+    assert language_counts(spec, n, tally=tally) == want
+    assert calls[0] == tally.nodes <= tree
+    assert cases.count_calls(fam.label, n) in (None, calls[0])
     calls[0] = 0
     assert count_language(spec, n) == want[n]
-    assert calls[0] == (0 if closed_form else a_size * sum(want[:n]))
+    assert calls[0] == tally.nodes
+
+
+class WordKeyed:
+    """A walker keyed by the word it has read, so no two prefixes share a
+    state: every level of a count is as wide as the language."""
+
+    def __init__(self, inner, word=()):
+        self.inner, self.word = inner, word
+
+    def child(self, sym):
+        ch = self.inner.child(sym)
+        return None if ch is None else WordKeyed(ch, self.word + (sym,))
+
+    def key(self):
+        return self.word
+
+
+def _word_keyed(spec):
+    root = spec.root_walker
+    return dataclasses.replace(spec, root_walker=lambda: WordKeyed(root()))
+
+
+def _sampled(words, most=12):
+    return words[:: max(1, len(words) // most)]
+
+
+class DeadEnds:
+    """Binary words holding 11 only as their last two symbols: words ending
+    in 11 are admissible but never extend, so some suffix blocks are empty."""
+
+    def __init__(self, tail=()):
+        self.tail = tail
+
+    def child(self, sym):
+        return None if self.tail == (1, 1) else DeadEnds((self.tail + (sym,))[-2:])
+
+    def key(self):
+        return self.tail
+
+
+def _dead_ends():
+    return dataclasses.replace(make_golden_mean(), root_walker=DeadEnds)
+
+
+def test_dead_end_words_are_counted_and_listed():
+    spec = _dead_ends()
+    for n in range(8):
+        want = [w for w in oracles.all_words(2, n) if not oracles.occurs((1, 1), w[:-1])]
+        assert list(iter_language(spec, n)) == want
+        assert language_counts(spec, n)[n] == len(want)
+
+
+TEXT_EDGE_CASES = TEXT_CASES + [("dead_ends", _dead_ends, 7)] + [
+    (f"{f.label}_word_keyed", lambda f=f: _word_keyed(f.spec()), 7) for f in cases.FAMILIES
+]
+
+
+@pytest.mark.parametrize("label, make, n_top", TEXT_EDGE_CASES,
+                         ids=[c[0] for c in TEXT_EDGE_CASES])
+def test_text_chunks_at_the_edges(label, make, n_top):
+    # lengths 0 and 1, prefixes of length n - 1 and n (admissible or not),
+    # words that never extend, and walkers whose keys never merge
+    spec = make()
+    a_size = spec.alphabet_size
+    for n in (0, 1, 2, n_top):
+        tally = Tally()
+        lines = [format_word(w) + "\n" for w in iter_language(spec, n, tally=tally)]
+        counts, widest = tally.counts, tally.states
+        chunks = list(iter_language(spec, n, text=True, tally=tally))
+        assert "".join(chunks) == "".join(lines) and all(c.endswith("\n") for c in chunks)
+        assert tally.counts == counts and tally.states == widest
+        if label.endswith("word_keyed"):
+            assert widest == (max(counts[1:]) if n else 0)
+        near = [w for k in (n - 1, n) if k >= 0 for w in _sampled(oracles.all_words(a_size, k))]
+        for prefix in near:
+            words = list(iter_language(spec, n, prefix=prefix))
+            want = "".join(format_word(w) + "\n" for w in words)
+            assert "".join(iter_language(spec, n, prefix=prefix, text=True)) == want
+
+
+@pytest.mark.parametrize("fam", cases.FAMILIES, ids=[f.label for f in cases.FAMILIES])
+def test_count_budget_is_exact(fam):
+    spec, n = fam.spec(), 12
+    tally = Tally()
+    want = language_counts(spec, n, tally=tally)
+    assert language_counts(spec, n, budget=tally.nodes) == want
+    with pytest.raises(BudgetExceededError) as ei:
+        language_counts(spec, n, budget=tally.nodes - 1)
+    assert ei.value.nodes == tally.nodes and ei.value.budget == tally.nodes - 1
+    # zero-potential partition rows are charged the same count
+    table = partition_table(spec, ZeroPotential(), n, budget=tally.nodes)
+    assert table.nodes == tally.nodes and table.max_states == tally.states
+    with pytest.raises(BudgetExceededError):
+        partition_table(spec, ZeroPotential(), n, budget=tally.nodes - 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -352,6 +452,49 @@ def test_equal_keys_admit_the_same_continuations(family):
             key = walk(spec.root_walker(), p).key()
             followers = frozenset(c for c in conts if p + c in _language(desc, n + len(c)))
             assert followers_of.setdefault(key, followers) == followers, (desc, p, key)
+
+
+# (description, length): SFTs, products, bounded density k = 1 and 2 (also
+# with a table ending at the length counted to) and sparse shifts, sized so
+# that the brute-force languages stay small
+_COUNTED = st.one_of(
+    st.tuples(
+        st.tuples(st.just("sft"), st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
+        st.integers(0, 10),
+    ),
+    st.tuples(st.just(("product",)), st.integers(0, 6)),
+    st.tuples(st.tuples(st.just("bd"), st.just(1), _HEIGHTS), st.integers(0, 10)),
+    st.builds(lambda h, n: (("bd", 1, h[:n]), n), _HEIGHTS, st.integers(1, 10)),
+    st.tuples(st.tuples(st.just("bd"), st.just(2), _HEIGHTS), st.integers(0, 6)),
+    st.builds(lambda h, n: (("bd", 2, h[:n]), n), _HEIGHTS, st.integers(1, 6)),
+    st.tuples(st.just(("bd", 1, _SQRT[:12])), st.just(12)),
+    st.tuples(
+        st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8)),
+                         ("sparse", 8, 21, (4, 12))]),
+        st.integers(0, 13),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_COUNTED, st.data())
+def test_forward_counts_match_the_oracle(case, data):
+    desc, n = case
+    try:
+        spec, _ = _instance(desc)
+    except ConstructionError:
+        assume(False)
+    m = data.draw(st.integers(0, n))
+    assume(_language(desc, m))
+    admissible = data.draw(st.sampled_from(sorted(_language(desc, m))))
+    anything = data.draw(st.lists(st.integers(0, spec.alphabet_size - 1), max_size=n + 1))
+    for prefix in ((), admissible, tuple(anything)):
+        want = [
+            sum(w[: len(prefix)] == prefix for w in _language(desc, k)) for k in range(n + 1)
+        ]
+        assert language_counts(spec, n, prefix=prefix) == want, prefix
+        if n:
+            assert partition_function(spec, ZeroPotential(), n, prefix=prefix).count == want[n]
 
 
 def test_keys_merge_states():
