@@ -92,7 +92,7 @@ class _Run:
     def __init__(self, args):
         self.cfg: ExperimentConfig = load_config(args.config)
         self.digest = self.cfg.digest
-        self.budget = args.budget if args.budget else DEFAULT_NODE_BUDGET
+        self.budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
         if self.budget < 1:
             raise InputError("--budget must be a positive node count")
         self.spec: SubshiftSpec = build_subshift(self.cfg.subshift)
@@ -174,11 +174,30 @@ class _Run:
         write_manifest(self.manifest, self.out)
 
 
-def _n_range(params: dict, default: list[int]) -> list[int]:
-    raw = params.get("n_range", default)
-    ns = [int(n) for n in raw]
-    if not ns:
-        raise InputError("n_range must be non-empty")
+def _list_of(convert: Callable) -> Callable:
+    def read(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [convert(v) for v in value]
+
+    return read
+
+
+def _param(params: dict, tag: str, key: str, convert: Callable, default=None):
+    """params[key] read by convert, or default when absent; a value that
+    convert rejects is an input error naming checks.<tag>.<key>."""
+    if key not in params:
+        return default
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"checks.{tag}.{key}: {exc}") from None
+
+
+def _n_range(params: dict, tag: str, default: list[int] | None) -> list[int] | None:
+    ns = _param(params, tag, "n_range", _list_of(int), default)
+    if ns is not None and not ns:
+        raise InputError(f"checks.{tag}.n_range must be non-empty")
     return ns
 
 
@@ -266,7 +285,7 @@ def cmd_pressure(run: _Run) -> int:
 def cmd_gap_profile(run: _Run) -> int:
     cfg = run.cfg
     params = run.check_params("gap_profile")
-    ns = _n_range(params, list(range(1, min(cfg.horizons.n_max, 8) + 1)))
+    ns = _n_range(params, "gap_profile", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
     work = run.glue_work()
     rows = []
     for n in ns:
@@ -308,12 +327,10 @@ def cmd_gap_profile(run: _Run) -> int:
     return EXIT_OK
 
 
-def _check_f(params: dict) -> Callable[[int], int] | None:
+def _check_f(params: dict, tag: str) -> Callable[[int], int] | None:
     """Optional constant gap-bound override for inversion experiments."""
-    if "f_const" not in params:
-        return None
-    c = int(params["f_const"])
-    return lambda n: c
+    c = _param(params, tag, "f_const", int)
+    return None if c is None else lambda n: c
 
 
 def _run_check(run: _Run, tag: str):
@@ -323,9 +340,9 @@ def _run_check(run: _Run, tag: str):
     if tag == CHECK_DENSITY_GLUE:
         params = run.check_params(tag)
         return verify_density_glue(
-            run.spec, _n_range(params, small_default),
-            slack=int(params.get("slack", 4)),
-            f=_check_f(params),
+            run.spec, _n_range(params, tag, small_default),
+            slack=_param(params, tag, "slack", int, 4),
+            f=_check_f(params, tag),
             budget=run.budget,
             seed=cfg.seed,
             work=run.glue_work(),
@@ -333,9 +350,9 @@ def _run_check(run: _Run, tag: str):
     if tag == CHECK_SPARSE_GLUE:
         params = run.check_params(tag)
         return verify_sparse_glue(
-            run.spec, _n_range(params, small_default),
+            run.spec, _n_range(params, tag, small_default),
             strategy=str(params.get("strategy", cfg.strategy)),
-            f=_check_f(params),
+            f=_check_f(params, tag),
             budget=run.budget,
             pair_budget=cfg.pair_budget,
             seed=cfg.seed,
@@ -347,19 +364,18 @@ def _run_check(run: _Run, tag: str):
         return verify_partition_upper_spec(
             table,
             run.pressure_value(params, table),
-            _check_f(params) or run.gap_callable(),
+            _check_f(params, tag) or run.gap_callable(),
             run.variation_callable(),
             run.pot.bounds.lo,
-            _n_range(params, list(range(1, table.horizon + 1))),
+            _n_range(params, tag, list(range(1, table.horizon + 1))),
             tol,
         )
     if tag == CHECK_PARTITION_ANCHOR:
         params = run.check_params(tag)
-        epsilon = float(params.get("epsilon", 0.5))
-        if "anchors" in params:
-            anchors = [int(a) for a in params["anchors"]]
-        else:
-            eps_list = [float(e) for e in params.get("epsilons", [epsilon])]
+        epsilon = _param(params, tag, "epsilon", float, 0.5)
+        anchors = _param(params, tag, "anchors", _list_of(int))
+        if anchors is None:
+            eps_list = _param(params, tag, "epsilons", _list_of(float), [epsilon])
             horizon = run.anchor_horizon(table.horizon)
             seq = anchor_sequence(
                 run.gap_callable(), run.variation_callable(), horizon, eps_list
@@ -380,12 +396,12 @@ def _run_check(run: _Run, tag: str):
         return verify_partition_upper_trans(
             table,
             run.pressure_value(params, table),
-            float(params["C"]),
-            int(params.get("onset", 3)),
-            _check_f(params) or run.gap_callable(),
+            _param(params, tag, "C", float),
+            _param(params, tag, "onset", int, 3),
+            _check_f(params, tag) or run.gap_callable(),
             run.variation_callable(),
             run.pot.bounds.lo,
-            params.get("n_range"),
+            _n_range(params, tag, None),
             tol,
         )
     if tag == CHECK_MEASURE_LOWER:
@@ -399,7 +415,7 @@ def _run_check(run: _Run, tag: str):
         return verify_measure_lower(
             mm,
             parse_word(str(params["cylinder"])),
-            _n_range(params, list(range(1, table.horizon + 1))),
+            _n_range(params, tag, list(range(1, table.horizon + 1))),
             table,
             run.variation_callable(),
             tol,
@@ -447,7 +463,7 @@ def cmd_equilibrium(run: _Run) -> int:
 def cmd_anchors(run: _Run) -> int:
     cfg = run.cfg
     params = run.check_params("anchors")
-    eps_list = [float(e) for e in params.get("epsilons", [0.5, 0.4, 0.3])]
+    eps_list = _param(params, "anchors", "epsilons", _list_of(float), [0.5, 0.4, 0.3])
     seq = anchor_sequence(
         run.gap_callable(), run.variation_callable(),
         run.anchor_horizon(cfg.horizons.n_max), eps_list,

@@ -14,7 +14,7 @@ Kinds provided:
 * run levels - value a_k at run radius k with limit value a_inf on
   constant points.
 
-Every non-zero kind also has a scanner (Potential.scanner) that reads a word
+Every kind also has a scanner (Potential.scanner) that reads a word
 left to right and emits each site's eval interval as soon as the symbols
 read so far decide it; partition sums run on scanners instead of
 evaluating every site of every word. Variation profiles use closed forms
@@ -94,10 +94,6 @@ class Potential:
     def eval(self, w: Word, center: int) -> Interval:
         raise NotImplementedError
 
-    @property
-    def is_constant_zero(self) -> bool:
-        return self.bounds.lo == 0.0 and self.bounds.hi == 0.0
-
     def scanner(self):
         """A fresh left-to-right scanner of this potential's site values.
 
@@ -106,7 +102,8 @@ class Potential:
         that symbol decides) and close(state) the intervals of the sites
         still pending when the word ends. Over a whole word the emitted
         intervals are [self.eval(w, i) for i in range(len(w))] as a
-        multiset. Scanners take their values from eval on a short stand-in
+        multiset, except that sites whose value is exactly 0 may emit
+        nothing. Scanners take their values from eval on a short stand-in
         word, so eval stays the one definition of each potential; callers
         memoise per state.
         """
@@ -126,12 +123,24 @@ def _check_center(w: Word, center: int) -> None:
 
 
 class ZeroPotential(Potential):
+    """The constant 0; its own scanner, with one state and no emissions."""
+
     kind = "zero"
     bounds = ZERO_INTERVAL
+    start = ()
 
     def eval(self, w: Word, center: int) -> Interval:
         _check_center(w, center)
         return ZERO_INTERVAL
+
+    def scanner(self):
+        return self
+
+    def step(self, state, sym):
+        return (), ()
+
+    def close(self, state):
+        return ()
 
 
 class LocallyConstantPotential(Potential):

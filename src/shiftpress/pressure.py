@@ -14,9 +14,8 @@ mantissa with its own integer binary exponent, so large site values and
 long runs emitted at once neither overflow nor underflow. Every float
 operation on them is rounded outward (one ulp for + and x, two for exp
 and log) and exponents move only by exact powers of two, so
-[lnz_lo, lnz_hi] encloses the exact value. Zero-potential rows are
-ln(count), with the count from language_counts (a forward pass over
-walker keys alone), and are a rounded point rather than an enclosure.
+[lnz_lo, lnz_hi] encloses the exact value. The zero potential emits
+nothing, so its rows enclose ln(count) and its classes are walker keys.
 
 Pressure brackets combine a submultiplicative upper bound
 min_m lnZ_hi(m)/m with the gluing lower bound
@@ -34,15 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InconsistentBracketError, InputError
-from .potentials import Interval, Potential, VarProfile, variation_profile
-from .subshifts import (
-    DEFAULT_NODE_BUDGET,
-    Exactness,
-    SubshiftSpec,
-    Tally,
-    language_counts,
-    walk,
-)
+from .potentials import Interval, Potential, VarProfile
+from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, walk
 from .words import Word, check_symbols
 
 _INF = math.inf
@@ -229,11 +221,6 @@ def _sweep(
     return rows, nodes, max_states
 
 
-def _count_row(n: int, count: int) -> PartitionRow:
-    v = math.log(count) if count else -_INF
-    return PartitionRow(n=n, count=count, lnz_lo=v, lnz_hi=v)
-
-
 def partition_function(
     spec: SubshiftSpec,
     pot: Potential,
@@ -241,17 +228,12 @@ def partition_function(
     budget: int = DEFAULT_NODE_BUDGET,
     prefix: Word = (),
 ) -> PartitionRow:
-    """One partition row: word count and enclosed lnZ at length n.
-
-    For the zero potential the sum is exactly the word count, so the row
-    is ln(count) with zero width, counted from the prefix's walker. A
-    non-empty prefix restricts the sum to words extending it. Other
-    potentials run the sweep up to length n.
+    """One partition row: word count and enclosed lnZ at length n, from
+    the sweep up to length n. A non-empty prefix restricts the sum to
+    words extending it.
     """
     if n < 1:
         raise InputError("partition length must be >= 1")
-    if pot.is_constant_zero:
-        return _count_row(n, language_counts(spec, n, budget, prefix)[n])
     if len(prefix) > n:
         check_symbols(tuple(prefix), spec.alphabet_size)
         return PartitionRow(n=n, count=0, lnz_lo=-_INF, lnz_hi=-_INF)
@@ -261,8 +243,7 @@ def partition_function(
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Rows 1..horizon; nodes and max_states report the work of the sweep
-    (of language_counts for zero-potential tables)."""
+    """Rows 1..horizon; nodes and max_states report the work of the sweep."""
 
     rows: tuple[PartitionRow, ...]
     upper_bound_only: bool
@@ -287,16 +268,10 @@ def partition_table(
 ) -> PartitionTable:
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    upper_only = spec.exactness is Exactness.LOCAL_SUPERSET
-    if pot.is_constant_zero:
-        tally = Tally()
-        counts = language_counts(spec, n_max, budget, tally=tally)
-        rows = tuple(_count_row(n, counts[n]) for n in range(1, n_max + 1))
-        return PartitionTable(rows, upper_only, tally.nodes, tally.states)
     rows, nodes, max_states = _sweep(spec, pot, n_max, budget)
     return PartitionTable(
         rows=tuple(rows),
-        upper_bound_only=upper_only,
+        upper_bound_only=spec.exactness is Exactness.LOCAL_SUPERSET,
         nodes=nodes,
         max_states=max_states,
     )
@@ -335,36 +310,17 @@ def pressure_bracket(
     spec: SubshiftSpec,
     pot: Potential,
     table: PartitionTable,
-    *,
-    f: Callable[[int], int] | None = None,
-    g: Sequence[float] | VarProfile | None = None,
+    g: VarProfile,
     tol: float = 1e-9,
 ) -> PressureBracket:
-    """Bracket the pressure from a partition table.
+    """Bracket the pressure from a partition table, with f the subshift's
+    declared gap bounds and g the potential's variation profile.
 
-    f defaults to the subshift's declared gap bounds; g to a variation
-    profile for the potential (a raw g table works too). The lower
-    bound needs specification-mode gluing and an exact-language oracle;
-    otherwise rows carry -inf lower bounds and the bracket is flagged
-    upper_bound_only.
+    The lower bound needs specification-mode gluing and an exact-language
+    oracle; otherwise rows carry -inf lower bounds and the bracket is
+    flagged upper_bound_only.
     """
-    n_max = table.horizon
-    if f is None:
-        f = spec.declared_gap
-    g_at: Callable[[int], float]
-    if g is None:
-        g_profile = variation_profile(pot, spec, (n_max + 1) // 2)
-        g_at = g_profile.g_at
-    elif isinstance(g, VarProfile):
-        g_at = g.g_at
-    else:
-        g_list = list(g)
-
-        def g_at(n: int, _g=g_list) -> float:
-            if n >= len(_g):
-                raise InputError(f"g table too short for n={n}")
-            return _g[n]
-
+    f = spec.declared_gap
     lower_valid = (
         f is not None
         and spec.gap_mode == "specification"
@@ -380,7 +336,7 @@ def pressure_bracket(
         best_hi = min(best_hi, hi_n)
         if lower_valid:
             fn = f(n)
-            lo_n = (row.lnz_lo + inf_phi * fn - g_at(n)) / (n + fn)
+            lo_n = (row.lnz_lo + inf_phi * fn - g.g_at(n)) / (n + fn)
             best_lo = max(best_lo, lo_n)
         else:
             lo_n = -math.inf

@@ -21,7 +21,6 @@ before the first word.
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -689,7 +688,7 @@ def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: 
             nodes += a_size
             if nodes > budget:
                 raise BudgetExceededError(
-                    f"node budget {budget} exhausted at length {n}",
+                    f"node budget {budget} exhausted at length {k}",
                     words_done=0, nodes=nodes, budget=budget,
                 )
             child = w.child
@@ -758,13 +757,12 @@ def iter_language(
 
     A forward count over walker states (_count) runs first and fills in
     tally. The budget is charged what a walk of the prefix tree makes: a
-    child call per symbol for each admissible word shorter than n (a^n for
-    a full shift without a prefix). When that exceeds it,
-    BudgetExceededError is raised before any word is yielded. With a
-    prefix, only words extending it are yielded. With ends (tuple words
-    only), each word comes as (w, end walker of w). With text, the words
-    come as language-file text, format_word(w) + "\\n" per word, in chunks
-    of whole lines.
+    child call per symbol for each admissible word shorter than n. When
+    that exceeds it, BudgetExceededError is raised before any word is
+    yielded. With a prefix, only words extending it are yielded. With
+    ends (tuple words only), each word comes as (w, end walker of w). With
+    text, the words come as language-file text, format_word(w) + "\\n" per
+    word, in chunks of whole lines.
     """
     if budget < 1:
         raise InputError("budget must be >= 1")
@@ -773,16 +771,14 @@ def iter_language(
     if walker is None:
         return
     a_size, start = spec.alphabet_size, len(prefix)
-    full = spec.family == "full" and not prefix
     # text lines are joined from suffix blocks when symbols are one digit
     # (format_word dots a word only when it holds a symbol >= 10)
     split = start + (n - start) // 2 if text and a_size <= 10 else -1
-    level = _count(walker, a_size, start, n, math.inf if full else budget, tally, split)
-    tally.nodes = a_size**n if full else a_size * sum(tally.counts[start:n])
+    level = _count(walker, a_size, start, n, budget, tally, split)
+    tally.nodes = a_size * sum(tally.counts[start:n])
     if tally.nodes > budget:
         raise BudgetExceededError(
-            f"enumeration of {tally.nodes} words exceeds budget {budget}" if full
-            else f"node budget {budget} exhausted at length {n}",
+            f"node budget {budget} exhausted at length {n}",
             words_done=0, nodes=tally.nodes, budget=budget,
         )
     if level is not None:

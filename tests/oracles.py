@@ -320,6 +320,13 @@ def decimal_partition(words, phi_at):
         return z.ln()
 
 
+def ln_count(count):
+    """ln(count) for a positive integer count."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return Decimal(count).ln()
+
+
 def radius0_binomial(v0, v1, n):
     """ln Z_n on the binary full shift for the site values v0 (symbol 0)
     and v1 (symbol 1): the binomial sum over the number k of 1s."""

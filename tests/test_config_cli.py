@@ -21,6 +21,7 @@ from shiftpress.config import (
     save_config,
 )
 from shiftpress.errors import InputError
+from shiftpress.potentials import ZeroPotential
 from shiftpress.reports import sha256_file
 from shiftpress.subshifts import DEFAULT_NODE_BUDGET, Tally, iter_language
 
@@ -162,7 +163,7 @@ def test_build_subshift_families():
 
 def test_build_potential_kinds():
     spec = build_subshift({"family": "golden_mean"})
-    assert build_potential({}, spec).is_constant_zero
+    assert isinstance(build_potential({}, spec), ZeroPotential)
     lc = build_potential(
         {"kind": "locally_constant", "radius": 1, "values": {"010": 1.5}}, spec
     )
@@ -292,7 +293,7 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     assert _near(want["best_hi"], status["bracket"]["best_hi"])
     work = status["partition"]
     assert work["budget"] == DEFAULT_NODE_BUDGET
-    # the sweep's work, or the forward count's for the zero potential
+    # the sweep's work, for every potential
     assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
 
 
@@ -332,11 +333,11 @@ def test_enumerate_budget_is_exact_and_exit_3_leaves_no_language_file(
     manifest = json.loads((tmp_path / "free" / "manifest.json").read_text())
     nodes = manifest["status"]["enumerate"]["nodes"]
     _, _, rows = read_csv_payload(tmp_path / "free" / "counts.csv")
-    # the budget unit is unchanged: each admissible word shorter than 9
-    # is charged one node per symbol (2^9 words on the full shift)
+    # the budget unit: each admissible word shorter than 9 is charged one
+    # node per symbol (2(2^9 - 1) on the full shift)
     spec, calls = built[0]
     tree = spec.alphabet_size * (1 + sum(int(r[1]) for r in rows[:-1]))
-    assert nodes == (2**9 if name == "full_shift" else tree)
+    assert nodes == tree
     # the count, the walk to the split at length 4 and one block of
     # length-5 suffixes per state there make no more calls than the tree
     # walk did; on the full shift 18 + 30 + 62, on the golden mean 48 + 22
@@ -387,6 +388,43 @@ def test_budget_exhaustion_exits_3(tmp_path):
     out = tmp_path / "out"
     code = main(["enumerate", "--config", str(cfg_path), "--out", str(out), "--budget", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
+    cfg_path = write_yaml(tmp_path, golden_doc())
+    out = tmp_path / "out"
+    code = main(["enumerate", "--config", str(cfg_path), "--out", str(out), "--budget", budget])
+    assert code == 2
+    assert "--budget must be a positive node count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("gap-profile", {"gap_profile": {"n_range": 5}}, "gap_profile.n_range"),
+    ("gap-profile", {"gap_profile": {"n_range": []}}, "gap_profile.n_range"),
+    ("verify density_glue", {"density_glue": {"slack": "four"}}, "density_glue.slack"),
+    ("verify sparse_glue", {"sparse_glue": {"f_const": "one"}}, "sparse_glue.f_const"),
+    ("verify partition_upper_spec", {"partition_upper_spec": {"n_range": [1, "x"]}},
+     "partition_upper_spec.n_range"),
+    ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilon": "half"}},
+     "partition_upper_anchor.epsilon"),
+    ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilons": 0.5}},
+     "partition_upper_anchor.epsilons"),
+    ("verify partition_upper_anchor", {"partition_upper_anchor": {"anchors": None}},
+     "partition_upper_anchor.anchors"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": "two"}},
+     "partition_upper_trans.C"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": "x"}},
+     "partition_upper_trans.onset"),
+    ("anchors", {"anchors": {"epsilons": ["a"]}}, "anchors.epsilons"),
+])
+def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
+    cfg_path = write_yaml(tmp_path, golden_doc(checks=params))
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"checks.{key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_crossed_bracket_exits_4(tmp_path):

@@ -145,7 +145,9 @@ def test_locally_constant_total_table_required_without_default():
 
 def test_zero_potential_flag():
     z = ZeroPotential()
-    assert z.is_constant_zero
+    scan = z.scanner()  # its own scanner: one state, nothing emitted
+    assert isinstance(scan, ZeroPotential)
+    assert scan.step(scan.start, 1) == ((), ()) and scan.close(scan.start) == ()
     iv = partial_sum(z, (0, 1, 0))
     assert (iv.lo, iv.hi) == (0.0, 0.0)
 

@@ -17,10 +17,12 @@ from shiftpress.errors import (
 from shiftpress.config import build_potential, load_config
 from shiftpress.potentials import (
     LocallyConstantPotential,
+    VarProfile,
     ZeroPotential,
     make_reciprocal_run,
     make_run_levels,
     partial_sum,
+    variation_profile,
 )
 from shiftpress.pressure import (
     anchor_sequence,
@@ -35,6 +37,7 @@ from shiftpress.subshifts import (
     make_golden_mean,
     make_sparse_sturmian,
     make_sturmian_factors,
+    product_subshift,
 )
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -51,12 +54,18 @@ def encloses(row, ref):
 # ---------------------------------------------------------------------------
 
 
+def encloses_count(row):
+    """lnz_lo < ln(count) < lnz_hi, strictly, in 60-digit decimal."""
+    ref = oracles.ln_count(row.count)
+    return Decimal(row.lnz_lo) < ref < Decimal(row.lnz_hi)
+
+
 def test_full_shift_zero_potential_is_n_log2():
     fs = make_full_shift(2)
     for n in range(1, 13):
         row = partition_function(fs, ZeroPotential(), n)
         assert row.count == 2**n
-        assert row.lnz_lo == row.lnz_hi == math.log(2**n)
+        assert encloses_count(row), n
 
 
 def test_golden_counts_follow_the_recurrence():
@@ -64,7 +73,7 @@ def test_golden_counts_follow_the_recurrence():
     for n in range(1, 15):
         row = partition_function(gm, ZeroPotential(), n)
         assert row.count == oracles.fib(n + 2)
-        assert row.lnz_hi == math.log(oracles.fib(n + 2))
+        assert encloses_count(row), n
     assert partition_function(gm, ZeroPotential(), 24).count == 121393
 
 
@@ -147,9 +156,9 @@ def test_zero_rows_come_from_one_walk_or_a_closed_form(fam):
     counts = [len(fam.language(n)) for n in range(1, n_max + 1)]
     table = partition_table(spec, ZeroPotential(), n_max)
     assert [row.count for row in table.rows] == counts
-    assert [row.lnz_lo for row in table.rows] == [math.log(c) for c in counts]
-    # one forward count, charged and reported per state and symbol: no more
-    # than a walk of the prefix tree would make
+    assert all(encloses_count(row) for row in table.rows)
+    # one sweep over walker keys, charged and reported per state and
+    # symbol: no more than a walk of the prefix tree would make
     assert calls[0] == table.nodes <= spec.alphabet_size * (1 + sum(counts[:-1]))
     assert cases.count_calls(fam.label, n_max) in (None, calls[0])
     assert table.max_states >= 1
@@ -158,6 +167,30 @@ def test_zero_rows_come_from_one_walk_or_a_closed_form(fam):
 # ---------------------------------------------------------------------------
 # zero-slack enclosures against 60-digit decimal references
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec_of, count_of", [
+    (lambda: make_full_shift(2), lambda n: 2**n),
+    (lambda: make_full_shift(3), lambda n: 3**n),
+    (make_golden_mean, lambda n: oracles.fib(n + 2)),
+    (lambda: product_subshift(make_golden_mean(), make_full_shift(2)),
+     lambda n: oracles.fib(n + 2) * 2**n),
+], ids=["full2", "full3", "golden", "golden_x_full"])
+def test_zero_rows_enclose_ln_count(spec_of, count_of):
+    table = partition_table(spec_of(), ZeroPotential(), 200)
+    for row in table.rows:
+        assert row.count == count_of(row.n), row.n
+        assert encloses_count(row), row.n
+        assert row.lnz_hi - row.lnz_lo < 1e-14 * row.lnz_hi, row.n
+
+
+def test_prefixed_zero_row_encloses_ln_count():
+    # golden-mean words starting 10 are 10 then any golden word of length n - 2
+    gm = make_golden_mean()
+    for n in (2, 3, 50, 200):
+        row = partition_function(gm, ZeroPotential(), n, prefix=(1, 0))
+        assert row.count == oracles.fib(n), n
+        assert encloses_count(row), n
 
 
 @pytest.mark.parametrize("v0, v1, n_max", [
@@ -311,7 +344,7 @@ def test_log_partition_is_submultiplicative(m, n):
 def test_golden_bracket_matches_closed_form_oracle():
     gm = make_golden_mean()
     t = partition_table(gm, ZeroPotential(), 24)
-    br = pressure_bracket(gm, ZeroPotential(), t)
+    br = pressure_bracket(gm, ZeroPotential(), t, variation_profile(ZeroPotential(), gm, 12))
     # zero potential, declared gap 1: both bounds have closed forms
     want_hi = min(math.log(oracles.fib(m + 2)) / m for m in range(1, 25))
     want_lo = max(math.log(oracles.fib(n + 2)) / (n + 1) for n in range(1, 25))
@@ -327,7 +360,7 @@ def test_golden_bracket_matches_closed_form_oracle():
 def test_bounded_density_bracket_contains_the_golden_pressure():
     bd = make_bounded_density(1, [math.ceil(n / 2) for n in range(1, 33)])
     t = partition_table(bd, ZeroPotential(), 16)
-    br = pressure_bracket(bd, ZeroPotential(), t)
+    br = pressure_bracket(bd, ZeroPotential(), t, variation_profile(ZeroPotential(), bd, 8))
     assert not br.upper_bound_only
     assert br.best_lo <= LOG_PHI <= br.best_hi
 
@@ -336,11 +369,13 @@ def test_transitivity_mode_gives_upper_bound_only():
     fs = make_sturmian_factors(8, 21, 2)
     sp = make_sparse_sturmian(fs, (4, 12))
     t = partition_table(sp, ZeroPotential(), 8)
-    br = pressure_bracket(sp, ZeroPotential(), t)
+    br = pressure_bracket(sp, ZeroPotential(), t, variation_profile(ZeroPotential(), sp, 4))
     assert br.upper_bound_only
     assert br.best_lo == -math.inf
     assert all(r.lo == -math.inf for r in br.rows)
-    assert br.best_hi <= math.log(2)
+    # every length up to 8 holds all 2^n words: ln 2 from above, within ulps
+    assert Decimal(br.best_hi) > oracles.ln_count(2)
+    assert br.best_hi - LN2 <= 8 * math.ulp(LN2)
 
 
 def test_unsound_declared_gap_is_caught():
@@ -349,15 +384,16 @@ def test_unsound_declared_gap_is_caught():
     liar = make_sft(2, [(1, 1)], declared_gap=0)
     t = partition_table(liar, ZeroPotential(), 12)
     with pytest.raises(InconsistentBracketError) as ei:
-        pressure_bracket(liar, ZeroPotential(), t)
+        pressure_bracket(liar, ZeroPotential(), t, variation_profile(ZeroPotential(), liar, 6))
     assert ei.value.best_lo > ei.value.best_hi
 
 
 def test_explicit_g_table_too_short_is_an_input_error():
     gm = make_golden_mean()
     t = partition_table(gm, ZeroPotential(), 6)
+    short = VarProfile(var=(0.0,), g=(0.0, 0.0))  # g(0), g(1) only
     with pytest.raises(InputError):
-        pressure_bracket(gm, ZeroPotential(), t, g=[0.0, 0.0])
+        pressure_bracket(gm, ZeroPotential(), t, short)
 
 
 # ---------------------------------------------------------------------------

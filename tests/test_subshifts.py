@@ -229,9 +229,9 @@ def test_one_walk_counts_every_length(fam):
     tally = Tally()
     text = "".join(iter_language(spec, n, text=True, tally=tally))
     assert tally.counts == want and text.count("\n") == want[n]
-    # the budget is still charged what the tree walk makes; the count and
-    # the text together make no more calls than that walk
-    assert tally.nodes == (a_size**n if spec.family == "full" else tree)
+    # the budget is charged what the tree walk makes; the count and the
+    # text together make no more calls than that walk
+    assert tally.nodes == tree
     assert calls[0] <= tree
     # the count makes exactly the calls it reports, one per state and symbol
     calls[0] = 0
@@ -335,6 +335,12 @@ def test_count_budget_is_exact(fam):
     assert table.nodes == tally.nodes and table.max_states == tally.states
     with pytest.raises(BudgetExceededError):
         partition_table(spec, ZeroPotential(), n, budget=tally.nodes - 1)
+
+
+def test_count_budget_error_names_the_length_reached():
+    # golden-mean levels 0, 1 and 2 hold 1, 2 and 3 states: 2 + 4 + 6 > 10
+    with pytest.raises(BudgetExceededError, match="budget 10 exhausted at length 3$"):
+        language_counts(make_golden_mean(), 20, budget=10)
 
 
 @settings(deadline=None, max_examples=60)
