@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .config import ExperimentConfig, build_potential, build_subshift, load_config
+from .config import ExperimentConfig, build_potential, build_subshift, load_config, read_int
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -195,7 +195,7 @@ def _param(params: dict, tag: str, key: str, convert: Callable, default=None):
 
 
 def _n_range(params: dict, tag: str, default: list[int] | None) -> list[int] | None:
-    ns = _param(params, tag, "n_range", _list_of(int), default)
+    ns = _param(params, tag, "n_range", _list_of(read_int), default)
     if ns is not None and not ns:
         raise InputError(f"checks.{tag}.n_range must be non-empty")
     return ns
@@ -329,7 +329,7 @@ def cmd_gap_profile(run: _Run) -> int:
 
 def _check_f(params: dict, tag: str) -> Callable[[int], int] | None:
     """Optional constant gap-bound override for inversion experiments."""
-    c = _param(params, tag, "f_const", int)
+    c = _param(params, tag, "f_const", read_int)
     return None if c is None else lambda n: c
 
 
@@ -341,7 +341,7 @@ def _run_check(run: _Run, tag: str):
         params = run.check_params(tag)
         return verify_density_glue(
             run.spec, _n_range(params, tag, small_default),
-            slack=_param(params, tag, "slack", int, 4),
+            slack=_param(params, tag, "slack", read_int, 4),
             f=_check_f(params, tag),
             budget=run.budget,
             seed=cfg.seed,
@@ -373,7 +373,7 @@ def _run_check(run: _Run, tag: str):
     if tag == CHECK_PARTITION_ANCHOR:
         params = run.check_params(tag)
         epsilon = _param(params, tag, "epsilon", float, 0.5)
-        anchors = _param(params, tag, "anchors", _list_of(int))
+        anchors = _param(params, tag, "anchors", _list_of(read_int))
         if anchors is None:
             eps_list = _param(params, tag, "epsilons", _list_of(float), [epsilon])
             horizon = run.anchor_horizon(table.horizon)
@@ -397,7 +397,7 @@ def _run_check(run: _Run, tag: str):
             table,
             run.pressure_value(params, table),
             _param(params, tag, "C", float),
-            _param(params, tag, "onset", int, 3),
+            _param(params, tag, "onset", read_int, 3),
             _check_f(params, tag) or run.gap_callable(),
             run.variation_callable(),
             run.pot.bounds.lo,

@@ -123,6 +123,28 @@ def _only_known(d: dict, known, ctx: str) -> None:
         raise InputError(f"{ctx}: unknown keys {sorted(unknown)}")
 
 
+def read_int(value: Any) -> int:
+    """value as an int: an int, an integral float or an integer string.
+    Anything else, bools included, raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _int(value: Any, ctx: str) -> int:
+    try:
+        return read_int(value)
+    except ValueError as exc:
+        raise InputError(f"{ctx}: {exc}") from None
+
+
 def _one_of(value: Any, choices: tuple, ctx: str) -> str:
     if value not in choices:
         raise InputError(f"{ctx}: unknown value {value!r}; choose from {choices}")
@@ -148,10 +170,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     hz = _as_mapping(doc.get("horizons", {}), "horizons")
     _only_known(hz, ("n_max", "m_max", "n_state", "var_horizon"), "horizons")
     horizons = Horizons(
-        n_max=int(hz.get("n_max", 12)),
-        m_max=None if hz.get("m_max") is None else int(hz["m_max"]),
-        n_state=None if hz.get("n_state") is None else int(hz["n_state"]),
-        var_horizon=None if hz.get("var_horizon") is None else int(hz["var_horizon"]),
+        n_max=_int(hz.get("n_max", 12), "horizons.n_max"),
+        **{key: _int(hz[key], f"horizons.{key}")
+           for key in ("m_max", "n_state", "var_horizon") if hz.get(key) is not None},
     )
     if horizons.n_max < 1:
         raise InputError("horizons: n_max must be >= 1")
@@ -174,8 +195,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         tolerances=tolerances,
         strategy=strategy,
         mode=mode,
-        seed=int(doc.get("seed", 0)),
-        pair_budget=int(doc.get("pair_budget", 200_000)),
+        seed=_int(doc.get("seed", 0), "seed"),
+        pair_budget=_int(doc.get("pair_budget", 200_000), "pair_budget"),
         checks=_as_mapping(doc.get("checks", {}), "checks"),
         output_dir=str(doc.get("output_dir", "out")),
     )

@@ -180,10 +180,9 @@ def _sweep(
                     else:
                         w_lo, w_lo_e = _nextafter(lo * f_lo, 0.0), lo_e + k_lo
                         w_hi, w_hi_e = _nextafter(hi * f_hi, _INF), hi_e + k_hi
-                    key = (child.key(), nstate)
-                    entry = grown.get(key)
-                    if entry is None:
-                        grown[key] = [child, count, w_lo, w_lo_e, w_hi, w_hi_e]
+                    fresh = [child, count, w_lo, w_lo_e, w_hi, w_hi_e]
+                    entry = grown.setdefault((child.key(), nstate), fresh)  # hashed once
+                    if entry is fresh:
                         continue
                     entry[1] += count
                     if entry[3] == w_lo_e:

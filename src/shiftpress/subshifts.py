@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, ConstructionError, InputError
 from .words import Word, check_symbols, format_word
 
@@ -99,7 +97,8 @@ class SubshiftSpec:
 # * SFT: the prefix while it is shorter than the block length, then its
 #   last block;
 # * bounded density: the allowance profile a(j), the largest sum the next
-#   j symbols may have, for j up to the height table's remaining reach;
+#   j symbols may have, for j up to the height table's remaining reach,
+#   packed into one int with a guarded bit field per entry;
 # * sparse Sturmian: the last (longest factor - 1) symbols, and for each
 #   constraint j the distance d_j back to the end of the latest j-factor;
 # * product: the pair of factor keys.
@@ -110,14 +109,16 @@ _UNBUILT = object()
 class _Automaton:
     """The states built so far from one root walker, by key, with the
     family's tables. Every state is held by its root or by the kids of the
-    state it was first built from, so the table holds them weakly: a state
-    would otherwise hold itself through its table, and a finished walk
-    would wait for the cycle collector to free its states."""
+    state it was first built from, so the table holds weak references: a
+    state would otherwise hold itself through its table, and a finished
+    walk would wait for the cycle collector to free its states. While the
+    root is held no state dies; an entry whose state died stays until the
+    key is built again, and goes with the table."""
 
     __slots__ = ("states", "tables", "a_size")
 
     def __init__(self, tables, a_size: int):
-        self.states = weakref.WeakValueDictionary()
+        self.states: dict = {}
         self.tables = tables
         self.a_size = a_size
 
@@ -135,7 +136,7 @@ class _State:
         self.auto = auto
         self.k = k
         self.kids = [_UNBUILT] * auto.a_size
-        auto.states[k] = self
+        auto.states[k] = weakref.ref(self)
 
     @classmethod
     def root(cls, tables, a_size: int, k, *parts):
@@ -152,7 +153,8 @@ class _State:
 
     def _state(self, k, *parts):
         """The state with key k, built on first use."""
-        got = self.auto.states.get(k)
+        ref = self.auto.states.get(k)
+        got = None if ref is None else ref()
         return got if got is not None else type(self)(self.auto, k, *parts)
 
 
@@ -191,28 +193,70 @@ class _SftWalker(_State):
         return self._state(q) if ok else None
 
 
+class _DensityTables:
+    """Packing of a bounded density shift's allowance profiles.
+
+    A profile a(1..L) is one int: a(j) sits in bits (j-1)w .. (j-1)w + w-2
+    of a w-bit field whose top bit, the guard bit, is 0, and a sentinel bit
+    sits at Lw, so L = (bit length - 1) // w. w - 1 bits hold k n_max, the
+    largest capped height c(j) = min(h(j), k j). masks(L) gives, for
+    profiles of length L: s times the low bit of every field for s = 0..k,
+    the guard bits, the capped heights c(1..L) packed with their sentinel,
+    and those with the guard bits set. It is built once per L, on first use.
+    """
+
+    __slots__ = ("k", "w", "vmask", "n_cap", "caps", "_masks")
+
+    def __init__(self, caps: Sequence[int], k: int):
+        self.k, self.n_cap = k, len(caps)
+        self.w = w = (k * self.n_cap).bit_length() + 1
+        self.vmask = (1 << w) - 1
+        # the sentinel, then c(n_cap) .. c(1) as w-bit fields, read in base 2
+        self.caps = int("1" + "".join(format(c, f"0{w}b") for c in reversed(caps)), 2)
+        self._masks: dict = {}
+
+    def masks(self, L: int):
+        got = self._masks.get(L)
+        if got is None:
+            w, top = self.w, 1 << (L * self.w)
+            ones = (top - 1) // self.vmask
+            guard, caps = ones << (w - 1), self.caps & (top - 1) | top
+            steps = tuple(s * ones for s in range(self.k + 1))
+            got = self._masks[L] = (steps, guard, caps, caps | guard)
+        return got
+
+
 class _DensityWalker(_State):
-    """Allowance profile of the prefix, as the bytes of an integer array.
+    """Allowance profile of the prefix, packed into one int (_DensityTables).
 
     a(j) = min(h(j), min_i h(i+j) - (sum of the last i symbols)) for
     j = 1..n_cap - length. Symbol s is admissible iff s <= a(1), and then
-    a'(j) = min(h(j), a(j+1) - s). Equal profiles admit the same
+    a'(j) = min(c(j), a(j+1) - s). Equal profiles admit the same
     continuations, and the profile's length fixes the prefix length and
     with it the n_cap error.
+
+    One step works on all fields at once: x = (a >> w) - s ONES cannot
+    borrow across fields since a(j+1) >= a(1) >= s, and (CAPS | GUARD) - x
+    leaves a field's guard bit set iff c(j) >= x(j); the sentinels cancel.
+    Those fields keep x(j), the others take c(j).
     """
 
     __slots__ = ()
 
     def _grow(self, sym: int):
-        h, n_cap = self.auto.tables
-        a = np.frombuffer(self.k, h.dtype)
-        if not len(a):
+        t, a = self.auto.tables, self.k
+        if a == 1:
             raise InputError(
-                f"bounded density height table only covers lengths <= {n_cap}"
+                f"bounded density height table only covers lengths <= {t.n_cap}"
             )
-        if sym > a[0]:
+        if sym > a & t.vmask:
             return None
-        return self._state(np.minimum(h[: len(a) - 1], a[1:] - sym).tobytes())
+        w = t.w
+        steps, guard, caps, capsg = t.masks((a.bit_length() - 1) // w - 1)
+        x = (a >> w) - steps[sym]
+        keep = (capsg - x) & guard
+        keep -= keep >> (w - 1)  # the value bits of those fields
+        return self._state(caps ^ (caps ^ x) & keep)
 
 
 class _SparseWalker(_State):
@@ -460,11 +504,9 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
 
     # a window of length j sums to at most k j, so capping h there keeps the
     # language; profile entries then lie in 0 .. k n_max (a is
-    # non-decreasing in j, so a(j+1) - s >= a(1) - s >= 0), and the
-    # smallest unsigned type that holds them keeps the keys short
-    caps = np.minimum(table[1:], k * np.arange(1, n_max + 1, dtype=object))
-    caps = caps.astype(np.min_scalar_type(k * n_max))
-    tables, root_key = (caps, n_max), caps.tobytes()
+    # non-decreasing in j, so a(j+1) - s >= a(1) - s >= 0)
+    tables = _DensityTables([min(v, k * j) for j, v in enumerate(hs, start=1)], k)
+    root_key = tables.caps
 
     def f_decl(n: int) -> int:
         if n < 1 or n > n_max:
@@ -696,11 +738,7 @@ def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: 
                 ch = child(s)
                 if ch is not None:
                     total += mult
-                    got = grown.get(key := ch.key())
-                    if got is None:
-                        grown[key] = [ch, mult]
-                    else:
-                        got[1] += mult
+                    grown.setdefault(ch.key(), [ch, 0])[1] += mult  # the key hashed once
         level, counts[k] = grown, total
         widest = max(widest, len(level))
         if k == keep:

@@ -12,19 +12,25 @@ the finite-type approximation and overestimates.
 Perron data comes from plain power iteration with uniform start and
 infinity-norm normalization; the iteration is deterministic, so repeated
 runs give bitwise-identical eigenvalues.
+
+The model is kept in numpy arrays, and numpy is imported by the functions
+that build or read them, on first call: importing this module (which the
+command line does) costs nothing for commands that build no model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
 from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, iter_language
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -49,6 +55,8 @@ class TransferModel:
 
     def edges(self):
         """(flat positions, rows, cols) of the edges, row by row in column order."""
+        import numpy as np
+
         flat = np.flatnonzero(self.succ >= 0)
         return flat, flat // self.succ.shape[1], self.succ.ravel()[flat]
 
@@ -66,6 +74,8 @@ def _edge_site(pot: Potential) -> int:
 
 def _reaches_all(adj: np.ndarray) -> bool:
     """Whether breadth-first search along adj (-1: no edge) from state 0 reaches all."""
+    import numpy as np
+
     seen = np.zeros(len(adj), dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.intp)
@@ -90,6 +100,8 @@ def build_transfer(
     states come from one walk, charged to budget like iter_language;
     each edge is one step of a state's end walker.
     """
+    import numpy as np
+
     if spec.exactness is not Exactness.EXACT_LANGUAGE:
         raise InputError("transfer models need an exact language oracle")
     r = _edge_site(pot)
@@ -146,6 +158,8 @@ class PerronData:
 
 
 def _power_iterate(product, n: int, tol: float, max_iter: int):
+    import numpy as np
+
     v = np.ones(n)
     lam = 1.0
     for it in range(1, max_iter + 1):
@@ -173,6 +187,8 @@ def perron(
     (M v)[i] adds the edges of row i in column order, and (v M)[j] adds
     the edges into j in row order, each from 0.0 left to right.
     """
+    import numpy as np
+
     if tol <= 0:
         raise InputError("tol must be positive")
     succ, weights, n = model.succ, model.weights, model.state_count
@@ -229,6 +245,8 @@ def markov_equilibrium(
     identity_tol: float = 1e-8,
     stationarity_tol: float = 1e-10,
 ) -> MarkovMeasure:
+    import numpy as np
+
     pd = perron_data if perron_data is not None else perron(model)
     lam = pd.lam
     r = pd.right

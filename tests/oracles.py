@@ -106,6 +106,19 @@ def bd_language(k, h, n):
     return list(filter(bd_admissible(h), all_words(k + 1, n)))
 
 
+def bd_allowance(k, h, w):
+    """Allowance profile of the admissible word w over symbols 0..k, h as in
+    bd_admissible with its last entry h[n_max]: a(j), the largest sum the
+    next j symbols may have, for j = 1 .. n_max - len(w). A window of the
+    next j symbols alone is capped by h(j) and by k j; one that takes in
+    the last i symbols of w too, by h(i + j) less their sum."""
+    t, n_max = len(w), len(h) - 1
+    return [
+        min([h[j], k * j] + [h[i + j] - sum(w[t - i:]) for i in range(1, t + 1)])
+        for j in range(1, n_max - t + 1)
+    ]
+
+
 def mechanical_factors(p, q, k):
     """Length-k factors of the slope-p/q mechanical words, all phases."""
     bits = [

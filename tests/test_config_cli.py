@@ -100,6 +100,9 @@ def test_config_rejects_unknown_keys_and_families():
         ({"tolerances": {"margn": 1}}, "margn"),
         ({"mode": "bogus"}, "mode"),
         ({"strategy": "nope"}, "strategy"),
+        ({"horizons": {"n_max": "x"}}, "horizons.n_max"),
+        ({"horizons": {"n_max": 12.7}}, "horizons.n_max"),
+        ({"horizons": {"n_max": True}}, "horizons.n_max"),
     ],
 )
 def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
@@ -108,6 +111,20 @@ def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, over
     assert main(["pressure", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integer_settings_are_read_strictly():
+    doc = golden_doc(horizons={"n_max": 12.0, "m_max": "4"}, seed=3.0, pair_budget=50)
+    cfg = config_from_dict(doc)
+    assert (cfg.horizons.n_max, cfg.horizons.m_max, cfg.seed) == (12, 4, 3)
+    for override, path in [
+        ({"seed": 1.5}, "seed"),
+        ({"pair_budget": False}, "pair_budget"),
+        ({"horizons": {"n_state": "three"}}, "horizons.n_state"),
+        ({"horizons": {"var_horizon": [4]}}, "horizons.var_horizon"),
+    ]:
+        with pytest.raises(InputError, match=f"^{path}: expected an integer, got "):
+            config_from_dict(golden_doc(**override))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -418,6 +435,10 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
     ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": "x"}},
      "partition_upper_trans.onset"),
     ("anchors", {"anchors": {"epsilons": ["a"]}}, "anchors.epsilons"),
+    ("gap-profile", {"gap_profile": {"n_range": [2.9, 3]}}, "gap_profile.n_range"),
+    ("verify density_glue", {"density_glue": {"slack": True}}, "density_glue.slack"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": 3.5}},
+     "partition_upper_trans.onset"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     cfg_path = write_yaml(tmp_path, golden_doc(checks=params))

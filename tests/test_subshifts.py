@@ -415,10 +415,23 @@ def _family(desc, lengths, cont_max):
 
 
 _BINARY = st.lists(st.integers(0, 1), min_size=2, max_size=3).map(tuple)
-_HEIGHTS = st.builds(
-    lambda num, den, c: tuple(-(-num * n // den) + c for n in range(1, 17)),
-    st.integers(1, 3), st.integers(2, 5), st.integers(0, 2),
-)
+
+
+def _heights(n_max):
+    """ceil(num n / den) + c for n = 1..n_max: subadditive and non-decreasing."""
+    return st.builds(
+        lambda num, den, c: tuple(-(-num * n // den) + c for n in range(1, n_max + 1)),
+        st.integers(1, 3), st.integers(2, 5), st.integers(0, 2),
+    )
+
+
+_HEIGHTS = _heights(16)
+# packed density keys give each profile entry bit_length(k n_max) + 1 bits:
+# k n_max = 255 takes 9, 256 takes 10, on either side of the boundary
+_WIDE = st.one_of(
+    st.tuples(st.just(1), st.sampled_from([255, 256])),
+    st.tuples(st.just(2), st.sampled_from([127, 128])),
+).flatmap(lambda kn: st.tuples(st.just("bd"), st.just(kn[0]), _heights(kn[1])))
 # floor(n/3) + ceil(2 sqrt n): excess growing like sqrt n, far past the walk
 _SQRT = tuple(n // 3 + math.isqrt(4 * n - 1) + 1 for n in range(1, 41))
 # (description, prefix lengths, longest continuation), sized so that the
@@ -436,6 +449,7 @@ _FAMILIES = st.one_of(
     _family(st.tuples(st.just("bd"), st.just(1), _HEIGHTS.map(lambda h: h[:10])), (0, 7), 3),
     _family(st.just(("bd", 1, _SQRT)), (0, 8), 3),
     _family(st.tuples(st.just("bd"), st.just(2), _HEIGHTS), (0, 5), 2),
+    _family(_WIDE, (0, 5), 2),
     # sparse keys hold no length, so prefixes start at the empty word
     _family(st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8))]), (0, 13), 2),
     _family(st.just(("product",)), (0, 4), 2),
@@ -535,6 +549,35 @@ def test_each_state_is_built_once_per_root(fam):
     assert states_built(root) == len(keys)
     other = walk(spec.root_walker(), prefixes[-1])
     assert other is not ends[-1] and other.key() == ends[-1].key()
+
+
+def _unpack(key, k, n_max):
+    """The fields of a packed density key, checking its guard and sentinel bits."""
+    w = (k * n_max).bit_length() + 1
+    length = (key.bit_length() - 1) // w
+    assert key >> (length * w) == 1
+    fields = [key >> (i * w) & ((1 << w) - 1) for i in range(length)]
+    assert [f >> (w - 1) for f in fields] == [0] * length
+    return fields
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([(1, 6), (3, 5), (1, 255), (1, 256), (2, 127), (2, 128)]).flatmap(
+        lambda kn: st.tuples(st.just(kn[0]), _heights(kn[1]))
+    ),
+    st.lists(st.integers(0, 3), max_size=12),
+)
+def test_packed_density_keys_decode_to_the_allowance_profile(table, draws):
+    k, h = table
+    ok = oracles.bd_admissible((0,) + h)
+    prefix = ()
+    for s in draws[: len(h)]:  # up to the table's end, where the profile is empty
+        prefix += (min(s, k),) if ok(prefix + (min(s, k),)) else (0,)
+    spec = make_bounded_density(k, h)
+    for t in range(len(prefix) + 1):
+        key = walk(spec.root_walker(), prefix[:t]).key()
+        assert _unpack(key, k, len(h)) == oracles.bd_allowance(k, (0,) + h, prefix[:t])
 
 
 def test_height_table_end_raises_where_it_did():
