@@ -86,11 +86,39 @@ VERDICT_EXIT = {
 }
 
 
+# the parameters each check reads from checks.<tag>
+CHECK_KEYS = {
+    "gap_profile": ("n_range",),
+    "anchors": ("epsilons",),
+    CHECK_DENSITY_GLUE: ("n_range", "slack", "f_const"),
+    CHECK_SPARSE_GLUE: ("n_range", "strategy", "f_const"),
+    CHECK_PARTITION_SPEC: ("pressure", "f_const", "n_range"),
+    CHECK_PARTITION_ANCHOR: ("pressure", "epsilon", "epsilons", "anchors"),
+    CHECK_PARTITION_TRANS: ("pressure", "C", "onset", "f_const", "n_range"),
+    CHECK_MEASURE_LOWER: ("cylinder", "n_range"),
+}
+
+
+def _check_checks(checks: dict) -> None:
+    """Every block under checks names a known check and only its keys."""
+    for tag, params in checks.items():
+        if tag not in CHECK_KEYS:
+            raise InputError(f"checks.{tag}: unknown check; choose from {tuple(CHECK_KEYS)}")
+        if not isinstance(params, dict):
+            raise InputError(f"checks.{tag} must be a mapping")
+        for key in params:
+            if key not in CHECK_KEYS[tag]:
+                raise InputError(
+                    f"checks.{tag}.{key}: unknown key; choose from {CHECK_KEYS[tag]}"
+                )
+
+
 class _Run:
     """Shared per-invocation state: config, output dir, manifest."""
 
     def __init__(self, args):
         self.cfg: ExperimentConfig = load_config(args.config)
+        _check_checks(self.cfg.checks)
         self.digest = self.cfg.digest
         self.budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
         if self.budget < 1:
@@ -104,10 +132,7 @@ class _Run:
         self.started = time.monotonic()
 
     def check_params(self, name: str) -> dict:
-        params = self.cfg.checks.get(name, {})
-        if not isinstance(params, dict):
-            raise InputError(f"checks.{name} must be a mapping")
-        return params
+        return self.cfg.checks.get(name, {})
 
     def glue_work(self) -> GlueWork:
         """Counters for this run's glue search; they go to status.glue."""
@@ -147,13 +172,14 @@ class _Run:
         raise InputError(f"unknown pressure source {source!r}")
 
     def transfer(self, n_state: int):
-        """The block graph at n_state and its Perron data; the work goes to
+        """The transfer model and its Perron data; the work goes to
         status.transfer in the manifest."""
         model = build_transfer(self.spec, self.pot, n_state, self.budget)
         pd = perron(model, tol=self.cfg.tolerances.perron)
         self.manifest.status["transfer"] = {
-            "n_state": n_state, "states": model.state_count,
-            "edges": len(model.edges()[0]), "nodes": model.nodes, "budget": self.budget,
+            "model": model.kind, "n_state": n_state, "explored": model.explored,
+            "states": model.state_count, "edges": len(model.edges()),
+            "nodes": model.nodes, "budget": self.budget,
             "iterations": pd.iterations, "residual": pd.residual,
             "ln_lambda": math.log(pd.lam),
         }

@@ -145,6 +145,12 @@ def _int(value: Any, ctx: str) -> int:
         raise InputError(f"{ctx}: {exc}") from None
 
 
+def _int_list(value: Any, ctx: str) -> list[int]:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{ctx}: expected a list of integers, got {value!r}")
+    return [_int(v, ctx) for v in value]
+
+
 def _one_of(value: Any, choices: tuple, ctx: str) -> str:
     if value not in choices:
         raise InputError(f"{ctx}: unknown value {value!r}; choose from {choices}")
@@ -235,20 +241,19 @@ def _height_table(decl: dict, ctx: str) -> list[int]:
     decl = _as_mapping(decl, ctx)
     form = _require(decl, "form", ctx)
     if form == "table":
-        vals = _require(decl, "values", ctx)
-        return [int(v) for v in vals]
-    n_max = int(_require(decl, "n_max", ctx))
+        return _int_list(_require(decl, "values", ctx), f"{ctx}.values")
+    n_max = _int(_require(decl, "n_max", ctx), f"{ctx}.n_max")
     if n_max < 1:
         raise InputError(f"{ctx}: n_max must be >= 1")
     if form == "ceil_frac":
-        num = int(_require(decl, "num", ctx))
-        den = int(_require(decl, "den", ctx))
+        num = _int(_require(decl, "num", ctx), f"{ctx}.num")
+        den = _int(_require(decl, "den", ctx), f"{ctx}.den")
         if den <= 0:
             raise InputError(f"{ctx}: den must be positive")
         return [math.ceil(Fraction(num * n, den)) for n in range(1, n_max + 1)]
     if form == "linear":
-        a = int(_require(decl, "a", ctx))
-        b = int(decl.get("b", 0))
+        a = _int(_require(decl, "a", ctx), f"{ctx}.a")
+        b = _int(decl.get("b", 0), f"{ctx}.b")
         return [a * n + b for n in range(1, n_max + 1)]
     raise InputError(f"{ctx}: unknown height form {form!r}")
 
@@ -271,36 +276,40 @@ def _run_height(decl: dict, ctx: str):
     raise InputError(f"{ctx}: unknown height form {form!r}")
 
 
-def build_subshift(decl: dict) -> SubshiftSpec:
-    decl = _as_mapping(decl, "subshift")
-    fam = _require(decl, "family", "subshift")
+def build_subshift(decl: dict, ctx: str = "subshift") -> SubshiftSpec:
+    """The subshift a declaration names; ctx is its path in the config."""
+    decl = _as_mapping(decl, ctx)
+    fam = _require(decl, "family", ctx)
+
+    def integer(key: str, default=None) -> int:
+        value = _require(decl, key, ctx) if default is None else decl.get(key, default)
+        return _int(value, f"{ctx}.{key}")
+
     if fam == "full_shift":
-        return make_full_shift(int(_require(decl, "alphabet_size", "full_shift")))
+        return make_full_shift(integer("alphabet_size"))
     if fam == "golden_mean":
         return make_golden_mean()
     if fam == "sft":
-        size = int(_require(decl, "alphabet_size", "sft")) if "alphabet_size" in decl else 2
-        forbidden = [parse_word(str(w)) for w in _require(decl, "forbidden", "sft")]
-        dg = decl.get("declared_gap")
-        return make_sft(size, forbidden, declared_gap=None if dg is None else int(dg))
+        forbidden = [parse_word(str(w)) for w in _require(decl, "forbidden", ctx)]
+        dg = None if decl.get("declared_gap") is None else integer("declared_gap")
+        return make_sft(integer("alphabet_size", 2), forbidden, declared_gap=dg)
     if fam == "bounded_density":
-        k = int(_require(decl, "k", "bounded_density"))
-        h = _height_table(_require(decl, "height", "bounded_density"), "height")
-        return make_bounded_density(k, h)
+        h = _height_table(_require(decl, "height", ctx), f"{ctx}.height")
+        return make_bounded_density(integer("k"), h)
     if fam == "sparse_sturmian":
-        slope = _require(decl, "slope", "sparse_sturmian")
-        if not (isinstance(slope, (list, tuple)) and len(slope) == 2):
-            raise InputError("sparse_sturmian: slope must be a [p, q] pair")
-        n_seq = [int(n) for n in _require(decl, "n_seq", "sparse_sturmian")]
-        k_max = int(decl.get("k_max", len(n_seq)))
-        fs = make_sturmian_factors(int(slope[0]), int(slope[1]), k_max)
+        slope = _int_list(_require(decl, "slope", ctx), f"{ctx}.slope")
+        if len(slope) != 2:
+            raise InputError(f"{ctx}.slope: expected a [p, q] pair, got {slope!r}")
+        n_seq = _int_list(_require(decl, "n_seq", ctx), f"{ctx}.n_seq")
+        fs = make_sturmian_factors(slope[0], slope[1], integer("k_max", len(n_seq)))
         return make_sparse_sturmian(fs, n_seq)
     if fam == "product":
-        factors = _require(decl, "factors", "product")
+        factors = _require(decl, "factors", ctx)
         if not (isinstance(factors, list) and len(factors) == 2):
-            raise InputError("product: factors must list exactly two declarations")
-        return product_subshift(build_subshift(factors[0]), build_subshift(factors[1]))
-    raise InputError(f"subshift: unknown family {fam!r}")
+            raise InputError(f"{ctx}: factors must list exactly two declarations")
+        a, b = (build_subshift(f, f"{ctx}.factors[{i}]") for i, f in enumerate(factors))
+        return product_subshift(a, b)
+    raise InputError(f"{ctx}: unknown family {fam!r}")
 
 
 def build_potential(decl: dict, spec: SubshiftSpec) -> Potential:
@@ -309,7 +318,7 @@ def build_potential(decl: dict, spec: SubshiftSpec) -> Potential:
     if kind == "zero":
         return ZeroPotential()
     if kind == "locally_constant":
-        radius = int(_require(decl, "radius", "locally_constant"))
+        radius = _int(_require(decl, "radius", "locally_constant"), "potential.radius")
         table = _as_mapping(_require(decl, "values", "locally_constant"), "values")
         values = {parse_word(str(k)): float(v) for k, v in table.items()}
         default = decl.get("default", 0.0)
@@ -323,7 +332,7 @@ def build_potential(decl: dict, spec: SubshiftSpec) -> Potential:
         h = _run_height(_require(decl, "height", "reciprocal_run"), "height")
         kw = {}
         if "k_cap" in decl:
-            kw["k_cap"] = int(decl["k_cap"])
+            kw["k_cap"] = _int(decl["k_cap"], "potential.k_cap")
         return make_reciprocal_run(h, **kw)
     if kind == "run_levels":
         levels = _require(decl, "levels", "run_levels")

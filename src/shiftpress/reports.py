@@ -151,8 +151,7 @@ def equilibrium_payload(mm: MarkovMeasure, pd: PerronData) -> dict:
         "residual": pd.residual,
         "iterations": pd.iterations,
         "stationary": {
-            format_word(state): float(p)
-            for state, p in zip(model.states, mm.pi)
+            format_word(label): p for label, p in zip(model.labels, mm.pi)
         },
         "symbol_cylinders": {
             str(s): cylinder_measure(mm, (s,))

@@ -1,67 +1,94 @@
-"""Block-graph transfer operators, Perron data, and Markov equilibria.
+"""Transfer models, Perron data, and Markov equilibria, in plain Python.
 
-The transfer model at block length n has one state per admissible n-word
-and an edge u -> v whenever u and v overlap in n-1 symbols and the joined
-(n+1)-word is admissible. Edge weights are e^phi evaluated at the first
-fully visible site of the joined word, so a path of length l multiplies
-weights over l consecutive sites. For a subshift of finite type whose
-forbidden words fit inside the blocks, ln(Perron eigenvalue) is the
-pressure of the weighted shift; for longer-range constraints the model is
-the finite-type approximation and overestimates.
+A transfer model is a finite weighted graph that presents the subshift:
+reading symbol s in state i leads to at most one state, and a path
+multiplies e^phi over the sites its symbols decide. There are two ways
+to build one.
+
+* Class graph, for families whose follower-set automaton closes (the
+  full shift, SFTs, and products of those) under a zero or locally
+  constant potential. Its nodes are the classes (walker key, scanner
+  state) that the partition sweep merges words on (`pressure._sweep`):
+  equal keys admit the same continuations and equal scanner states emit
+  the same site values from there on (Lind & Marcus, An Introduction to
+  Symbolic Dynamics and Coding, section 3.2). The classes are explored
+  from the root in symbol order to closure, and an edge's weight is e^phi
+  for the site values the scanner emits on that step. The model is exact,
+  and n_state plays no part in it: the golden mean has 3 recurrent
+  classes whatever n_state is.
+* Block graph at block length n_state, for bounded density shifts, whose
+  keys run into the height table's end and never close. One state per
+  admissible n_state-word, and an edge u -> v when u and v overlap in
+  n_state - 1 symbols and the joined word is admissible; its weight is
+  e^phi at the first fully visible site of the joined word, which needs
+  n_state >= 2r + 1 for a radius-r potential. For a constraint longer
+  than the blocks the model is a finite-type approximation and
+  overestimates.
+
+Either way the model keeps the one strongly connected component that
+carries a cycle, the recurrent states, and refuses a graph with more
+than one. Each state is labelled by the least word (shortest, then
+lexicographically least) leading to it from the root; on a block graph
+that is the block itself.
 
 Perron data comes from plain power iteration with uniform start and
-infinity-norm normalization; the iteration is deterministic, so repeated
+max-norm normalization, on the right and on the left; the eigenvalue is
+then read off both vectors. The iteration is deterministic, so repeated
 runs give bitwise-identical eigenvalues.
-
-The model is kept in numpy arrays, and numpy is imported by the functions
-that build or read them, on first call: importing this module (which the
-command line does) costs nothing for commands that build no model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
+from .errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    IdentityCheckError,
+    InputError,
+    ReducibleGraphError,
+)
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
 from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, iter_language
 from .words import Word
 
-if TYPE_CHECKING:
-    import numpy as np
+CLASS_GRAPH = "class_graph"
+BLOCK_GRAPH = "block_graph"
 
 
 @dataclass
 class TransferModel:
-    """Block graph as (states, |A|) arrays: the edge reading symbol s from
-    state i goes to succ[i, s] (-1: no edge) with weight e^phi(edge) in
-    weights[i, s] and phi(edge) in log_weights[i, s]."""
+    """Recurrent states of a class or block graph (`kind`).
+
+    The edge reading symbol s from state i goes to succ[i][s] (-1: no
+    edge) with weight e^phi(edge) in weights[i][s] and phi(edge) in
+    log_weights[i][s]. labels[i] is the least word from the root to state
+    i. explored counts the classes or blocks visited before the transient
+    ones were dropped, nodes the walker child calls charged to the budget.
+    """
 
     spec: SubshiftSpec
     pot: Potential
     n_state: int
-    states: tuple[Word, ...]
-    index: dict[Word, int]
-    succ: np.ndarray
-    weights: np.ndarray
-    log_weights: np.ndarray
-    nodes: int  # walker nodes charged to enumerate the states
+    kind: str
+    labels: tuple[Word, ...]
+    succ: list[list[int]]
+    weights: list[list[float]]
+    log_weights: list[list[float]]
+    explored: int
+    nodes: int
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.labels)
 
-    def edges(self):
-        """(flat positions, rows, cols) of the edges, row by row in column order."""
-        import numpy as np
-
-        flat = np.flatnonzero(self.succ >= 0)
-        return flat, flat // self.succ.shape[1], self.succ.ravel()[flat]
+    def edges(self) -> list[tuple[int, int, int]]:
+        """(state, symbol, successor) of every edge, row by row in symbol order."""
+        return [(i, s, j) for i, row in enumerate(self.succ) for s, j in enumerate(row) if j >= 0]
 
 
-def _edge_site(pot: Potential) -> int:
+def _radius(pot: Potential) -> int:
     if isinstance(pot, ZeroPotential):
         return 0
     if isinstance(pot, LocallyConstantPotential):
@@ -72,39 +99,51 @@ def _edge_site(pot: Potential) -> int:
     )
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    """Whether breadth-first search along adj (-1: no edge) from state 0 reaches all."""
-    import numpy as np
-
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        nxt = adj[frontier].ravel()
-        nxt = nxt[nxt >= 0]
-        frontier = np.unique(nxt[~seen[nxt]])
-        seen[frontier] = True
-    return bool(seen.all())
+def _closes(spec: SubshiftSpec) -> bool:
+    """Whether the family's follower-set automaton has finitely many keys."""
+    if spec.family == "product":
+        return _closes(spec.params["a"]) and _closes(spec.params["b"])
+    return spec.family in ("full", "sft")
 
 
-def build_transfer(
-    spec: SubshiftSpec,
-    pot: Potential,
-    n_state: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> TransferModel:
-    """Assemble the weighted block graph at block length n_state.
+def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
+    """Labels, successors and emitted site values of the classes reached
+    from the root, numbered breadth first in symbol order, so that each
+    class is first reached by its least word; plus the child calls made."""
+    scan = pot.scanner()
+    walkers, states, labels = [spec.root_walker()], [scan.start], [()]
+    index = {(walkers[0].key(), scan.start): 0}
+    succ, emitted = [], []
+    nodes = 0
+    for i, (walker, state) in enumerate(zip(walkers, states)):  # grows as it goes
+        row, vals = [-1] * spec.alphabet_size, [()] * spec.alphabet_size
+        for s in range(spec.alphabet_size):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"node budget {budget} exhausted after {len(succ)} classes",
+                    words_done=0, nodes=nodes, budget=budget,
+                )
+            child = walker.child(s)
+            if child is None:
+                continue
+            nxt, vals[s] = scan.step(state, s)
+            j = index.setdefault((child.key(), nxt), len(walkers))
+            if j == len(walkers):
+                walkers.append(child)
+                states.append(nxt)
+                labels.append(labels[i] + (s,))
+            row[s] = j
+        succ.append(row)
+        emitted.append(vals)
+    return labels, succ, emitted, nodes
 
-    Requires an exact-language oracle and n_state >= 2r+1 so every edge
-    weight is a determined value, and a strongly connected graph. The
-    states come from one walk, charged to budget like iter_language;
-    each edge is one step of a state's end walker.
-    """
-    import numpy as np
 
-    if spec.exactness is not Exactness.EXACT_LANGUAGE:
-        raise InputError("transfer models need an exact language oracle")
-    r = _edge_site(pot)
+def _block_graph(spec: SubshiftSpec, pot: Potential, n_state: int, budget: int):
+    """Labels, successors and edge site values of the block graph at
+    n_state, from one walk charged to budget like iter_language; each
+    edge is one step of a state's end walker."""
+    r = _radius(pot)
     if n_state < 2 * r + 1:
         raise InputError(
             f"n_state={n_state} too small for potential radius {r}; need >= {2 * r + 1}"
@@ -113,62 +152,140 @@ def build_transfer(
     leaves = list(iter_language(spec, n_state, budget, tally=tally, ends=True))
     if not leaves:
         raise InputError("no admissible states at this block length")
-    states = tuple(u for u, _ in leaves)
-    index = {u: i for i, u in enumerate(states)}
-    a_size, n = spec.alphabet_size, len(states)
-    succ, vals, logs = [-1] * (n * a_size), [0.0] * (n * a_size), [0.0] * (n * a_size)
-    for i, (u, end) in enumerate(leaves):
-        for s in range(a_size):
-            if end.child(s) is None:
-                continue
-            joined = u + (s,)
-            iv = pot.eval(joined, r)
-            if iv.width != 0.0:
-                raise InputError("edge weight not determined by the joined block")
-            # exact languages are factorial, so the suffix is a state
-            e = i * a_size + s
-            succ[e], vals[e], logs[e] = index[joined[1:]], math.exp(iv.lo), iv.lo
-    shape = (n, a_size)
-    model = TransferModel(
-        spec, pot, n_state, states, index,
-        succ=np.array(succ, dtype=np.intp).reshape(shape),
-        weights=np.array(vals).reshape(shape),
-        log_weights=np.array(logs).reshape(shape),
-        nodes=tally.nodes,
-    )
-    # in a block graph the predecessors of a state differ in their first symbol
-    _flat, rows, cols = model.edges()
-    pred = np.full((n, a_size), -1, dtype=np.intp)
-    pred[cols, np.array([u[0] for u in states])[rows]] = rows
-    if not (_reaches_all(model.succ) and _reaches_all(pred)):
+    labels = [u for u, _ in leaves]
+    index = {u: i for i, u in enumerate(labels)}
+    succ, emitted = [], []
+    for u, end in leaves:
+        row, vals = [-1] * spec.alphabet_size, [()] * spec.alphabet_size
+        for s in range(spec.alphabet_size):
+            if end.child(s) is not None:
+                joined = u + (s,)
+                # exact languages are factorial, so the suffix is a state
+                row[s], vals[s] = index[joined[1:]], (pot.eval(joined, r),)
+        succ.append(row)
+        emitted.append(vals)
+    return labels, succ, emitted, tally.nodes
+
+
+def _cyclic_component(succ: list[list[int]]) -> list[int]:
+    """The states of the one strongly connected component that carries a
+    cycle, ascending (Tarjan's algorithm with an explicit stack)."""
+    n = len(succ)
+    order, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    cyclic = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, kids = work[-1]
+            for w in kids:
+                if w < 0:
+                    continue
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        on_stack[w] = False
+                    if len(comp) > 1 or v in succ[v]:
+                        cyclic.append(sorted(comp))
+    if len(cyclic) != 1:
         raise ReducibleGraphError(
-            f"block graph at n_state={n_state} is not strongly connected; "
+            f"the graph has {len(cyclic)} cyclic components, not one; "
             "Perron data is not well defined"
         )
-    return model
+    return cyclic[0]
+
+
+def _edge_phi(ivs) -> float:
+    """phi of an edge: the sum of the site values it emits, all points."""
+    if any(iv.width != 0.0 for iv in ivs):
+        raise InputError("edge weight not determined by the joined block")
+    return math.fsum(iv.lo for iv in ivs)
+
+
+def build_transfer(
+    spec: SubshiftSpec,
+    pot: Potential,
+    n_state: int,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> TransferModel:
+    """The recurrent part of the class graph, or of the block graph at
+    n_state where the family's keys do not close.
+
+    Requires an exact-language oracle, a zero or locally constant
+    potential, and exactly one cyclic component. Every walker child call
+    of the exploration or the block walk is charged to budget.
+    """
+    if spec.exactness is not Exactness.EXACT_LANGUAGE:
+        raise InputError("transfer models need an exact language oracle")
+    _radius(pot)
+    if _closes(spec):
+        kind = CLASS_GRAPH
+        labels, succ, emitted, nodes = _class_graph(spec, pot, budget)
+    else:
+        kind = BLOCK_GRAPH
+        labels, succ, emitted, nodes = _block_graph(spec, pot, n_state, budget)
+    keep = _cyclic_component(succ)
+    new = {old: i for i, old in enumerate(keep)}
+    # an edge out of the component leads to no cycle, and is dropped
+    rows = [[new.get(j, -1) for j in succ[old]] for old in keep]
+    logs = [
+        [_edge_phi(emitted[old][s]) if j >= 0 else 0.0 for s, j in enumerate(row)]
+        for old, row in zip(keep, rows)
+    ]
+    weights = [
+        [math.exp(phi) if j >= 0 else 0.0 for phi, j in zip(l_row, row)]
+        for l_row, row in zip(logs, rows)
+    ]
+    return TransferModel(
+        spec, pot, n_state, kind,
+        labels=tuple(labels[old] for old in keep),
+        succ=rows, weights=weights, log_weights=logs,
+        explored=len(labels), nodes=nodes,
+    )
 
 
 @dataclass
 class PerronData:
     lam: float
-    right: np.ndarray
-    left: np.ndarray  # normalized so that <left, right> = 1
+    right: list[float]
+    left: list[float]  # normalized so that <left, right> = 1
     residual: float
     iterations: int
 
 
 def _power_iterate(product, n: int, tol: float, max_iter: int):
-    import numpy as np
-
-    v = np.ones(n)
-    lam = 1.0
+    v = [1.0] * n
+    lam = residual = 0.0
     for it in range(1, max_iter + 1):
         w = product(v)
-        lam = float(w.max())
+        lam = max(w)
         if lam <= 0.0:
             raise ConvergenceError("iterate collapsed to zero", 0.0, it)
-        residual = float(np.abs(w - lam * v).max())
-        v = w / lam
+        residual = max(abs(x - lam * y) for x, y in zip(w, v))
+        v = [x / lam for x in w]
         if residual <= tol * lam:
             return lam, v, residual, it
     raise ConvergenceError(
@@ -182,28 +299,34 @@ def perron(
     tol: float = 1e-12,
     max_iter: int = 200_000,
 ) -> PerronData:
-    """Dominant eigenvalue and eigenvectors by power iteration.
+    """Dominant eigenvalue and eigenvectors by power iteration, the
+    eigenvalue read off both vectors at the end.
 
-    (M v)[i] adds the edges of row i in column order, and (v M)[j] adds
+    (M v)[i] adds the edges of row i in symbol order, and (v M)[j] adds
     the edges into j in row order, each from 0.0 left to right.
     """
-    import numpy as np
-
     if tol <= 0:
         raise InputError("tol must be positive")
-    succ, weights, n = model.succ, model.weights, model.state_count
-    flat, rows, cols = model.edges()
-    w_edge = weights.ravel()[flat]
+    n = model.state_count
+    edges = [(i, j, model.weights[i][s]) for i, s, j in model.edges()]
+    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        out[i].append((j, w))
 
     def right_product(v):
-        # an absent edge adds 0.0 * v[-1] = 0.0, which changes no sum
-        w = weights[:, 0] * v[succ[:, 0]]
-        for s in range(1, succ.shape[1]):
-            w += weights[:, s] * v[succ[:, s]]
-        return w
+        got = []
+        for row in out:
+            t = 0.0
+            for j, w in row:
+                t += w * v[j]
+            got.append(t)
+        return got
 
     def left_product(v):
-        return np.bincount(cols, weights=w_edge * v[rows], minlength=n)
+        got = [0.0] * n
+        for i, j, w in edges:
+            got[j] += w * v[i]
+        return got
 
     lam, right, res_r, it_r = _power_iterate(right_product, n, tol, max_iter)
     lam_l, left, res_l, it_l = _power_iterate(left_product, n, tol, max_iter)
@@ -213,16 +336,20 @@ def perron(
             abs(lam - lam_l),
             it_r + it_l,
         )
-    left = left / float(left @ right)
+    dot = math.fsum(x * y for x, y in zip(left, right))
+    left = [x / dot for x in left]
+    # <l, M r> / <l, r>: its error is the product of the two vectors' errors,
+    # where lam's own is of the order of the residual over the spectral gap
+    lam = math.fsum(x * y for x, y in zip(left, right_product(right)))
     return PerronData(lam, right, left, residual=max(res_r, res_l), iterations=max(it_r, it_l))
 
 
 @dataclass
 class MarkovMeasure:
-    """Stationary Markov chain on block states built from Perron data.
+    """Stationary Markov chain on the model's states built from Perron data.
 
     p(u, v) = M[u, v] r(v) / (lam r(u)), kept like the weights as
-    p[u, s] for the edge reading s (0 where there is none);
+    p[u][s] for the edge reading s (0 where there is none);
     pi(u) = l(u) r(u). entropy and phi_integral satisfy
     entropy + phi_integral = ln(lam) up to rounding, which is checked at
     construction.
@@ -230,8 +357,8 @@ class MarkovMeasure:
 
     model: TransferModel
     lam: float
-    pi: np.ndarray
-    p: np.ndarray
+    pi: list[float]
+    p: list[list[float]]
     entropy: float
     phi_integral: float
     stationarity_gap: float
@@ -245,58 +372,56 @@ def markov_equilibrium(
     identity_tol: float = 1e-8,
     stationarity_tol: float = 1e-10,
 ) -> MarkovMeasure:
-    import numpy as np
-
     pd = perron_data if perron_data is not None else perron(model)
-    lam = pd.lam
-    r = pd.right
-    pi = pd.left * pd.right
-    pi = pi / pi.sum()
+    lam, r = pd.lam, pd.right
+    pi = [x * y for x, y in zip(pd.left, r)]
+    total = math.fsum(pi)
+    pi = [x / total for x in pi]
     n = model.state_count
-    flat, rows, cols = model.edges()
-    data = model.weights.ravel()[flat] * r[cols] / (lam * r[rows])
-    row_sums = np.bincount(rows, weights=data, minlength=n)
-    if np.abs(row_sums - 1.0).max() > 1e-9:
+    p = [[0.0] * len(row) for row in model.succ]
+    row_sums, flow = [0.0] * n, [0.0] * n
+    plogp, phi_terms = [], []
+    for i, s, j in model.edges():
+        q = p[i][s] = model.weights[i][s] * r[j] / (lam * r[i])
+        row_sums[i] += q
+        flow[j] += q * pi[i]
+        if q > 0.0:
+            plogp.append(pi[i] * q * math.log(q))
+        phi_terms.append(pi[i] * q * model.log_weights[i][s])
+    if max(abs(x - 1.0) for x in row_sums) > 1e-9:
         raise IdentityCheckError("transition rows do not sum to 1")
-    stat_gap = float(np.abs(np.bincount(cols, weights=data * pi[rows], minlength=n) - pi).sum())
+    stat_gap = math.fsum(abs(x - y) for x, y in zip(flow, pi))
     if stat_gap > stationarity_tol:
         raise IdentityCheckError(f"pi is not stationary: l1 gap {stat_gap:.3e}")
-    with np.errstate(divide="ignore"):
-        plogp = data * np.log(data)
-    entropy = -float(np.sum(pi[rows] * plogp))
-    phi_integral = float(np.sum(pi[rows] * data * model.log_weights.ravel()[flat]))
+    entropy = -math.fsum(plogp)
+    phi_integral = math.fsum(phi_terms)
     identity_gap = abs(entropy + phi_integral - math.log(lam))
     if identity_gap > identity_tol:
         raise IdentityCheckError(
             f"entropy {entropy} + integral {phi_integral} != ln lam "
             f"{math.log(lam)} (gap {identity_gap:.3e})"
         )
-    p = np.zeros(model.succ.shape)
-    p.ravel()[flat] = data
     return MarkovMeasure(model, lam, pi, p, entropy, phi_integral, stat_gap, identity_gap)
 
 
 def cylinder_measure(mm: MarkovMeasure, word: Word) -> float:
-    """Measure of the cylinder fixing `word` at the word's own positions."""
+    """Measure of the cylinder fixing `word`: the word walked from every
+    state i, sum_i pi(i) prod p(edge), which telescopes to
+    sum_i l(i) W(i, word) r(end) / lam^|word|."""
     word = tuple(word)
-    model = mm.model
-    ns = model.n_state
     if not word:
         return 1.0
-    if len(word) <= ns:
-        total = 0.0
-        for u, i in model.index.items():
-            if u[: len(word)] == word:
-                total += float(mm.pi[i])
-        return total
-    i = model.index.get(word[:ns])
-    if i is None:
+    succ, a_size = mm.model.succ, mm.model.spec.alphabet_size
+    if not all(0 <= s < a_size for s in word):
         return 0.0
-    prob = float(mm.pi[i])
-    for s in word[ns:]:
-        step = mm.p[i, s] if 0 <= s < model.spec.alphabet_size else 0.0
-        if step == 0.0:
-            return 0.0
-        prob *= float(step)
-        i = model.succ[i, s]
-    return prob
+    total = 0.0
+    for start, prob in enumerate(mm.pi):
+        i = start
+        for s in word:
+            prob *= mm.p[i][s]
+            i = succ[i][s]
+            if i < 0:
+                break
+        else:
+            total += prob
+    return total

@@ -6,8 +6,8 @@ search with a pumping-length horizon, and partial sums are evaluated on
 concrete padded words. Partition references that must hold with zero
 slack are computed in 60-digit decimal arithmetic from the exact values of
 the float inputs. Block graphs come from membership of every joined word,
-with connectivity by boolean closure and the Perron root from dense
-numpy eigenvalues. Slow on purpose; keep instances at desk scale.
+with connectivity by boolean closure, and the Perron root and the Markov
+equilibrium from dense numpy eigenvalues and eigenvectors. Slow on purpose; keep instances at desk scale.
 """
 
 import itertools
@@ -423,3 +423,24 @@ def strongly_connected(succ):
 def block_graph_ln_lambda(states, succ, phi=lambda w: 0.0):
     """ln of the spectral radius of the weighted block graph (numpy eigvals)."""
     return math.log(max(abs(np.linalg.eigvals(_dense(states, succ, phi)))))
+
+
+def block_graph_cylinders(states, succ, phi, n):
+    """Equilibrium measure of every word of length <= n (n <= block length)
+    from the weighted block graph's Perron eigenvectors (numpy eig):
+    pi(u) = l(u) r(u) / <l, r>, and a word's measure adds pi over the
+    blocks it begins. Words outside the language are absent."""
+    mat = _dense(states, succ, phi)
+
+    def perron_vector(m):
+        vals, vecs = np.linalg.eig(m)
+        v = np.real(vecs[:, int(np.argmax(abs(vals)))])
+        return v / v.sum()
+
+    right, left = perron_vector(mat), perron_vector(mat.T)
+    pi = left * right / (left @ right)
+    measure = {}
+    for u, p in zip(states, pi):
+        for k in range(1, n + 1):
+            measure[u[:k]] = measure.get(u[:k], 0.0) + float(p)
+    return measure

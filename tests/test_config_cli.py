@@ -127,6 +127,91 @@ def test_integer_settings_are_read_strictly():
             config_from_dict(golden_doc(**override))
 
 
+BD_HEIGHT = {"form": "ceil_frac", "num": 1, "den": 2, "n_max": 8}
+GOLDEN_WEIGHTS = {"kind": "locally_constant", "radius": 1, "values": {"010": 0.5}}
+
+
+def _bd(**over):
+    return {"family": "bounded_density", "k": 1, "height": dict(BD_HEIGHT), **over}
+
+
+def _cli_rejects(tmp_path, capsys, doc, path, command="pressure"):
+    """command on doc exits 2 naming path, and writes nothing."""
+    cfg_path = write_yaml(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subshift, potential, path", [
+    (_bd(k=True), None, "subshift.k"),
+    (_bd(height={**BD_HEIGHT, "num": False}), None, "subshift.height.num"),
+    ({"family": "sft", "forbidden": ["11"], "declared_gap": True}, None, "subshift.declared_gap"),
+    ({"family": "golden_mean"}, {**GOLDEN_WEIGHTS, "radius": True}, "potential.radius"),
+], ids=["k", "num", "declared_gap", "radius"])
+def test_family_and_potential_integers_reject_bools(tmp_path, capsys, subshift, potential, path):
+    doc = golden_doc(subshift=subshift, horizons={"n_max": 4})
+    if potential is not None:
+        doc["potential"] = potential
+    _cli_rejects(tmp_path, capsys, doc, path)
+
+
+@pytest.mark.parametrize("subshift, potential, path", [
+    (_bd(height={**BD_HEIGHT, "n_max": 8.9}), None, "subshift.height.n_max"),
+    ({"family": "full_shift", "alphabet_size": 2.7}, None, "subshift.alphabet_size"),
+    ({"family": "product", "factors": [{"family": "golden_mean"},
+                                       {"family": "full_shift", "alphabet_size": 2.5}]},
+     None, "subshift.factors[1].alphabet_size"),
+    ({"family": "full_shift", "alphabet_size": 2},
+     {"kind": "reciprocal_run", "height": {"form": "affine", "a": 1.0, "b": 1.0},
+      "k_cap": 6.5}, "potential.k_cap"),
+], ids=["n_max", "alphabet_size", "factor", "k_cap"])
+def test_family_and_potential_integers_reject_fractions(
+    tmp_path, capsys, subshift, potential, path
+):
+    doc = golden_doc(subshift=subshift, horizons={"n_max": 4})
+    if potential is not None:
+        doc["potential"] = potential
+    _cli_rejects(tmp_path, capsys, doc, path)
+
+
+@pytest.mark.parametrize("subshift, potential, path", [
+    (_bd(height={"form": "linear", "a": "one", "n_max": 8}), None, "subshift.height.a"),
+    ({"family": "sparse_sturmian", "slope": [8, "x"], "n_seq": [4, 12]}, None,
+     "subshift.slope"),
+    ({"family": "sparse_sturmian", "slope": [8, 21], "n_seq": [4, "twelve"]}, None,
+     "subshift.n_seq"),
+    ({"family": "golden_mean"}, {**GOLDEN_WEIGHTS, "radius": "one"}, "potential.radius"),
+], ids=["a", "slope", "n_seq", "radius"])
+def test_family_and_potential_integers_reject_words(tmp_path, capsys, subshift, potential, path):
+    doc = golden_doc(subshift=subshift, horizons={"n_max": 4})
+    if potential is not None:
+        doc["potential"] = potential
+    _cli_rejects(tmp_path, capsys, doc, path)
+
+
+def test_shipped_density_config_rejects_a_bool_k(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIG_DIR / "bounded_density.yaml").read_text())
+    doc["subshift"]["k"] = True  # built k = 1 and exited 0 while read with int()
+    _cli_rejects(tmp_path, capsys, doc, "subshift.k")
+    doc["subshift"]["k"] = 1.0
+    spec = build_subshift(doc["subshift"])
+    assert spec.family == "bounded_density"
+
+
+@pytest.mark.parametrize("command, checks, path", [
+    ("gap-profile", {"gap_profile": {"n_rang": [2, 3]}}, "checks.gap_profile.n_rang"),
+    ("verify measure_lower", {"measure_lower": {"cylinder": "0", "n_ragne": [2]}},
+     "checks.measure_lower.n_ragne"),
+    ("enumerate", {"partition_upper_trans": {"C": 2.0, "onest": 3}},
+     "checks.partition_upper_trans.onest"),
+    ("enumerate", {"gap_profle": {"n_range": [2]}}, "checks.gap_profle"),
+])
+def test_unknown_check_keys_exit_2_naming_the_key(tmp_path, capsys, command, checks, path):
+    _cli_rejects(tmp_path, capsys, golden_doc(checks=checks), path, command)
+
+
 def test_save_load_round_trip(tmp_path):
     cfg = config_from_dict(golden_doc())
     save_config(cfg, tmp_path / "roundtrip.yaml")
@@ -253,7 +338,12 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # sparse walkers became follower-set states; with them every command runs
 # pinned on every shipped config. `sparse_sturmian:anchors` was recorded
 # once its anchor search stopped at the declared gap's reach (it exited 2
-# before).
+# before). The `transfer.json` and `equilibrium.json` hashes of
+# `full_shift`, `golden_mean` and `golden_mean_weighted`, and the `verify
+# measure_lower` hashes of the two golden-mean configs, were re-recorded
+# when the transfer model moved from the block graph at n_state to the
+# closed class graph; exit codes and verdicts are unchanged, and margins
+# stay within 1e-10 of the recorded ones.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
 GLUE_COMMANDS = ("gap-profile", "verify density_glue", "verify sparse_glue")
@@ -289,6 +379,7 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
         assert work["n_state"] == n_state and work["budget"] == DEFAULT_NODE_BUDGET
         assert 0 < work["nodes"] <= work["budget"] and work["iterations"] >= 1
         assert 0 < work["states"] <= work["edges"] and work["residual"] >= 0.0
+        assert work["model"] == "class_graph" and work["states"] <= work["explored"]
     if command == "enumerate":
         work = status["enumerate"]
         assert work["count"] == want["count"] and work["budget"] == DEFAULT_NODE_BUDGET
@@ -369,26 +460,44 @@ def test_enumerate_budget_is_exact_and_exit_3_leaves_no_language_file(
     assert not list((tmp_path / "short").glob("language_n9.txt*"))
 
 
+def _equilibrium_budget(tmp_path, config, budget):
+    out = tmp_path / f"b{budget}"
+    argv = ["equilibrium", "--config", str(config), "--out", str(out), "--budget", str(budget)]
+    code = main(argv)
+    status = json.loads((out / "manifest.json").read_text())["status"] if code == 0 else None
+    return code, status
+
+
 @pytest.mark.parametrize("name", ["full_shift", "golden_mean", "golden_mean_weighted"])
 def test_transfer_budget_is_the_enumeration_budget(tmp_path, name):
-    # the block graph charges exactly what enumerating its states charges
-    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
-    tally = Tally()
-    list(iter_language(build_subshift(cfg.subshift), cfg.horizons.n_state, tally=tally))
-    nodes = tally.nodes
-    if name != "full_shift":  # one walk: a nodes per admissible word shorter than n_state
-        assert nodes == 2 * sum(
-            len(oracles.sft_language(2, [(1, 1)], k)) for k in range(cfg.horizons.n_state)
-        )
-
-    def run(out, budget):
-        argv = ["equilibrium", "--config", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(out)]
-        return main([*argv, "--budget", str(budget)])
-
-    assert run(tmp_path / "exact", nodes) == 0
-    work = json.loads((tmp_path / "exact" / "manifest.json").read_text())["status"]["transfer"]
+    # the class graph is charged in the unit of the count and the sweep, one
+    # node per (class, symbol) child call: one class on the full shift; the
+    # root, 0, 1, 00, 01 and 10 on the golden mean, with or without weights
+    explored = {"full_shift": 1}.get(name, 6)
+    nodes = 2 * explored
+    config = CONFIG_DIR / f"{name}.yaml"
+    code, status = _equilibrium_budget(tmp_path, config, nodes)
+    assert code == 0
+    work = status["transfer"]
+    assert work["model"] == "class_graph" and work["explored"] == explored
+    assert work["states"] == {"full_shift": 1}.get(name, 3)
     assert work["nodes"] == work["budget"] == nodes
-    assert run(tmp_path / "short", nodes - 1) == 3
+    assert _equilibrium_budget(tmp_path, config, nodes - 1)[0] == 3
+
+
+def test_block_graph_budget_is_the_enumeration_budget(tmp_path):
+    # the block graph charges exactly what enumerating its states charges
+    doc = yaml.safe_load((CONFIG_DIR / "bounded_density.yaml").read_text())
+    doc["horizons"]["n_state"] = 4
+    config = write_yaml(tmp_path, doc)
+    tally = Tally()
+    states = list(iter_language(build_subshift(doc["subshift"]), 4, tally=tally))
+    code, status = _equilibrium_budget(tmp_path, config, tally.nodes)
+    assert code == 0
+    work = status["transfer"]
+    assert work["model"] == "block_graph" and work["explored"] == work["states"] == len(states)
+    assert work["nodes"] == work["budget"] == tally.nodes
+    assert _equilibrium_budget(tmp_path, config, tally.nodes - 1)[0] == 3
 
 
 def test_cli_import_loads_no_scipy():

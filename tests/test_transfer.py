@@ -49,10 +49,20 @@ def golden_model(n_state=2, pot=None):
 
 @pytest.mark.parametrize("n_state", [1, 2, 3])
 def test_golden_eigenvalue_is_phi_at_every_block_length(n_state):
-    pd = perron(golden_model(n_state))
+    model = golden_model(n_state)
+    assert model.kind == "class_graph" and model.state_count == 3
+    pd = perron(model)
     assert pd.lam == pytest.approx(PHI, abs=1e-12)
     assert pd.residual <= 1e-12 * pd.lam
-    assert float(pd.left @ pd.right) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(x * y for x, y in zip(pd.left, pd.right)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_golden_class_graph_explores_six_classes_at_any_n_state():
+    # the root, 0, 1 and the three 2-blocks; a block graph at n_state 20
+    # would have 17,711 states
+    model = golden_model(20)
+    assert (model.explored, model.nodes, model.state_count) == (6, 12, 3)
+    assert model.labels == ((0, 0), (0, 1), (1, 0))
 
 
 def test_weighted_eigenvalue_closed_form():
@@ -101,9 +111,13 @@ def test_transfer_rejects_superset_oracles():
 
 
 def test_transfer_rejects_small_blocks_for_wide_potentials():
+    # only the block graph reads edge weights off its blocks; the class
+    # graph takes them from the scanner at any n_state
     pot = LocallyConstantPotential(1, {}, 2, default=0.0)
     with pytest.raises(InputError):
-        build_transfer(make_golden_mean(), pot, 2)
+        build_transfer(make_bounded_density(1, HALF), pot, 2)
+    assert build_transfer(make_bounded_density(1, HALF), pot, 3).kind == "block_graph"
+    assert build_transfer(make_golden_mean(), pot, 1).kind == "class_graph"
 
 
 def test_reducible_graph_is_refused():
@@ -113,8 +127,8 @@ def test_reducible_graph_is_refused():
 
 
 def test_one_way_graph_is_refused():
-    # 0^a 1^b: state 00 reaches every state, but nothing leads back to it,
-    # so only the backward search sees the graph is not strongly connected
+    # 0^a 1^b: the fixed points 00 and 11 are two cyclic components, joined
+    # one way through 01
     one_way = make_sft(2, [(1, 0)])
     states, succ = oracles.block_graph(oracles.sft_admissible(2, [(1, 0)]), 2, 2)
     assert states[0] == (0, 0) and not oracles.strongly_connected(succ)
@@ -123,48 +137,104 @@ def test_one_way_graph_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# block graph against the oracle built from joined-word membership
+# models against the oracle block graph built from joined-word membership
 # ---------------------------------------------------------------------------
 
-# radius-1 table and default, for the package potential and the oracle phi
+# radius-1 and radius-0 tables with their defaults, for the package
+# potential and the oracle phi
 TABLE = {(0, 1, 0): 0.75, (1, 0, 1): -0.5, (0, 0, 0): 0.2}
+TABLES = {1: (TABLE, 0.05), 0: ({(0,): 0.3, (1,): -0.45}, 0.0)}
 
 
-def _table_phi(joined):
-    return oracles.phi_lc(joined, 1, 1, TABLE, 0.05)
+def _potential(radius, alphabet_size):
+    if radius is None:
+        return ZeroPotential()
+    values, default = TABLES[radius]
+    return LocallyConstantPotential(radius, values, alphabet_size, default=default)
+
+
+def _oracle_phi(radius):
+    if radius is None:
+        return lambda joined: 0.0
+    values, default = TABLES[radius]
+    return lambda joined: oracles.phi_lc(joined, radius, radius, values, default)
 
 
 def compare_with_block_graph_oracle(spec, ok, n_state, weighted=False):
-    """States, successors, edge count and ln(lambda) (1e-12) against the
-    oracle; a graph the oracle finds reducible must be refused. Returns
-    whether ln(lambda) was compared."""
+    """States, successors, edge count and ln(lambda) (1e-12) of a block
+    graph against the oracle; a graph the oracle finds reducible must be
+    refused. Returns whether ln(lambda) was compared."""
     states, succ = oracles.block_graph(ok, spec.alphabet_size, n_state)
-    pot = LocallyConstantPotential(1, TABLE, spec.alphabet_size, default=0.05) if weighted else None
+    pot = _potential(1 if weighted else None, spec.alphabet_size)
     if not oracles.strongly_connected(succ):
         with pytest.raises(ReducibleGraphError):
-            build_transfer(spec, pot or ZeroPotential(), n_state)
+            build_transfer(spec, pot, n_state)
         return False
-    model = build_transfer(spec, pot or ZeroPotential(), n_state)
-    assert list(model.states) == states
-    assert model.succ.tolist() == succ
-    assert len(model.edges()[0]) == sum(j >= 0 for row in succ for j in row)
+    model = build_transfer(spec, pot, n_state)
+    assert model.kind == "block_graph"
+    assert list(model.labels) == states
+    assert model.succ == succ
+    assert len(model.edges()) == sum(j >= 0 for row in succ for j in row)
     try:
         lam = perron(model, max_iter=20_000).lam
     except ConvergenceError:  # periodic graph whose Perron vector is not uniform
         return False
-    phi = _table_phi if weighted else (lambda w: 0.0)
+    phi = _oracle_phi(1 if weighted else None)
     assert math.log(lam) == pytest.approx(
         oracles.block_graph_ln_lambda(states, succ, phi), abs=1e-12
     )
     return True
 
 
+def compare_class_graph_with_oracle(spec, ok, n_state, radius=None, block_len=4):
+    """ln(lambda) (1e-12) and every cylinder up to length block_len (1e-10)
+    of the class graph against the oracle block graph at block_len (at
+    least the constraint's and the table's width); a graph the oracle finds
+    reducible must be refused. The model must not depend on n_state.
+    Returns whether the values were compared."""
+    states, succ = oracles.block_graph(ok, spec.alphabet_size, block_len)
+    pot = _potential(radius, spec.alphabet_size)
+    if not oracles.strongly_connected(succ):
+        with pytest.raises(ReducibleGraphError):
+            build_transfer(spec, pot, n_state)
+        return False
+    model = build_transfer(spec, pot, n_state)
+    assert model.kind == "class_graph"
+    again = build_transfer(spec, pot, 1)
+    assert (again.labels, again.succ, again.weights) == (model.labels, model.succ, model.weights)
+    try:
+        pd = perron(model, max_iter=20_000)
+    except ConvergenceError:  # periodic graph whose Perron vector is not uniform
+        return False
+    phi = _oracle_phi(radius)
+    assert math.log(pd.lam) == pytest.approx(
+        oracles.block_graph_ln_lambda(states, succ, phi), abs=1e-12
+    )
+    mm = markov_equilibrium(model, pd)
+    want = oracles.block_graph_cylinders(states, succ, phi, block_len)
+    for n in range(1, block_len + 1):
+        for w in oracles.all_words(spec.alphabet_size, n):
+            assert cylinder_measure(mm, w) == pytest.approx(want.get(w, 0.0), abs=1e-10), w
+    return True
+
+
+def assert_zero_class_graph_is_the_block_graph(spec, ok, block_len):
+    """Zero potential: the recurrent classes and their successors are the
+    oracle's block graph at the SFT's block length."""
+    states, succ = oracles.block_graph(ok, spec.alphabet_size, block_len)
+    if not oracles.strongly_connected(succ):
+        return
+    model = build_transfer(spec, ZeroPotential(), 1)
+    assert list(model.labels) == states
+    assert model.succ == succ
+
+
 @pytest.mark.parametrize("n_state", [1, 2, 3, 4, 5, 6])
 def test_golden_block_graph_matches_oracle(n_state):
     ok = oracles.sft_admissible(2, [(1, 1)])
-    assert compare_with_block_graph_oracle(make_golden_mean(), ok, n_state)
-    if n_state >= 3:
-        assert compare_with_block_graph_oracle(make_golden_mean(), ok, n_state, True)
+    assert_zero_class_graph_is_the_block_graph(make_golden_mean(), ok, 2)
+    for radius in (None, 0, 1):
+        assert compare_class_graph_with_oracle(make_golden_mean(), ok, n_state, radius)
 
 
 @settings(deadline=None, max_examples=40)
@@ -172,14 +242,28 @@ def test_golden_block_graph_matches_oracle(n_state):
     st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=3).map(tuple),
              min_size=1, max_size=3, unique=True),
     st.integers(1, 5),
+    st.sampled_from([None, 0, 1]),
 )
-def test_sft_block_graphs_match_oracle(forbidden, n_state):
+def test_sft_block_graphs_match_oracle(forbidden, n_state, radius):
     try:
         spec = make_sft(2, forbidden)
     except ConstructionError:
         assume(False)
     ok = oracles.sft_admissible(2, forbidden)
-    compare_with_block_graph_oracle(spec, ok, n_state, weighted=n_state >= 3)
+    assert_zero_class_graph_is_the_block_graph(spec, ok, max(len(f) for f in forbidden))
+    compare_class_graph_with_oracle(spec, ok, n_state, radius)
+
+
+def test_long_forbidden_word_is_exact_at_every_n_state():
+    # 111 is longer than n_state 2, where the block graph saw the full
+    # shift and read ln 2; the class graph reads the tribonacci root
+    spec = make_sft(2, [(1, 1, 1)])
+    ok = oracles.sft_admissible(2, [(1, 1, 1)])
+    states, succ = oracles.block_graph(ok, 2, 3)
+    want = oracles.block_graph_ln_lambda(states, succ)
+    got = [math.log(perron(build_transfer(spec, ZeroPotential(), n)).lam) for n in (1, 2, 3, 6)]
+    assert got[0] == pytest.approx(want, abs=1e-12) and want < LN2 - 0.08
+    assert got == [got[0]] * 4
 
 
 @pytest.mark.parametrize("n_state", [1, 2, 3, 4, 5, 6])
@@ -192,7 +276,9 @@ def test_bounded_density_block_graph_matches_oracle(n_state):
 def test_product_block_graph_matches_oracle(n_state):
     ok = oracles.product_admissible(oracles.sft_admissible(2, [(1, 1)]), lambda w: True, 2)
     spec = product_subshift(make_golden_mean(), make_full_shift(2))
-    assert compare_with_block_graph_oracle(spec, ok, n_state)
+    assert compare_class_graph_with_oracle(spec, ok, n_state, block_len=2)
+    assert compare_class_graph_with_oracle(spec, ok, n_state, radius=0, block_len=2)
+    assert build_transfer(spec, ZeroPotential(), n_state).state_count == 3
 
 
 # ---------------------------------------------------------------------------
