@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .config import ExperimentConfig, build_potential, build_subshift, load_config, read_int
+from .config import ExperimentConfig, build_potential, build_subshift, load_config
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -86,39 +86,11 @@ VERDICT_EXIT = {
 }
 
 
-# the parameters each check reads from checks.<tag>
-CHECK_KEYS = {
-    "gap_profile": ("n_range",),
-    "anchors": ("epsilons",),
-    CHECK_DENSITY_GLUE: ("n_range", "slack", "f_const"),
-    CHECK_SPARSE_GLUE: ("n_range", "strategy", "f_const"),
-    CHECK_PARTITION_SPEC: ("pressure", "f_const", "n_range"),
-    CHECK_PARTITION_ANCHOR: ("pressure", "epsilon", "epsilons", "anchors"),
-    CHECK_PARTITION_TRANS: ("pressure", "C", "onset", "f_const", "n_range"),
-    CHECK_MEASURE_LOWER: ("cylinder", "n_range"),
-}
-
-
-def _check_checks(checks: dict) -> None:
-    """Every block under checks names a known check and only its keys."""
-    for tag, params in checks.items():
-        if tag not in CHECK_KEYS:
-            raise InputError(f"checks.{tag}: unknown check; choose from {tuple(CHECK_KEYS)}")
-        if not isinstance(params, dict):
-            raise InputError(f"checks.{tag} must be a mapping")
-        for key in params:
-            if key not in CHECK_KEYS[tag]:
-                raise InputError(
-                    f"checks.{tag}.{key}: unknown key; choose from {CHECK_KEYS[tag]}"
-                )
-
-
 class _Run:
     """Shared per-invocation state: config, output dir, manifest."""
 
     def __init__(self, args):
         self.cfg: ExperimentConfig = load_config(args.config)
-        _check_checks(self.cfg.checks)
         self.digest = self.cfg.digest
         self.budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
         if self.budget < 1:
@@ -130,9 +102,6 @@ class _Run:
         self.manifest = RunManifest(config_digest=self.digest, command=args.command)
         self.glue: GlueWork | None = None
         self.started = time.monotonic()
-
-    def check_params(self, name: str) -> dict:
-        return self.cfg.checks.get(name, {})
 
     def glue_work(self) -> GlueWork:
         """Counters for this run's glue search; they go to status.glue."""
@@ -156,24 +125,21 @@ class _Run:
 
     def pressure_value(self, params: dict, table) -> float:
         source = params.get("pressure", "transfer" if self.cfg.horizons.n_state else "bracket")
-        if isinstance(source, (int, float)) and not isinstance(source, bool):
-            return float(source)
+        if isinstance(source, float):
+            return source
         if source == "transfer":
-            n_state = self.cfg.horizons.n_state
-            if n_state is None:
-                raise InputError("pressure source 'transfer' needs horizons.n_state")
-            return math.log(self.transfer(n_state)[1].lam)
-        if source == "bracket":
-            bracket = pressure_bracket(
-                self.spec, self.pot, table,
-                g=self._bracket_g(), tol=self.cfg.tolerances.margin,
-            )
-            return bracket.best_hi
-        raise InputError(f"unknown pressure source {source!r}")
+            return math.log(self.transfer("pressure source 'transfer'")[1].lam)
+        bracket = pressure_bracket(
+            self.spec, self.pot, table, g=self._bracket_g(), tol=self.cfg.tolerances.margin
+        )
+        return bracket.best_hi
 
-    def transfer(self, n_state: int):
-        """The transfer model and its Perron data; the work goes to
-        status.transfer in the manifest."""
+    def transfer(self, needed_by: str):
+        """The transfer model at horizons.n_state, which needed_by requires,
+        and its Perron data; the work goes to status.transfer in the manifest."""
+        n_state = self.cfg.horizons.n_state
+        if n_state is None:
+            raise InputError(f"{needed_by} needs horizons.n_state")
         model = build_transfer(self.spec, self.pot, n_state, self.budget)
         pd = perron(model, tol=self.cfg.tolerances.perron)
         self.manifest.status["transfer"] = {
@@ -198,33 +164,6 @@ class _Run:
             self.manifest.status["glue"] = dataclasses.asdict(self.glue)
         self.manifest.wall_clock_s = time.monotonic() - self.started
         write_manifest(self.manifest, self.out)
-
-
-def _list_of(convert: Callable) -> Callable:
-    def read(value) -> list:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
-        return [convert(v) for v in value]
-
-    return read
-
-
-def _param(params: dict, tag: str, key: str, convert: Callable, default=None):
-    """params[key] read by convert, or default when absent; a value that
-    convert rejects is an input error naming checks.<tag>.<key>."""
-    if key not in params:
-        return default
-    try:
-        return convert(params[key])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"checks.{tag}.{key}: {exc}") from None
-
-
-def _n_range(params: dict, tag: str, default: list[int] | None) -> list[int] | None:
-    ns = _param(params, tag, "n_range", _list_of(read_int), default)
-    if ns is not None and not ns:
-        raise InputError(f"checks.{tag}.n_range must be non-empty")
-    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +225,7 @@ def cmd_pressure(run: _Run) -> int:
         },
     }
     if cfg.horizons.n_state is not None:
-        model, pd = run.transfer(cfg.horizons.n_state)
+        model, pd = run.transfer("pressure")
         payload = {
             "n_state": model.n_state,
             "state_count": model.state_count,
@@ -310,8 +249,8 @@ def cmd_pressure(run: _Run) -> int:
 
 def cmd_gap_profile(run: _Run) -> int:
     cfg = run.cfg
-    params = run.check_params("gap_profile")
-    ns = _n_range(params, "gap_profile", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
+    params = cfg.checks.get("gap_profile", {})
+    ns = params.get("n_range", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
     work = run.glue_work()
     rows = []
     for n in ns:
@@ -353,32 +292,31 @@ def cmd_gap_profile(run: _Run) -> int:
     return EXIT_OK
 
 
-def _check_f(params: dict, tag: str) -> Callable[[int], int] | None:
+def _check_f(params: dict) -> Callable[[int], int] | None:
     """Optional constant gap-bound override for inversion experiments."""
-    c = _param(params, tag, "f_const", read_int)
+    c = params.get("f_const")
     return None if c is None else lambda n: c
 
 
 def _run_check(run: _Run, tag: str):
     cfg = run.cfg
+    params = cfg.checks.get(tag, {})  # read by config.CHECK_TABLES
     tol = cfg.tolerances.margin
     small_default = list(range(2, min(cfg.horizons.n_max, 8) + 1))
     if tag == CHECK_DENSITY_GLUE:
-        params = run.check_params(tag)
         return verify_density_glue(
-            run.spec, _n_range(params, tag, small_default),
-            slack=_param(params, tag, "slack", read_int, 4),
-            f=_check_f(params, tag),
+            run.spec, params.get("n_range", small_default),
+            slack=params.get("slack", 4),
+            f=_check_f(params),
             budget=run.budget,
             seed=cfg.seed,
             work=run.glue_work(),
         )
     if tag == CHECK_SPARSE_GLUE:
-        params = run.check_params(tag)
         return verify_sparse_glue(
-            run.spec, _n_range(params, tag, small_default),
-            strategy=str(params.get("strategy", cfg.strategy)),
-            f=_check_f(params, tag),
+            run.spec, params.get("n_range", small_default),
+            strategy=params.get("strategy", cfg.strategy),
+            f=_check_f(params),
             budget=run.budget,
             pair_budget=cfg.pair_budget,
             seed=cfg.seed,
@@ -386,22 +324,20 @@ def _run_check(run: _Run, tag: str):
         )
     table = partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
     if tag == CHECK_PARTITION_SPEC:
-        params = run.check_params(tag)
         return verify_partition_upper_spec(
             table,
             run.pressure_value(params, table),
-            _check_f(params, tag) or run.gap_callable(),
+            _check_f(params) or run.gap_callable(),
             run.variation_callable(),
             run.pot.bounds.lo,
-            _n_range(params, tag, list(range(1, table.horizon + 1))),
+            params.get("n_range", list(range(1, table.horizon + 1))),
             tol,
         )
     if tag == CHECK_PARTITION_ANCHOR:
-        params = run.check_params(tag)
-        epsilon = _param(params, tag, "epsilon", float, 0.5)
-        anchors = _param(params, tag, "anchors", _list_of(read_int))
+        epsilon = params.get("epsilon", 0.5)
+        anchors = params.get("anchors")
         if anchors is None:
-            eps_list = _param(params, tag, "epsilons", _list_of(float), [epsilon])
+            eps_list = params.get("epsilons", [epsilon])
             horizon = run.anchor_horizon(table.horizon)
             seq = anchor_sequence(
                 run.gap_callable(), run.variation_callable(), horizon, eps_list
@@ -416,32 +352,27 @@ def _run_check(run: _Run, tag: str):
             table, run.pressure_value(params, table), anchors, epsilon, tol
         )
     if tag == CHECK_PARTITION_TRANS:
-        params = run.check_params(tag)
         if "C" not in params:
             raise InputError("partition_upper_trans needs checks.partition_upper_trans.C")
         return verify_partition_upper_trans(
             table,
             run.pressure_value(params, table),
-            _param(params, tag, "C", float),
-            _param(params, tag, "onset", read_int, 3),
-            _check_f(params, tag) or run.gap_callable(),
+            params["C"],
+            params.get("onset", 3),
+            _check_f(params) or run.gap_callable(),
             run.variation_callable(),
             run.pot.bounds.lo,
-            _n_range(params, tag, None),
+            params.get("n_range"),
             tol,
         )
     if tag == CHECK_MEASURE_LOWER:
-        params = run.check_params(tag)
         if "cylinder" not in params:
             raise InputError("measure_lower needs checks.measure_lower.cylinder")
-        n_state = cfg.horizons.n_state
-        if n_state is None:
-            raise InputError("measure_lower needs horizons.n_state")
-        mm = markov_equilibrium(*run.transfer(n_state))
+        mm = markov_equilibrium(*run.transfer("measure_lower"))
         return verify_measure_lower(
             mm,
-            parse_word(str(params["cylinder"])),
-            _n_range(params, tag, list(range(1, table.horizon + 1))),
+            parse_word(params["cylinder"]),
+            params.get("n_range", list(range(1, table.horizon + 1))),
             table,
             run.variation_callable(),
             tol,
@@ -461,11 +392,7 @@ def cmd_verify(run: _Run, tag: str) -> int:
 
 
 def cmd_equilibrium(run: _Run) -> int:
-    cfg = run.cfg
-    n_state = cfg.horizons.n_state
-    if n_state is None:
-        raise InputError("equilibrium needs horizons.n_state")
-    model, pd = run.transfer(n_state)
+    model, pd = run.transfer("equilibrium")
     mm = markov_equilibrium(model, pd)
     path = write_json(run.out / "equilibrium.json", equilibrium_payload(mm, pd), run.digest)
     run.manifest.record(path)
@@ -488,8 +415,8 @@ def cmd_equilibrium(run: _Run) -> int:
 
 def cmd_anchors(run: _Run) -> int:
     cfg = run.cfg
-    params = run.check_params("anchors")
-    eps_list = _param(params, "anchors", "epsilons", _list_of(float), [0.5, 0.4, 0.3])
+    params = cfg.checks.get("anchors", {})
+    eps_list = params.get("epsilons", [0.5, 0.4, 0.3])
     seq = anchor_sequence(
         run.gap_callable(), run.variation_callable(),
         run.anchor_horizon(cfg.horizons.n_max), eps_list,

@@ -1,28 +1,34 @@
 """Experiment configuration: one YAML document describes one experiment.
 
 The document carries a subshift declaration, a potential declaration,
-horizons, tolerances, strategy selections, and per-check parameter
-blocks. Loading keeps the raw mapping alongside the parsed view so the
-configuration digest (sha256 of the canonical JSON form) and YAML
-round-trips are stable. No environment variables are consulted except an
-output-root override handled by the command line layer.
+horizons, tolerances, strategy selections and per-check parameter blocks.
+Each section is read against its key table below. An unknown key at any
+level, or a value its reader rejects, is an InputError naming its dotted
+path (`subshift.factors[1].alphabet_size`), so the command line exits 2
+before it writes anything. The raw mapping is kept beside the converted
+view, so the config digest (sha256 of the canonical JSON form) and YAML
+round-trips are stable. No environment variables are consulted.
 
-Schema sketch::
+Schema sketch, with the keys each family, form and kind allows::
 
     label: golden mean, zero potential
     subshift:
-      family: sft                 # full_shift | sft | golden_mean |
-      forbidden: ["11"]           #   bounded_density | sparse_sturmian | product
-      declared_gap: 1
+      family: sft          # full_shift: alphabet_size | golden_mean
+      alphabet_size: 2     # sft: alphabet_size, forbidden, declared_gap
+      forbidden: ["11"]    # bounded_density: k, height | product: factors (two blocks)
+      declared_gap: 1      # sparse_sturmian: slope, k_max, n_seq
+    #   height.form:         table: values | ceil_frac: num, den, n_max | linear: a, b, n_max
     potential:
-      kind: zero                  # zero | locally_constant | reciprocal_run | run_levels
+      kind: zero           # zero | locally_constant: radius, values, default
+                           # reciprocal_run: height, k_cap | run_levels: levels, limit
+    #   height.form:         table: values | affine: a, b | power: p, scale
     horizons: {n_max: 16, n_state: 3, var_horizon: 8, m_max: 10}
     tolerances: {margin: 1.0e-9, perron: 1.0e-12}
     strategy: exhaustive
     mode: specification
     seed: 0
     pair_budget: 200000
-    checks:
+    checks:                # CHECK_TABLES lists each check's keys
       density_glue: {n_range: [2, 3, 4], slack: 4}
     output_dir: out
 """
@@ -32,10 +38,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -60,16 +66,6 @@ from .subshifts import (
 )
 from .words import parse_word
 
-FAMILIES = (
-    "full_shift",
-    "sft",
-    "golden_mean",
-    "bounded_density",
-    "sparse_sturmian",
-    "product",
-)
-POTENTIAL_KINDS = ("zero", "locally_constant", "reciprocal_run", "run_levels")
-
 
 @dataclass(frozen=True)
 class Horizons:
@@ -90,13 +86,13 @@ class ExperimentConfig:
     raw: dict
     label: str
     subshift: dict
-    potential: dict
-    horizons: Horizons
-    tolerances: Tolerances
-    strategy: str
-    mode: str
-    seed: int
-    pair_budget: int
+    potential: dict = field(default_factory=lambda: {"kind": "zero"})
+    horizons: Horizons = Horizons()
+    tolerances: Tolerances = Tolerances()
+    strategy: str = "exhaustive"
+    mode: str = MODE_TRANSITIVITY
+    seed: int = 0
+    pair_budget: int = 200_000
     checks: dict = field(default_factory=dict)
     output_dir: str = "out"
 
@@ -117,10 +113,10 @@ def _as_mapping(value: Any, ctx: str) -> dict:
     return value
 
 
-def _only_known(d: dict, known, ctx: str) -> None:
-    unknown = set(d) - set(known)
-    if unknown:
-        raise InputError(f"{ctx}: unknown keys {sorted(unknown)}")
+# A reader maps (value, path) to the converted value. Leaf readers raise
+# ValueError or TypeError, reported at the key's path by _read; section
+# readers raise InputError naming the nested path themselves.
+Reader = Callable[[Any, str], Any]
 
 
 def read_int(value: Any) -> int:
@@ -138,73 +134,176 @@ def read_int(value: Any) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _int(value: Any, ctx: str) -> int:
+def _int_from(least: float) -> Reader:
+    def read(value, path):
+        n = read_int(value)
+        if n < least:
+            raise ValueError(f"expected an integer >= {least}, got {value!r}")
+        return n
+
+    return read
+
+
+_int, _natural, _positive = _int_from(-math.inf), _int_from(0), _int_from(1)
+
+
+def _float(value, path) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _str(value, path) -> str:
+    return str(value)
+
+
+def _word(value, path) -> str:
+    """Word text parse_word accepts; YAML reads an unquoted word as an int."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"expected a word, got {value!r}")
     try:
-        return read_int(value)
-    except ValueError as exc:
-        raise InputError(f"{ctx}: {exc}") from None
+        parse_word(str(value))
+    except InputError as exc:
+        raise ValueError(exc) from None
+    return str(value)
 
 
-def _int_list(value: Any, ctx: str) -> list[int]:
-    if not isinstance(value, (list, tuple)):
-        raise InputError(f"{ctx}: expected a list of integers, got {value!r}")
-    return [_int(v, ctx) for v in value]
+def _word_floats(value, path) -> dict[str, float]:
+    return {_word(k, path): _float(v, path) for k, v in _as_mapping(value, path).items()}
 
 
-def _one_of(value: Any, choices: tuple, ctx: str) -> str:
-    if value not in choices:
-        raise InputError(f"{ctx}: unknown value {value!r}; choose from {choices}")
-    return value
+def _pressure(value, path) -> str | float:
+    """A check's pressure source: 'transfer', 'bracket' or a number."""
+    return value if value in ("transfer", "bracket") else _float(value, path)
+
+
+def _one_of(*choices) -> Reader:
+    def read(value, path):
+        if value not in choices:
+            raise ValueError(f"unknown value {value!r}; choose from {choices}")
+        return value
+
+    return read
+
+
+def _or_none(read: Reader) -> Reader:
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _list_of(read: Reader, least: int = 0, most: float = math.inf) -> Reader:
+    """A list of least..most items, each read by read; a nested section
+    names item i path[i]."""
+
+    def read_list(value, path):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        if not least <= len(value) <= most:
+            size = least if most == least else f"{least} or more"
+            raise ValueError(f"expected {size} items, got {value!r}")
+        return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return read_list
+
+
+def _read(read: Reader, value: Any, path: str) -> Any:
+    try:
+        return read(value, path)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def read_section(value: Any, table: dict, path: str) -> dict:
+    """value, a mapping, with each key converted by its reader in table (a
+    dict there is a nested section's table). An unknown key, or a value its
+    reader rejects, raises InputError naming the dotted path; "" is the
+    top level. Absent keys stay absent."""
+    out = {}
+    for key, item in _as_mapping(value, path or "config").items():
+        at = f"{path}.{key}" if path else str(key)
+        if key not in table:
+            raise InputError(f"{at}: unknown key; choose from {tuple(table)}")
+        read = table[key]
+        out[key] = read_section(item, read, at) if isinstance(read, dict) else _read(read, item, at)
+    return out
+
+
+def _tagged(tag: str, tables: dict[str, dict], default: str | None = None) -> Reader:
+    """Reader of a section whose `tag` value picks its key table."""
+    pick = _one_of(*tables)
+
+    def read(value, path):
+        value = _as_mapping(value, path)
+        if default is None:
+            _require(value, tag, path)
+        name = _read(pick, value.get(tag, default), f"{path}.{tag}")
+        return {**read_section(value, {tag: pick, **tables[name]}, path), tag: name}
+
+    return read
+
+
+# subshift.height: window-sum caps h(1..n_max)
+HEIGHT_TABLES = {
+    "table": {"values": _list_of(_int)},
+    "ceil_frac": {"num": _int, "den": _positive, "n_max": _positive},
+    "linear": {"a": _int, "b": _int, "n_max": _positive},
+}
+# potential.height: run-length denominators h(0), h(1), ...
+RUN_HEIGHT_TABLES = {
+    "table": {"values": _list_of(_float)},
+    "affine": {"a": _float, "b": _float},
+    "power": {"p": _float, "scale": _float},
+}
+FAMILY_TABLES = {
+    "full_shift": {"alphabet_size": _positive},
+    "sft": {"alphabet_size": _positive, "forbidden": _list_of(_word),
+            "declared_gap": _or_none(_natural)},
+    "golden_mean": {},
+    "bounded_density": {"k": _positive, "height": _tagged("form", HEIGHT_TABLES)},
+    "sparse_sturmian": {"slope": _list_of(_int, 2, 2), "k_max": _positive,
+                        "n_seq": _list_of(_positive)},
+    # two subshift blocks; _read_subshift is bound below
+    "product": {"factors": _list_of(lambda value, path: _read_subshift(value, path), 2, 2)},
+}
+_read_subshift = _tagged("family", FAMILY_TABLES)
+KIND_TABLES = {
+    "zero": {},
+    "locally_constant": {"radius": _natural, "values": _word_floats,
+                         "default": _or_none(_float)},
+    "reciprocal_run": {"height": _tagged("form", RUN_HEIGHT_TABLES), "k_cap": _positive},
+    "run_levels": {"levels": _list_of(_float), "limit": _float},
+}
+_read_potential = _tagged("kind", KIND_TABLES, default="zero")
+# checks.<tag>: the parameters a command, or `verify <tag>`, reads
+_N_RANGE, _EPSILONS = _list_of(_positive, 1), _list_of(_float)
+CHECK_TABLES = {
+    "gap_profile": {"n_range": _N_RANGE},
+    "anchors": {"epsilons": _EPSILONS},
+    "density_glue": {"n_range": _N_RANGE, "slack": _natural, "f_const": _natural},
+    "sparse_glue": {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
+                    "f_const": _natural},
+    "partition_upper_spec": {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
+    "partition_upper_anchor": {"pressure": _pressure, "epsilon": _float,
+                               "epsilons": _EPSILONS, "anchors": _N_RANGE},
+    "partition_upper_trans": {"pressure": _pressure, "C": _float, "onset": _int_from(3),
+                              "f_const": _natural, "n_range": _N_RANGE},
+    "measure_lower": {"cylinder": _word, "n_range": _N_RANGE},
+}
+CONFIG_TABLE = {
+    "label": _str, "subshift": _read_subshift, "potential": _read_potential,
+    "horizons": {f.name: _or_none(_natural) for f in fields(Horizons)} | {"n_max": _positive},
+    "tolerances": {f.name: _float for f in fields(Tolerances)},
+    "strategy": _one_of(*STRATEGIES), "mode": _one_of(MODE_TRANSITIVITY, MODE_SPECIFICATION),
+    "seed": _int, "pair_budget": _natural, "checks": CHECK_TABLES, "output_dir": _str,
+}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = _as_mapping(doc, "config")
-    _only_known(doc, (
-        "label", "subshift", "potential", "horizons", "tolerances",
-        "strategy", "mode", "seed", "pair_budget", "checks", "output_dir",
-    ), "config")
-    sub = _as_mapping(_require(doc, "subshift", "config"), "subshift")
-    fam = _require(sub, "family", "subshift")
-    if fam not in FAMILIES:
-        raise InputError(f"subshift: unknown family {fam!r}; choose from {FAMILIES}")
-    pot = _as_mapping(doc.get("potential", {"kind": "zero"}), "potential")
-    kind = pot.get("kind", "zero")
-    if kind not in POTENTIAL_KINDS:
-        raise InputError(
-            f"potential: unknown kind {kind!r}; choose from {POTENTIAL_KINDS}"
-        )
-    hz = _as_mapping(doc.get("horizons", {}), "horizons")
-    _only_known(hz, ("n_max", "m_max", "n_state", "var_horizon"), "horizons")
-    horizons = Horizons(
-        n_max=_int(hz.get("n_max", 12), "horizons.n_max"),
-        **{key: _int(hz[key], f"horizons.{key}")
-           for key in ("m_max", "n_state", "var_horizon") if hz.get(key) is not None},
-    )
-    if horizons.n_max < 1:
-        raise InputError("horizons: n_max must be >= 1")
-    tl = _as_mapping(doc.get("tolerances", {}), "tolerances")
-    _only_known(tl, ("margin", "perron"), "tolerances")
-    tolerances = Tolerances(
-        margin=float(tl.get("margin", 1e-9)),
-        perron=float(tl.get("perron", 1e-12)),
-    )
-    strategy = _one_of(doc.get("strategy", "exhaustive"), STRATEGIES, "strategy")
-    mode = _one_of(
-        doc.get("mode", MODE_TRANSITIVITY), (MODE_TRANSITIVITY, MODE_SPECIFICATION), "mode"
-    )
+    c = read_section(doc, CONFIG_TABLE, "")
+    family = _require(c, "subshift", "config")["family"]
     return ExperimentConfig(
-        raw=doc,
-        label=str(doc.get("label", fam)),
-        subshift=sub,
-        potential=pot,
-        horizons=horizons,
-        tolerances=tolerances,
-        strategy=strategy,
-        mode=mode,
-        seed=_int(doc.get("seed", 0), "seed"),
-        pair_budget=_int(doc.get("pair_budget", 200_000), "pair_budget"),
-        checks=_as_mapping(doc.get("checks", {}), "checks"),
-        output_dir=str(doc.get("output_dir", "out")),
+        raw=doc, label=c.pop("label", family),
+        horizons=Horizons(**c.pop("horizons", {})),
+        tolerances=Tolerances(**c.pop("tolerances", {})), **c,
     )
 
 
@@ -232,110 +331,81 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads its declaration first, raw or already converted
 # ---------------------------------------------------------------------------
 
 
 def _height_table(decl: dict, ctx: str) -> list[int]:
-    """Window-sum cap table h(1..n_max) from a height declaration."""
-    decl = _as_mapping(decl, ctx)
-    form = _require(decl, "form", ctx)
-    if form == "table":
-        return _int_list(_require(decl, "values", ctx), f"{ctx}.values")
-    n_max = _int(_require(decl, "n_max", ctx), f"{ctx}.n_max")
-    if n_max < 1:
-        raise InputError(f"{ctx}: n_max must be >= 1")
-    if form == "ceil_frac":
-        num = _int(_require(decl, "num", ctx), f"{ctx}.num")
-        den = _int(_require(decl, "den", ctx), f"{ctx}.den")
-        if den <= 0:
-            raise InputError(f"{ctx}: den must be positive")
-        return [math.ceil(Fraction(num * n, den)) for n in range(1, n_max + 1)]
-    if form == "linear":
-        a = _int(_require(decl, "a", ctx), f"{ctx}.a")
-        b = _int(decl.get("b", 0), f"{ctx}.b")
-        return [a * n + b for n in range(1, n_max + 1)]
-    raise InputError(f"{ctx}: unknown height form {form!r}")
+    """Window-sum cap table h(1..n_max) from a read height declaration."""
+    if decl["form"] == "table":
+        return _require(decl, "values", ctx)
+    ns = range(1, _require(decl, "n_max", ctx) + 1)
+    if decl["form"] == "ceil_frac":
+        num, den = _require(decl, "num", ctx), _require(decl, "den", ctx)
+        return [math.ceil(Fraction(num * n, den)) for n in ns]
+    a, b = _require(decl, "a", ctx), decl.get("b", 0)
+    return [a * n + b for n in ns]
 
 
 def _run_height(decl: dict, ctx: str):
-    """Run-length denominator h(0), h(1), ... from a height declaration."""
-    decl = _as_mapping(decl, ctx)
-    form = _require(decl, "form", ctx)
-    if form == "table":
-        vals = [float(v) for v in _require(decl, "values", ctx)]
-        return vals
-    if form == "affine":
-        a = float(_require(decl, "a", ctx))
-        b = float(_require(decl, "b", ctx))
+    """Run-length denominator h(0), h(1), ... from a read height declaration."""
+    if decl["form"] == "table":
+        return _require(decl, "values", ctx)
+    if decl["form"] == "affine":
+        a, b = _require(decl, "a", ctx), _require(decl, "b", ctx)
         return lambda k: a * k + b
-    if form == "power":
-        p = float(_require(decl, "p", ctx))
-        scale = float(decl.get("scale", 1.0))
-        return lambda k: scale * (k + 1.0) ** p
-    raise InputError(f"{ctx}: unknown height form {form!r}")
+    p, scale = _require(decl, "p", ctx), decl.get("scale", 1.0)
+    return lambda k: scale * (k + 1.0) ** p
+
+
+def _build_subshift(decl: dict, ctx: str) -> SubshiftSpec:
+    fam = decl["family"]
+    if fam == "full_shift":
+        return make_full_shift(_require(decl, "alphabet_size", ctx))
+    if fam == "golden_mean":
+        return make_golden_mean()
+    if fam == "sft":
+        forbidden = [parse_word(w) for w in _require(decl, "forbidden", ctx)]
+        return make_sft(
+            decl.get("alphabet_size", 2), forbidden, declared_gap=decl.get("declared_gap")
+        )
+    if fam == "bounded_density":
+        h = _height_table(_require(decl, "height", ctx), f"{ctx}.height")
+        return make_bounded_density(_require(decl, "k", ctx), h)
+    if fam == "sparse_sturmian":
+        p, q = _require(decl, "slope", ctx)
+        n_seq = _require(decl, "n_seq", ctx)
+        fs = make_sturmian_factors(p, q, decl.get("k_max", len(n_seq)))
+        return make_sparse_sturmian(fs, n_seq)
+    a, b = (
+        _build_subshift(f, f"{ctx}.factors[{i}]")
+        for i, f in enumerate(_require(decl, "factors", ctx))
+    )
+    return product_subshift(a, b)
 
 
 def build_subshift(decl: dict, ctx: str = "subshift") -> SubshiftSpec:
     """The subshift a declaration names; ctx is its path in the config."""
-    decl = _as_mapping(decl, ctx)
-    fam = _require(decl, "family", ctx)
-
-    def integer(key: str, default=None) -> int:
-        value = _require(decl, key, ctx) if default is None else decl.get(key, default)
-        return _int(value, f"{ctx}.{key}")
-
-    if fam == "full_shift":
-        return make_full_shift(integer("alphabet_size"))
-    if fam == "golden_mean":
-        return make_golden_mean()
-    if fam == "sft":
-        forbidden = [parse_word(str(w)) for w in _require(decl, "forbidden", ctx)]
-        dg = None if decl.get("declared_gap") is None else integer("declared_gap")
-        return make_sft(integer("alphabet_size", 2), forbidden, declared_gap=dg)
-    if fam == "bounded_density":
-        h = _height_table(_require(decl, "height", ctx), f"{ctx}.height")
-        return make_bounded_density(integer("k"), h)
-    if fam == "sparse_sturmian":
-        slope = _int_list(_require(decl, "slope", ctx), f"{ctx}.slope")
-        if len(slope) != 2:
-            raise InputError(f"{ctx}.slope: expected a [p, q] pair, got {slope!r}")
-        n_seq = _int_list(_require(decl, "n_seq", ctx), f"{ctx}.n_seq")
-        fs = make_sturmian_factors(slope[0], slope[1], integer("k_max", len(n_seq)))
-        return make_sparse_sturmian(fs, n_seq)
-    if fam == "product":
-        factors = _require(decl, "factors", ctx)
-        if not (isinstance(factors, list) and len(factors) == 2):
-            raise InputError(f"{ctx}: factors must list exactly two declarations")
-        a, b = (build_subshift(f, f"{ctx}.factors[{i}]") for i, f in enumerate(factors))
-        return product_subshift(a, b)
-    raise InputError(f"{ctx}: unknown family {fam!r}")
+    return _build_subshift(_read_subshift(decl, ctx), ctx)
 
 
 def build_potential(decl: dict, spec: SubshiftSpec) -> Potential:
-    decl = _as_mapping(decl, "potential")
-    kind = decl.get("kind", "zero")
+    ctx = "potential"
+    decl = _read_potential(decl, ctx)
+    kind = decl["kind"]
     if kind == "zero":
         return ZeroPotential()
     if kind == "locally_constant":
-        radius = _int(_require(decl, "radius", "locally_constant"), "potential.radius")
-        table = _as_mapping(_require(decl, "values", "locally_constant"), "values")
-        values = {parse_word(str(k)): float(v) for k, v in table.items()}
-        default = decl.get("default", 0.0)
+        values = {parse_word(k): v for k, v in _require(decl, "values", ctx).items()}
         return LocallyConstantPotential(
-            radius,
+            _require(decl, "radius", ctx),
             values,
             spec.alphabet_size,
-            default=None if default is None else float(default),
+            default=decl.get("default", 0.0),
         )
     if kind == "reciprocal_run":
-        h = _run_height(_require(decl, "height", "reciprocal_run"), "height")
-        kw = {}
-        if "k_cap" in decl:
-            kw["k_cap"] = _int(decl["k_cap"], "potential.k_cap")
+        h = _run_height(_require(decl, "height", ctx), f"{ctx}.height")
+        kw = {"k_cap": decl["k_cap"]} if "k_cap" in decl else {}
         return make_reciprocal_run(h, **kw)
-    if kind == "run_levels":
-        levels = _require(decl, "levels", "run_levels")
-        a_inf = float(_require(decl, "limit", "run_levels"))
-        return make_run_levels([float(v) for v in levels], a_inf)
-    raise InputError(f"potential: unknown kind {kind!r}")
+    levels = _require(decl, "levels", ctx)
+    return make_run_levels(levels, _require(decl, "limit", ctx))

@@ -19,12 +19,11 @@ class ConstructionError(InputError):
 class BudgetExceededError(ShiftpressError):
     """Enumeration ran out of its node budget.
 
-    Carries the partial progress so callers can report how far the walk got.
+    Carries the nodes spent and the budget so callers can report them.
     """
 
-    def __init__(self, message: str, words_done: int, nodes: int, budget: int):
+    def __init__(self, message: str, nodes: int, budget: int):
         super().__init__(message)
-        self.words_done = words_done
         self.nodes = nodes
         self.budget = budget
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, IdentityCheckError, InputError
@@ -354,9 +355,9 @@ class ReciprocalRunPotential(_RunPotential):
 
     k is the largest radius with x(-k) = ... = x(k). h must be positive
     and non-decreasing; values are tabulated up to k_cap and evaluation
-    beyond that raises. The divergence flag records whether the partial
-    sums of 1/h(n) look divergent at the summability horizon (dyadic
-    increment heuristic; the sums themselves are kept for inspection).
+    beyond that raises. The divergence flag, computed on first read,
+    records whether the partial sums of 1/h(n) look divergent at the
+    summability horizon (dyadic increment heuristic).
     """
 
     kind = "reciprocal_run"
@@ -369,12 +370,10 @@ class ReciprocalRunPotential(_RunPotential):
     ):
         if callable(h):
             table = [float(h(k)) for k in range(k_cap + 1)]
-            tail = h
         else:
             table = [float(v) for v in h]
             if not table:
                 raise ConstructionError("height sequence must be non-empty")
-            tail = None
             k_cap = len(table) - 1
         prev = 0.0
         for k, v in enumerate(table):
@@ -385,21 +384,22 @@ class ReciprocalRunPotential(_RunPotential):
             prev = v
         self.h_table = table
         self.k_cap = k_cap
+        self._h = h
         self.bounds = Interval(0.0, 1.0 / table[0])
-        sums = []
-        acc = 0.0
-        j = 1
-        horizon = _SUMMABILITY_HORIZON if tail is not None else k_cap
+
+    @cached_property
+    def sum_diverges(self) -> bool:
+        sums, acc, j = [], 0.0, 1
+        horizon = _SUMMABILITY_HORIZON if callable(self._h) else self.k_cap
         for k in range(horizon + 1):
-            hv = table[k] if k <= k_cap else float(tail(k))
+            hv = self.h_table[k] if k <= self.k_cap else float(self._h(k))
             if not hv > 0.0:
                 raise ConstructionError(f"h({k}) must be positive")
             acc += 1.0 / hv
             if k + 1 == 1 << j:
                 sums.append(acc)
                 j += 1
-        self.reciprocal_partial_sums = sums
-        self.sum_diverges = _looks_divergent(sums)
+        return _looks_divergent(sums)
 
     def _inv(self, k: int) -> float:
         if k > self.k_cap:

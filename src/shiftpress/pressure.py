@@ -167,7 +167,6 @@ def _sweep(
                     if nodes > budget:
                         raise BudgetExceededError(
                             f"node budget {budget} exhausted at length {n}",
-                            words_done=0,
                             nodes=nodes,
                             budget=budget,
                         )

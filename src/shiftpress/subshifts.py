@@ -731,7 +731,7 @@ def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: 
             if nodes > budget:
                 raise BudgetExceededError(
                     f"node budget {budget} exhausted at length {k}",
-                    words_done=0, nodes=nodes, budget=budget,
+                    nodes=nodes, budget=budget,
                 )
             child = w.child
             for s in symbols:
@@ -817,7 +817,7 @@ def iter_language(
     if tally.nodes > budget:
         raise BudgetExceededError(
             f"node budget {budget} exhausted at length {n}",
-            words_done=0, nodes=tally.nodes, budget=budget,
+            nodes=tally.nodes, budget=budget,
         )
     if level is not None:
         # one chunk of lines per length-split prefix p: the block of p's end

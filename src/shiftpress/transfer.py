@@ -55,6 +55,8 @@ from .words import Word
 
 CLASS_GRAPH = "class_graph"
 BLOCK_GRAPH = "block_graph"
+# markov_equilibrium's bounds on |h + integral - ln lambda| and on the l1 gap of pi P - pi
+IDENTITY_TOL, STATIONARITY_TOL = 1e-8, 1e-10
 
 
 @dataclass
@@ -122,7 +124,7 @@ def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
             if nodes > budget:
                 raise BudgetExceededError(
                     f"node budget {budget} exhausted after {len(succ)} classes",
-                    words_done=0, nodes=nodes, budget=budget,
+                    nodes=nodes, budget=budget,
                 )
             child = walker.child(s)
             if child is None:
@@ -368,9 +370,6 @@ class MarkovMeasure:
 def markov_equilibrium(
     model: TransferModel,
     perron_data: PerronData | None = None,
-    *,
-    identity_tol: float = 1e-8,
-    stationarity_tol: float = 1e-10,
 ) -> MarkovMeasure:
     pd = perron_data if perron_data is not None else perron(model)
     lam, r = pd.lam, pd.right
@@ -391,12 +390,12 @@ def markov_equilibrium(
     if max(abs(x - 1.0) for x in row_sums) > 1e-9:
         raise IdentityCheckError("transition rows do not sum to 1")
     stat_gap = math.fsum(abs(x - y) for x, y in zip(flow, pi))
-    if stat_gap > stationarity_tol:
+    if stat_gap > STATIONARITY_TOL:
         raise IdentityCheckError(f"pi is not stationary: l1 gap {stat_gap:.3e}")
     entropy = -math.fsum(plogp)
     phi_integral = math.fsum(phi_terms)
     identity_gap = abs(entropy + phi_integral - math.log(lam))
-    if identity_gap > identity_tol:
+    if identity_gap > IDENTITY_TOL:
         raise IdentityCheckError(
             f"entropy {entropy} + integral {phi_integral} != ln lam "
             f"{math.log(lam)} (gap {identity_gap:.3e})"

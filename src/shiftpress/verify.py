@@ -57,6 +57,9 @@ FAIL = "fail"
 PRECONDITION_FAIL = "precondition_fail"
 HORIZON_EXHAUSTED = "horizon_exhausted"
 
+# triples (va, vb, vc) verify_density_glue spot-checks at each length
+TRIPLE_SAMPLE = 200
+
 
 @dataclass
 class BoundReport:
@@ -91,7 +94,6 @@ def verify_density_glue(
     slack: int = 4,
     f: Callable[[int], int] | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
-    triple_sample: int = 200,
     seed: int = 0,
     work: GlueWork | None = None,
 ) -> BoundReport:
@@ -167,8 +169,8 @@ def verify_density_glue(
         rng = random.Random(seed)
         base = words[: min(len(words), 6)] + [max(words, key=sum)]
         triples = [(a, b, c) for a in base for b in base for c in base]
-        if len(triples) > triple_sample:
-            triples = [triples[rng.randrange(len(triples))] for _ in range(triple_sample)]
+        if len(triples) > TRIPLE_SAMPLE:
+            triples = [triples[rng.randrange(len(triples))] for _ in range(TRIPLE_SAMPLE)]
         for m in (fn, fn + slack):
             if 3 * n + 2 * m > params.n_max:
                 continue

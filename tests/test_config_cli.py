@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import oracles
 from shiftpress import cli
 from shiftpress.cli import main
 from shiftpress.config import (
+    CHECK_TABLES,
     build_potential,
     build_subshift,
     config_from_dict,
@@ -24,8 +26,10 @@ from shiftpress.errors import InputError
 from shiftpress.potentials import ZeroPotential
 from shiftpress.reports import sha256_file
 from shiftpress.subshifts import DEFAULT_NODE_BUDGET, Tally, iter_language
+from shiftpress.verify import ALL_CHECKS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIG_DIR.parent / "perfbench"
 
 
 def write_yaml(tmp_path, doc, name="exp.yaml"):
@@ -73,6 +77,30 @@ def test_shipped_configs_load():
         build_potential(cfg.potential, build_subshift(cfg.subshift))
 
 
+def test_every_shipped_and_benchmark_config_builds_and_reads_its_checks(monkeypatch):
+    # the configs the benchmark writes, read the way `python -m shiftpress` reads them
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports instances.py
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    texts = {p.name: p.read_text() for p in CONFIG_DIR.glob("*.yaml")}
+    for name in workloads.NAMES:
+        for seed in (0, 41):
+            wl = workloads.build(name, CONFIG_DIR.parent, seed)
+            texts.update({f"{name}/{seed}/{k}": text for k, text in wl.configs.items()})
+    assert len(texts) == 6 + 2 * 15
+    assert set(CHECK_TABLES) == {"gap_profile", "anchors", *ALL_CHECKS}
+    for name, text in sorted(texts.items()):
+        doc = yaml.safe_load(text)
+        cfg = config_from_dict(doc)
+        build_potential(cfg.potential, build_subshift(cfg.subshift))
+        raw_checks = doc.get("checks", {})
+        assert {tag: set(params) for tag, params in cfg.checks.items()} == {
+            tag: set(params) for tag, params in raw_checks.items()
+        }, name
+
+
 def test_digest_ignores_key_order_but_not_values():
     a = config_from_dict({"label": "x", "subshift": {"family": "golden_mean"}, "seed": 1})
     b = config_from_dict({"seed": 1, "subshift": {"family": "golden_mean"}, "label": "x"})
@@ -103,6 +131,24 @@ def test_config_rejects_unknown_keys_and_families():
         ({"horizons": {"n_max": "x"}}, "horizons.n_max"),
         ({"horizons": {"n_max": 12.7}}, "horizons.n_max"),
         ({"horizons": {"n_max": True}}, "horizons.n_max"),
+        ({"horizons": {"n_max": 10, "m_max": -2}}, "horizons.m_max"),
+        ({"subshift": {"family": "sft", "forbidden": ["11"], "declard_gap": 1}},
+         "subshift.declard_gap"),
+        ({"subshift": {"family": "bounded_density", "k": 1,
+                       "height": {"form": "ceil_frac", "num": 1, "den": 2, "nmax": 8}}},
+         "subshift.height.nmax"),
+        ({"subshift": {"family": "product", "factors": [
+            {"family": "golden_mean"}, {"family": "full_shift", "alphabet_sise": 2}]}},
+         "subshift.factors[1].alphabet_sise"),
+        ({"potential": {"kind": "locally_constant", "radius": 1, "values": {"010": 0.5},
+                        "defualt": 0.5}}, "potential.defualt"),
+        ({"potential": {"kind": "reciprocal_run",
+                        "height": {"form": "power", "p": 2.0, "scal": 2.0}}},
+         "potential.height.scal"),
+        ({"potential": {"kind": "reciprocal_run",
+                        "height": {"form": "affine", "a": 1.0, "b": 1.0, "scale": 2.0}}},
+         "potential.height.scale"),
+        ({"checks": {"sparse_glue": {"stratgy": "factor_glue"}}}, "checks.sparse_glue.stratgy"),
     ],
 )
 def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
@@ -548,6 +594,9 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
     ("verify density_glue", {"density_glue": {"slack": True}}, "density_glue.slack"),
     ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": 3.5}},
      "partition_upper_trans.onset"),
+    ("verify density_glue", {"density_glue": {"slack": -1}}, "density_glue.slack"),
+    ("verify density_glue", {"density_glue": {"f_const": -3}}, "density_glue.f_const"),
+    ("gap-profile", {"gap_profile": {"n_range": [0, 2]}}, "gap_profile.n_range"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     cfg_path = write_yaml(tmp_path, golden_doc(checks=params))
