@@ -98,10 +98,16 @@ class _Run:
         self.spec: SubshiftSpec = build_subshift(self.cfg.subshift)
         self.pot: Potential = build_potential(self.cfg.potential, self.spec)
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(config_digest=self.digest, command=args.command)
         self.glue: GlueWork | None = None
         self.started = time.monotonic()
+
+    def dest(self, name: str) -> Path:
+        """Path of an output file. The output directory is made with the
+        first one, so a run that fails before its first payload writes
+        nothing."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
     def glue_work(self) -> GlueWork:
         """Counters for this run's glue search; they go to status.glue."""
@@ -153,9 +159,17 @@ class _Run:
 
     def _bracket_g(self):
         horizon = self.cfg.horizons.var_horizon
+        n_max = self.cfg.horizons.n_max
         if horizon is None:
-            horizon = (self.cfg.horizons.n_max + 1) // 2
-        return variation_profile(self.pot, self.spec, horizon, self.budget)
+            horizon = (n_max + 1) // 2
+        profile = variation_profile(self.pot, self.spec, horizon, self.budget)
+        if len(profile.g) <= n_max:  # commands read g at lengths up to n_max
+            raise InputError(
+                f"horizons.var_horizon: {horizon} bounds g(n) only for n <= "
+                f"{len(profile.g) - 1}, short of horizons.n_max = {n_max}; "
+                f"set it to at least {n_max // 2}"
+            )
+        return profile
 
     def finish(self, extra_status: dict | None = None) -> None:
         if extra_status:
@@ -176,12 +190,12 @@ def cmd_enumerate(run: _Run) -> int:
     n = run.cfg.horizons.n_max
     tally = Tally()
     path = write_words(
-        run.out / f"language_n{n}.txt",
+        run.dest(f"language_n{n}.txt"),
         iter_language(run.spec, n, run.budget, text=True, tally=tally),
     )
     run.manifest.record(path)
     counts = list(enumerate(tally.counts))[1:]
-    path = write_csv(run.out / "counts.csv", ("n", "count"), counts, run.digest)
+    path = write_csv(run.dest("counts.csv"), ("n", "count"), counts, run.digest)
     run.manifest.record(path)
     status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes,
               "budget": run.budget, "states": tally.states}
@@ -193,16 +207,16 @@ def cmd_enumerate(run: _Run) -> int:
 def cmd_pressure(run: _Run) -> int:
     cfg = run.cfg
     table = partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
-    path = write_csv(
-        run.out / "partition.csv", PARTITION_HEADER, partition_rows(table),
-        run.digest, flags={"upper_bound_only": table.upper_bound_only},
-    )
-    run.manifest.record(path)
     bracket = pressure_bracket(
         run.spec, run.pot, table, g=run._bracket_g(), tol=cfg.tolerances.margin
     )
     path = write_csv(
-        run.out / "bracket.csv", BRACKET_HEADER, bracket_rows(bracket),
+        run.dest("partition.csv"), PARTITION_HEADER, partition_rows(table),
+        run.digest, flags={"upper_bound_only": table.upper_bound_only},
+    )
+    run.manifest.record(path)
+    path = write_csv(
+        run.dest("bracket.csv"), BRACKET_HEADER, bracket_rows(bracket),
         run.digest,
         flags={
             "best_lo": bracket.best_lo,
@@ -234,7 +248,7 @@ def cmd_pressure(run: _Run) -> int:
             "residual": pd.residual,
             "iterations": pd.iterations,
         }
-        path = write_json(run.out / "transfer.json", payload, run.digest)
+        path = write_json(run.dest("transfer.json"), payload, run.digest)
         run.manifest.record(path)
     run.finish(status)
     if bracket.upper_bound_only:
@@ -266,7 +280,7 @@ def cmd_gap_profile(run: _Run) -> int:
             )
         )
     path = write_csv(
-        run.out / "gap_profile.csv", GAP_HEADER, gap_profile_rows(rows),
+        run.dest("gap_profile.csv"), GAP_HEADER, gap_profile_rows(rows),
         run.digest, flags={"mode": cfg.mode, "strategy": cfg.strategy},
     )
     run.manifest.record(path)
@@ -383,7 +397,7 @@ def _run_check(run: _Run, tag: str):
 
 def cmd_verify(run: _Run, tag: str) -> int:
     rep = _run_check(run, tag)
-    path = write_json(run.out / f"report_{tag}.json", bound_report_payload(rep), run.digest)
+    path = write_json(run.dest(f"report_{tag}.json"), bound_report_payload(rep), run.digest)
     run.manifest.record(path)
     run.finish({"verify": {"check": tag, "verdict": rep.verdict}})
     worst = rep.min_margin()
@@ -394,7 +408,7 @@ def cmd_verify(run: _Run, tag: str) -> int:
 def cmd_equilibrium(run: _Run) -> int:
     model, pd = run.transfer("equilibrium")
     mm = markov_equilibrium(model, pd)
-    path = write_json(run.out / "equilibrium.json", equilibrium_payload(mm, pd), run.digest)
+    path = write_json(run.dest("equilibrium.json"), equilibrium_payload(mm, pd), run.digest)
     run.manifest.record(path)
     run.finish(
         {
@@ -426,7 +440,7 @@ def cmd_anchors(run: _Run) -> int:
         for k, (eps, n, score) in enumerate(zip(seq.epsilons, seq.indices, seq.scores))
     ]
     path = write_csv(
-        run.out / "anchors.csv", ANCHOR_HEADER, rows, run.digest,
+        run.dest("anchors.csv"), ANCHOR_HEADER, rows, run.digest,
         flags={"complete": seq.complete},
     )
     run.manifest.record(path)

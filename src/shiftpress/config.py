@@ -153,6 +153,18 @@ def _float(value, path) -> float:
     return float(value)
 
 
+def _float_from(least: float, strict: bool = False) -> Reader:
+    """A number >= least, or > least when strict; NaN fails both."""
+
+    def read(value, path):
+        x = _float(value, path)
+        if not (x > least if strict else x >= least):
+            raise ValueError(f"expected a number {'>' if strict else '>='} {least}, got {value!r}")
+        return x
+
+    return read
+
+
 def _str(value, path) -> str:
     return str(value)
 
@@ -274,7 +286,7 @@ KIND_TABLES = {
 }
 _read_potential = _tagged("kind", KIND_TABLES, default="zero")
 # checks.<tag>: the parameters a command, or `verify <tag>`, reads
-_N_RANGE, _EPSILONS = _list_of(_positive, 1), _list_of(_float)
+_N_RANGE, _EPSILONS = _list_of(_positive, 1), _list_of(_float_from(0, strict=True))
 CHECK_TABLES = {
     "gap_profile": {"n_range": _N_RANGE},
     "anchors": {"epsilons": _EPSILONS},
@@ -282,7 +294,7 @@ CHECK_TABLES = {
     "sparse_glue": {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
                     "f_const": _natural},
     "partition_upper_spec": {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
-    "partition_upper_anchor": {"pressure": _pressure, "epsilon": _float,
+    "partition_upper_anchor": {"pressure": _pressure, "epsilon": _float_from(0),
                                "epsilons": _EPSILONS, "anchors": _N_RANGE},
     "partition_upper_trans": {"pressure": _pressure, "C": _float, "onset": _int_from(3),
                               "f_const": _natural, "n_range": _N_RANGE},

@@ -9,27 +9,30 @@ admit the same continuations and equal scanner states emit the same site
 values from there on. Each class carries its word count and two
 non-negative weights enclosing the sums of e^(S_lo) and e^(S_hi) over its
 words, and closing the frontier after each length gives that length's
-row. Each weight, and each factor e^s a step multiplies in, is a float
-mantissa with its own integer binary exponent, so large site values and
-long runs emitted at once neither overflow nor underflow. Every float
-operation on them is rounded outward (one ulp for + and x, two for exp
-and log) and exponents move only by exact powers of two, so
-[lnz_lo, lnz_hi] encloses the exact value. The zero potential emits
-nothing, so its rows enclose ln(count) and its classes are walker keys.
+row. Weights, and the factors e^s a step multiplies in, are 19-digit
+`decimal` numbers whose exponent range no partition sum leaves. Every
+operation runs in one of two contexts, rounding toward -inf for the lower
+lane and toward +inf for the upper. Site values enter exactly, counts
+below 10^19 stay exact, exp and ln (correctly rounded half-even) step one
+unit outward, and each row's ln becomes the float on its outer side. So
+[lnz_lo, lnz_hi] encloses the exact value, and a zero-potential row is at
+most two ulps wide: that potential emits nothing, so its rows enclose
+ln(count) and its classes are walker keys.
 
 Pressure brackets combine a submultiplicative upper bound
 min_m lnZ_hi(m)/m with the gluing lower bound
 (lnZ_lo(n) + inf(phi) * f(n) - g(n)) / (n + f(n)), valid when the declared
 gap bounds f promise gluing at every gap >= f(n) and g bounds partial-sum
-variation. Lower bounds are omitted for transitivity-mode bounds and for
-oracles that only decide a locally admissible superset.
+variation; both are rounded outward in the same two contexts. Lower
+bounds are omitted for transitivity-mode bounds and for oracles that only
+decide a locally admissible superset.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InconsistentBracketError, InputError
@@ -38,72 +41,33 @@ from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, walk
 from .words import Word, check_symbols
 
 _INF = math.inf
-_TINY = sys.float_info.min  # ldexp is exact on results at or above it
-_DIRECT = 64.0  # e^s for |s| <= 64 is a float well inside range
-_BIG = 2.0**512  # mantissas are renormalized once they leave [_SMALL, _BIG]
-_SMALL = 2.0**-512
-_LN2 = math.log(2.0)
-_LN2_LO = math.nextafter(_LN2, 0.0)
-_LN2_HI = math.nextafter(_LN2, _INF)
-_nextafter = math.nextafter
+# the lower and upper lanes: one libmpdec word of digits, and an exponent
+# range no partition sum leaves
+_LO = Context(prec=19, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_HI = Context(prec=19, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_ONE = Decimal(1)
 
 
-def _k_ln2(k: int, up: bool) -> float:
-    """k ln 2 rounded up (up) or down."""
+def _outer_float(v: Decimal, up: bool) -> float:
+    """The nearest float on v's outer side: float() rounds to nearest, so
+    step once if it landed inside."""
+    f = float(v)
     if up:
-        return _nextafter(k * (_LN2_HI if k > 0 else _LN2_LO), _INF)
-    return _nextafter(k * (_LN2_LO if k > 0 else _LN2_HI), -_INF)
+        return f if Decimal(f) >= v else math.nextafter(f, _INF)
+    return f if Decimal(f) <= v else math.nextafter(f, -_INF)
 
 
-def _exp_scaled(s: float, up: bool) -> tuple[float, int]:
-    """(m, k) with m 2^k >= e^s (up) or <= e^s, rounded outward.
-
-    Large |s| is split as s = k ln 2 + r with 0 <= r < ln 2 (up to
-    rounding), so m stays within [e^-64, e^64] whatever the magnitude of s.
-    """
-    if not math.isfinite(s):
-        return (0.0 if s < 0 else _INF), 0
-    k = 0
-    if abs(s) > _DIRECT:
-        k = math.floor(s / _LN2)
-        s = _nextafter(s - _k_ln2(k, not up), _INF if up else -_INF)
-    m = math.exp(s)
-    if up:
-        return _nextafter(_nextafter(m, _INF), _INF), k
-    return _nextafter(_nextafter(m, 0.0), 0.0), k
-
-
-def _factors(ivs: tuple[Interval, ...]) -> tuple[float, int, float, int]:
-    """Scaled bounds (lo m, lo k, hi m, hi k) on e^(sum of lo) and
-    e^(sum of hi) over emitted intervals."""
+def _factors(ivs: tuple[Interval, ...]) -> tuple[Decimal, Decimal]:
+    """Bounds on e^(sum of lo) and e^(sum of hi) over emitted intervals;
+    exactly 1 when nothing is emitted."""
     if not ivs:
-        return 1.0, 0, 1.0, 0
-    lo = _exp_scaled(_nextafter(math.fsum(iv.lo for iv in ivs), -_INF), False)
-    hi = _exp_scaled(_nextafter(math.fsum(iv.hi for iv in ivs), _INF), True)
-    return (*lo, *hi)
-
-
-def _add(m1: float, e1: int, m2: float, e2: int, toward: float) -> tuple[float, int]:
-    """m1 2^e1 + m2 2^e2 at the larger exponent, rounded toward 0 or inf."""
-    if m1 == 0.0:
-        return m2, e2
-    if e1 < e2:
-        m1, e1, m2, e2 = m2, e2, m1, e1
-    t = math.ldexp(m2, e2 - e1)
-    if t < _TINY:
-        t = _nextafter(t, toward)
-    return _nextafter(m1 + t, toward), e1
-
-
-def _ln_scaled(m: float, e: int, up: bool) -> float:
-    """ln(m 2^e) rounded up (up) or down."""
-    if m == 0.0:
-        return -_INF
-    if up:
-        v = _nextafter(_nextafter(math.log(m), _INF), _INF)
-        return _nextafter(v + _k_ln2(e, True), _INF) if e else v
-    v = _nextafter(_nextafter(math.log(m), -_INF), -_INF)
-    return _nextafter(v + _k_ln2(e, False), -_INF) if e else v
+        return _ONE, _ONE
+    lo = hi = Decimal(0)
+    for iv in ivs:
+        lo = _LO.add(lo, Decimal(iv.lo))
+        hi = _HI.add(hi, Decimal(iv.hi))
+    # exp is correctly rounded half-even in any context: one unit outward
+    return _LO.next_minus(_LO.exp(lo)), _HI.next_plus(_HI.exp(hi))
 
 
 @dataclass(frozen=True)
@@ -134,9 +98,9 @@ def _sweep(
         return [PartitionRow(n, 0, -_INF, -_INF) for n in lengths], 0, 0
     scan = pot.scanner()
     a_size = spec.alphabet_size
-    # scanner state -> per symbol (next state, lo m, lo k, hi m, hi k)
-    moves: dict = {}
-    closes: dict = {}  # scanner state -> (lo m, lo k, hi m, hi k)
+    lo_add, lo_mul, hi_add, hi_mul = _LO.add, _LO.multiply, _HI.add, _HI.multiply
+    moves: dict = {}  # scanner state -> per symbol (next state, lo factor, hi factor)
+    closes: dict = {}  # scanner state -> (lo factor, hi factor)
 
     def moves_from(state):
         got = moves[state] = []
@@ -145,22 +109,18 @@ def _sweep(
             got.append((nxt, *_factors(ivs)))
         return got
 
-    # each weight is a mantissa m and its own binary exponent e, m 2^e
-    state, lo, lo_e, hi, hi_e = scan.start, 1.0, 0, 1.0, 0
+    state, lo, hi = scan.start, _ONE, _ONE
     for sym in prefix:
-        state, f_lo, k_lo, f_hi, k_hi = (moves.get(state) or moves_from(state))[sym]
-        lo, shift = math.frexp(_nextafter(lo * f_lo, 0.0))
-        lo_e += k_lo + shift
-        hi, shift = math.frexp(_nextafter(hi * f_hi, _INF))
-        hi_e += k_hi + shift
-    # (walker key, scanner state) -> [walker, word count, lo m, lo e, hi m, hi e]
-    frontier = {(walker.key(), state): [walker, 1, lo, lo_e, hi, hi_e]}
+        state, f_lo, f_hi = (moves.get(state) or moves_from(state))[sym]
+        lo, hi = lo_mul(lo, f_lo), hi_mul(hi, f_hi)
+    # (walker key, scanner state) -> [walker, word count, lo weight, hi weight]
+    frontier = {(walker.key(), state): [walker, 1, lo, hi]}
     nodes = max_states = 0
     rows = []
     for n in range(len(prefix), n_max + 1):
         if n > len(prefix):
             grown: dict = {}
-            for (_k, state), (walker, count, lo, lo_e, hi, hi_e) in frontier.items():
+            for (_k, state), (walker, count, lo, hi) in frontier.items():
                 out = moves.get(state) or moves_from(state)
                 for sym in range(a_size):
                     nodes += 1
@@ -173,46 +133,29 @@ def _sweep(
                     child = walker.child(sym)
                     if child is None:
                         continue
-                    nstate, f_lo, k_lo, f_hi, k_hi = out[sym]
-                    if f_lo == 1.0 == f_hi:
-                        w_lo, w_lo_e, w_hi, w_hi_e = lo, lo_e, hi, hi_e
-                    else:
-                        w_lo, w_lo_e = _nextafter(lo * f_lo, 0.0), lo_e + k_lo
-                        w_hi, w_hi_e = _nextafter(hi * f_hi, _INF), hi_e + k_hi
-                    fresh = [child, count, w_lo, w_lo_e, w_hi, w_hi_e]
+                    nstate, f_lo, f_hi = out[sym]
+                    fresh = [child, count, lo_mul(lo, f_lo), hi_mul(hi, f_hi)]
                     entry = grown.setdefault((child.key(), nstate), fresh)  # hashed once
-                    if entry is fresh:
-                        continue
-                    entry[1] += count
-                    if entry[3] == w_lo_e:
-                        entry[2] = _nextafter(entry[2] + w_lo, 0.0)
-                    else:
-                        entry[2], entry[3] = _add(entry[2], entry[3], w_lo, w_lo_e, 0.0)
-                    if entry[5] == w_hi_e:
-                        entry[4] = _nextafter(entry[4] + w_hi, _INF)
-                    else:
-                        entry[4], entry[5] = _add(entry[4], entry[5], w_hi, w_hi_e, _INF)
+                    if entry is not fresh:
+                        entry[1] += count
+                        entry[2] = lo_add(entry[2], fresh[2])
+                        entry[3] = hi_add(entry[3], fresh[3])
             frontier = grown
             max_states = max(max_states, len(frontier))
-            for entry in frontier.values():  # frexp is exact
-                for i in (2, 4):
-                    if not _SMALL <= entry[i] <= _BIG:
-                        entry[i], shift = math.frexp(entry[i])
-                        entry[i + 1] += shift
         if n < 1:
             continue
-        z_lo = z_hi = 0.0
-        z_lo_e = z_hi_e = 0
+        z_lo = z_hi = Decimal(0)
         total = 0
-        for (_k, state), (_w, count, lo, lo_e, hi, hi_e) in frontier.items():
-            c_lo, k_lo, c_hi, k_hi = closes.get(state) or closes.setdefault(
+        for (_k, state), (_w, count, lo, hi) in frontier.items():
+            c_lo, c_hi = closes.get(state) or closes.setdefault(
                 state, _factors(scan.close(state))
             )
-            z_lo, z_lo_e = _add(z_lo, z_lo_e, _nextafter(lo * c_lo, 0.0), lo_e + k_lo, 0.0)
-            z_hi, z_hi_e = _add(z_hi, z_hi_e, _nextafter(hi * c_hi, _INF), hi_e + k_hi, _INF)
+            z_lo = lo_add(z_lo, lo_mul(lo, c_lo))
+            z_hi = hi_add(z_hi, hi_mul(hi, c_hi))
             total += count
-        if total:
-            lnz_lo, lnz_hi = _ln_scaled(z_lo, z_lo_e, False), _ln_scaled(z_hi, z_hi_e, True)
+        if total:  # ln, like exp, is rounded half-even: one unit outward
+            lnz_lo = _outer_float(_LO.next_minus(_LO.ln(z_lo)), False)
+            lnz_hi = _outer_float(_HI.next_plus(_HI.ln(z_hi)), True)
         else:
             lnz_lo = lnz_hi = -_INF
         rows.append(PartitionRow(n=n, count=total, lnz_lo=lnz_lo, lnz_hi=lnz_hi))
@@ -330,11 +273,12 @@ def pressure_bracket(
     best_lo = -math.inf
     for row in table.rows:
         n = row.n
-        hi_n = row.lnz_hi / n
-        best_hi = min(best_hi, hi_n)
+        best_hi = min(best_hi, _outer_float(_HI.divide(Decimal(row.lnz_hi), n), True))
         if lower_valid:
             fn = f(n)
-            lo_n = (row.lnz_lo + inf_phi * fn - g.g_at(n)) / (n + fn)
+            num = _LO.add(Decimal(row.lnz_lo), _LO.multiply(Decimal(inf_phi), fn))
+            num = _LO.subtract(num, Decimal(g.g_at(n)))
+            lo_n = _outer_float(_LO.divide(num, n + fn), False)
             best_lo = max(best_lo, lo_n)
         else:
             lo_n = -math.inf

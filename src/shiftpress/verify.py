@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import IdentityCheckError, InputError
 from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs, worst_glue
-from .pressure import PartitionTable, partition_function
+from .pressure import PartitionTable, _sweep
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
@@ -427,14 +427,23 @@ def verify_measure_lower(
             f"cylinder {format_word(cyl)} has measure {mu}; need a positive-measure cylinder"
         )
     pressure = math.log(mm.lam)
+    ns = list(n_range)
+    if any(n < 1 for n in ns):
+        raise InputError("lengths must be >= 1")
+    # one sweep per prefix, to the longest length that restricts to it: a
+    # sweep's row at n does not depend on where the sweep stops
+    tops: dict[Word, int] = {}
+    for n in ns:
+        prefix = cyl[: min(n, len(cyl))]
+        tops[prefix] = max(n, tops.get(prefix, 0))
+    lhs_of = {}  # prefixes shorter than cyl are swept to their own length only
+    for prefix, top in tops.items():
+        rows, _nodes, _states = _sweep(model.spec, model.pot, top, budget, prefix)
+        lhs_of.update((r.n, r.lnz_hi) for r in rows)
     margins = []
     bad = []
-    for n in n_range:
-        if n < 1:
-            raise InputError("lengths must be >= 1")
-        prefix = cyl[: min(n, len(cyl))]
-        lhs_row = partition_function(model.spec, model.pot, n, budget, prefix)
-        lhs = lhs_row.lnz_hi
+    for n in ns:
+        lhs = lhs_of[n]
         row = table.row(n)
         rhs = (
             n * pressure / mu

@@ -14,7 +14,7 @@ from shiftpress.errors import (
     InconsistentBracketError,
     InputError,
 )
-from shiftpress.config import build_potential, load_config
+from shiftpress.config import build_potential, build_subshift, load_config
 from shiftpress.potentials import (
     LocallyConstantPotential,
     VarProfile,
@@ -355,6 +355,36 @@ def test_golden_bracket_matches_closed_form_oracle():
     assert not br.upper_bound_only
     his = [r.hi for r in br.rows]
     assert his == sorted(his, reverse=True)  # running minimum
+
+
+with localcontext() as _ctx:
+    _ctx.prec = oracles.DIGITS
+    SHIPPED_PRESSURE = {  # ln 2, ln phi, ln(1 + sqrt 3)
+        "full_shift": Decimal(2).ln(),
+        "golden_mean": ((1 + Decimal(5).sqrt()) / 2).ln(),
+        # for exact ln 2 weights; the shipped float weight sits 2e-17 lower
+        "golden_mean_weighted": (1 + Decimal(3).sqrt()).ln(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_PRESSURE))
+def test_shipped_brackets_enclose_the_pressure_with_zero_slack(name):
+    """Every row's upper bound and the best lower bound hold against a
+    60-digit reference; the full shift's bracket is at most 2 ulp wide."""
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    spec = build_subshift(cfg.subshift)
+    pot = build_potential(cfg.potential, spec)
+    var_horizon = cfg.horizons.var_horizon
+    if var_horizon is None:
+        var_horizon = (cfg.horizons.n_max + 1) // 2
+    table = partition_table(spec, pot, cfg.horizons.n_max)
+    br = pressure_bracket(spec, pot, table, variation_profile(pot, spec, var_horizon))
+    ref = SHIPPED_PRESSURE[name]
+    assert not br.upper_bound_only
+    assert all(Decimal(r.hi) >= ref for r in br.rows)
+    assert Decimal(br.best_lo) <= ref <= Decimal(br.best_hi)
+    if name == "full_shift":
+        assert br.best_hi - br.best_lo <= 2 * math.ulp(math.log(2))
 
 
 def test_bounded_density_bracket_contains_the_golden_pressure():
