@@ -266,19 +266,11 @@ def cmd_gap_profile(run: _Run) -> int:
     params = cfg.checks.get("gap_profile", {})
     ns = params.get("n_range", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
     work = run.glue_work()
-    rows = []
-    for n in ns:
-        rows.append(
-            min_gap_profile(
-                run.spec, n, cfg.mode,
-                m_max=cfg.horizons.m_max,
-                strategy=cfg.strategy,
-                budget=run.budget,
-                pair_budget=cfg.pair_budget,
-                seed=cfg.seed,
-                work=work,
-            )
-        )
+    rows = [
+        min_gap_profile(run.spec, n, cfg.mode, m_max=cfg.horizons.m_max, strategy=cfg.strategy,
+                        budget=run.budget, pair_budget=cfg.pair_budget, seed=cfg.seed, work=work)
+        for n in ns
+    ]
     path = write_csv(
         run.dest("gap_profile.csv"), GAP_HEADER, gap_profile_rows(rows),
         run.digest, flags={"mode": cfg.mode, "strategy": cfg.strategy},

@@ -148,13 +148,13 @@ _int, _natural, _positive = _int_from(-math.inf), _int_from(0), _int_from(1)
 
 
 def _float(value, path) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, bool) or not math.isfinite(x := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _float_from(least: float, strict: bool = False) -> Reader:
-    """A number >= least, or > least when strict; NaN fails both."""
+    """A finite number >= least, or > least when strict."""
 
     def read(value, path):
         x = _float(value, path)

@@ -14,19 +14,21 @@ words lexicographically, `zero_glue` only the all-zero filler, and
 used by the sparse family's own gap certificate).
 
 Whether v u w is admissible depends on v only through its walker key, so
-each word is read once to its end walker, fillers are tried from there,
-and a pair is answered once per (key class of v, w). Only keys that two
-or more words share are memoised; a lone word meets each w only once.
-All walks of one search start from one root walker, so they share its
-states. GlueWork counts the work for the run manifest.
+each word is read once to its end walker and fillers are tried from
+there. Pairs are scanned in rows, one per first word v: a row is
+summarised once per end key of v (its first stopping pair, and its first
+pair of largest gap before that), so first words that share a key share
+the summary, and a pair is probed once per (key of v, w). All walks of
+one search start from one root walker, so they share its states.
+GlueWork counts the work for the run manifest.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter, not_, truth
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -45,32 +47,23 @@ def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]
         raise InputError("filler length must be >= 0")
     if m == 0:
         yield ()
-        return
-    if strategy == "zero_glue":
+    elif strategy == "zero_glue":
         yield (0,) * m
-        return
-    if strategy == "exhaustive":
+    elif strategy == "exhaustive":
         yield from itertools.product(range(spec.alphabet_size), repeat=m)
-        return
-    if strategy == "factor_glue":
+    elif strategy == "factor_glue":
         fs = spec.params.get("factor_set")
         if fs is None:
             raise InputError("factor_glue needs a sparse Sturmian instance")
         seen = set()
-        for ka in range(0, m + 1):
-            kb = m - ka
-            if ka > fs.k_max or kb > fs.k_max:
-                continue
-            lefts = sorted(fs.factors[ka]) if ka else [()]
-            rights = sorted(fs.factors[kb]) if kb else [()]
-            for s in lefts:
-                for t in rights:
-                    u = s + t
-                    if u not in seen:
-                        seen.add(u)
-                        yield u
-        return
-    raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        for ka in range(max(0, m - fs.k_max), min(m, fs.k_max) + 1):  # both parts <= k_max
+            for s in sorted(fs.factors[ka]) if ka else [()]:
+                for t in sorted(fs.factors[m - ka]) if m - ka else [()]:
+                    if s + t not in seen:
+                        seen.add(s + t)
+                        yield s + t
+    else:
+        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
 def least_glue(
@@ -95,9 +88,10 @@ def least_glue(
 @dataclass
 class GlueWork:
     """Work of glue searches, summed over lengths: words read, (v, w) pairs
-    sampled, probe calls made, pairs answered from a shared key's memo
-    instead, and the states built by the walks from each root walker. A
-    pass over the sample answers each pair it reaches by a probe or a hit."""
+    sampled, probe calls made, pairs answered by an earlier probe for the
+    same end key of v and the same w instead, and the states built by the
+    walks from each root walker. A scan answers each pair it reaches by a
+    probe or a hit, whether it reads the answer alone or in a row summary."""
 
     words: int = 0
     pairs: int = 0
@@ -108,54 +102,53 @@ class GlueWork:
 
 def glue_pairs(
     root, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable,
-    work: GlueWork,
-) -> Iterator[tuple[int, int, object]]:
-    """Yield (i, j, probe(walker after words[i] from root, words[j])) pair
-    by pair.
+    work: GlueWork, stops: Callable = not_,
+) -> tuple[tuple[Word, Word, object] | None, tuple[Word, Word, object] | None]:
+    """Scan (i, j) pairs in order for got = probe(walker after words[i] from
+    root, words[j]), a tuple or None, up to the first pair with stops(got),
+    by default the first None. Returns (v, w, got) of that pair (None if
+    none stops the scan) and of the first pair before it of largest got[0]
+    (None if none).
 
     The words must be admissible and the probe may see the walker only
-    through what it admits: first words sharing a key share probe calls.
+    through what it admits. A row, the run of pairs with one i, is
+    summarised once per (end key of words[i], row), and a key's rows share
+    their answers per j: each pair reached is probed once per (key, j).
     """
     starts = [walk(root, v) for v in words]
-    keys = [s.key() for s in starts]
-    shared = {k for k, c in Counter(keys).items() if c > 1}
-    memo: dict = {}
-    for i, j in pairs:
-        k = keys[i]
-        if k in shared and (k, j) in memo:
-            work.memo_hits += 1
-            yield i, j, memo[k, j]
-            continue
-        work.probes += 1
-        got = probe(starts[i], words[j])
-        if k in shared:
-            memo[k, j] = got
-        yield i, j, got
+    answers: dict = {}  # end key -> {j: got}
+    rows: dict = {}  # (end key, row) -> (first stopping (j, got), first largest (j, got))
+    best = None
+    for i, group in itertools.groupby(pairs, itemgetter(0)):
+        row, k = tuple(map(itemgetter(1), group)), starts[i].key()
+        summary = rows.get((k, row))
+        if summary is None:
+            seen = answers.setdefault(k, {})
+            stop = top = None
+            for j in row:
+                got = seen.get(j, seen)
+                if got is seen:
+                    work.probes += 1
+                    got = seen[j] = probe(starts[i], words[j])
+                else:
+                    work.memo_hits += 1
+                if stops(got):
+                    stop = j, got
+                    break
+                if got is not None and (top is None or got[0] > top[1][0]):
+                    top = j, got
+            summary = rows[k, row] = stop, top
+        else:  # a repeat row: the first one with its summary did not stop
+            work.memo_hits += len(row)
+        stop, top = summary
+        if top is not None and (best is None or top[1][0] > best[2][0]):
+            best = words[i], words[top[0]], top[1]
+        if stop is not None:
+            return (words[i], words[stop[0]], stop[1]), best
+    return None, best
 
 
-def worst_glue(
-    root, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable,
-    work: GlueWork,
-) -> tuple[int, tuple[Word, Word, Word] | None, tuple[Word, Word] | None]:
-    """(largest probed m, (v, u, w) of the first pair reaching it, None),
-    scanning (m, u) probes in pair order; at the first pair probed None it
-    stops and returns that pair's (v, w) in place of None."""
-    worst, witness = -1, None
-    for i, j, got in glue_pairs(root, words, pairs, probe, work):
-        if got is None:
-            return worst, witness, (words[i], words[j])
-        if got[0] > worst:
-            worst, witness = got[0], (words[i], got[1], words[j])
-    return worst, witness, None
-
-
-def find_glue(
-    spec: SubshiftSpec,
-    v: Word,
-    w: Word,
-    m: int,
-    strategy: str,
-) -> Word | None:
+def find_glue(spec: SubshiftSpec, v: Word, w: Word, m: int, strategy: str) -> Word | None:
     """First filler of length exactly m that joins v and w, or None."""
     check_symbols(tuple(v) + tuple(w), spec.alphabet_size)
     got = least_glue(spec, walk(spec.root_walker(), v), w, (m,), (strategy,))
@@ -163,9 +156,7 @@ def find_glue(
 
 
 def sample_pairs(
-    words: Sequence[Word],
-    pair_budget: int,
-    seed: int,
+    words: Sequence[Word], pair_budget: int, seed: int
 ) -> tuple[list[tuple[int, int]], float]:
     """All index pairs if they fit the budget, else a deterministic sample.
 
@@ -178,11 +169,7 @@ def sample_pairs(
     if total <= pair_budget:
         return [(i, j) for i in range(n) for j in range(n)], 1.0
     marked = {0, n - 1, max(range(n), key=lambda i: (sum(words[i]), i))}
-    chosen = set()
-    for i in sorted(marked):
-        for j in range(n):
-            chosen.add((i, j))
-            chosen.add((j, i))
+    chosen = {p for i in marked for j in range(n) for p in ((i, j), (j, i))}
     rng = random.Random(seed)
     while len(chosen) < pair_budget:
         chosen.add((rng.randrange(n), rng.randrange(n)))
@@ -236,9 +223,7 @@ def min_gap_profile(
         raise InputError(f"unknown mode {mode!r}")
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    f_declared = None
-    if spec.declared_gap is not None:
-        f_declared = spec.declared_gap(n)
+    f_declared = None if spec.declared_gap is None else spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)
     words = list(iter_language(spec, n, budget))
@@ -251,37 +236,26 @@ def min_gap_profile(
     work.words += len(words)
     work.pairs += len(pairs)
 
-    def least(start, w):
-        got = least_glue(spec, start, w, gaps, (strategy,))
-        if got is None and strategy != "exhaustive":
-            got = least_glue(spec, start, w, gaps, ("exhaustive",))
-        return got
+    def least(start, w):  # the strategy at every gap, then an exhaustive retry
+        return least_glue(spec, start, w, gaps, (strategy,)) or (
+            None if strategy == "exhaustive" else least_glue(spec, start, w, gaps, ("exhaustive",))
+        )
 
-    worst_gap, witness, missed = worst_glue(root, words, pairs, least, work)
+    missed, worst = glue_pairs(root, words, pairs, least, work)
     status = "ok" if missed is None else "horizon_exhausted"
-    counterexample = None if missed is None else (*missed, m_max)
-    f_emp = worst_gap if status == "ok" else None
+    counterexample = None if missed is None else (*missed[:2], m_max)
+    witness = None if worst is None else (worst[0], worst[2][1], worst[1])
+    f_emp = worst[2][0] if status == "ok" else None
 
     if mode == MODE_SPECIFICATION and status == "ok":
-        checked = range(f_declared if f_declared is not None else worst_gap, m_max + 1)
+        checked = range(f_declared if f_declared is not None else f_emp, m_max + 1)
 
         def first_miss(start, w):
             glued = (least_glue(spec, start, w, (m,), (strategy, "exhaustive")) for m in checked)
-            return next((m for m, got in zip(checked, glued) if got is None), None)
+            return next(((m,) for m, got in zip(checked, glued) if got is None), None)
 
-        scan = glue_pairs(root, words, pairs, first_miss, work)
-        i, j, m = next((r for r in scan if r[2] is not None), (0, 0, None))
-        counterexample = None if m is None else (words[i], words[j], m)
+        miss, _ = glue_pairs(root, words, pairs, first_miss, work, stops=truth)
+        counterexample = None if miss is None else (*miss[:2], *miss[2])
     work.states += states_built(root)
 
-    return GapRow(
-        n=n,
-        mode=mode,
-        strategy=strategy,
-        f_declared=f_declared,
-        f_empirical=f_emp,
-        witness=witness,
-        counterexample=counterexample,
-        status=status,
-        coverage=coverage,
-    )
+    return GapRow(n, mode, strategy, f_declared, f_emp, witness, counterexample, status, coverage)

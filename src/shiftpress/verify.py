@@ -26,13 +26,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import islice
+from operator import truth
 from typing import Callable, Sequence
 
-from .errors import IdentityCheckError, InputError
-from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs, worst_glue
+from .errors import BudgetExceededError, IdentityCheckError, InputError
+from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs
 from .pressure import PartitionTable, _sweep
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
+from .subshifts import (
+    DEFAULT_NODE_BUDGET, SubshiftSpec, _walk, iter_language, states_built, walk,
+)
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
 
@@ -82,9 +85,36 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _column_maxima(rows, words: Sequence[Word]) -> list[tuple[int, Word]]:
-    """(max_i rows[i][j], a words[i] reaching it) for each column j."""
-    return [max(zip(col, words)) for col in zip(*rows)]
+def _heaviest(root, a_size: int, n: int, budget: int) -> list[tuple[int, int, Word]]:
+    """(|L_k|, M(k), the least word of L_k with symbol sum M(k)) for k = 0..n,
+    where M(k) is the largest symbol sum over L_k.
+
+    One forward pass over walker keys, as subshifts._count: each key
+    carries its word count and (-sum, word) least over the words reaching
+    it. Those words have the same continuations, so a key's heaviest word
+    extends a parent key's by one symbol. Every (state, symbol) child call
+    counts against budget.
+    """
+    level, out, nodes = {root.key(): [root, 1, (0, ())]}, [(1, 0, ())], 0
+    symbols = range(a_size)
+    for k in range(1, n + 1):
+        grown: dict = {}
+        for w, mult, (light, word) in level.values():
+            nodes += a_size
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"node budget {budget} exhausted at length {k}", nodes=nodes, budget=budget
+                )
+            for s in symbols:
+                ch = w.child(s)
+                if ch is not None:
+                    got = grown.setdefault(ch.key(), [ch, 0, (1, ())])
+                    got[1] += mult
+                    got[2] = min(got[2], (light - s, word + (s,)))
+        level = grown
+        light, word = min(e[2] for e in level.values())
+        out.append((sum(e[1] for e in level.values()), -light, word))
+    return out
 
 
 def verify_density_glue(
@@ -106,16 +136,22 @@ def verify_density_glue(
     taking the last a symbols of v and the first b of w has slack
     h(a+m+b) - suf_v(a) - pre_w(b), whose v part and w part are
     independent, so its least value over all pairs is
-    h(a+m+b) - max_v suf_v(a) - max_w pre_w(b), and the least of those
-    over (m, a, b) decides every pair at once. On failure the
-    lexicographically least violating pair is recovered by a direct scan.
-    Since 0 is the minimal symbol, a failing all-zero filler rules out
-    every other filler of the same length, so failures are genuine.
+    h(a+m+b) - M(a) - M(b), and the least of those over (m, a, b) decides
+    every pair at once. Here M(a), the largest sum over L_a, is both
+    max_v suf_v(a) and max_w pre_w(a): 0^(n-a) u and u 0^(n-a) are in L_n
+    for every u in L_a, since h is non-decreasing. One forward pass over
+    walker keys (_heaviest) gives M and |L_n| without listing L_n; on
+    failure L_n is listed and the lexicographically least violating pair
+    recovered by a direct scan. Since 0 is the minimal symbol, a failing
+    all-zero filler rules out every other filler of the same length, so
+    failures are genuine.
 
     Triples v 0^m1 w 0^m2 u are spot-checked on a deterministic sample at
-    the corner gaps. work, when given, gets the counters added: every pair
-    counts as sampled, each triple walk and witness scan call as a probe,
-    and a triple reusing the walker after v 0^m w 0^m as a memo hit.
+    the corner gaps, drawn from the first six words of L_n and its least
+    word of largest sum. work, when given, gets the counters added: every
+    pair counts as sampled, each triple walk and witness scan call as a
+    probe, a triple reusing the walker after v 0^m w 0^m as a memo hit,
+    and the pass's states as built.
     """
     if spec.family != "bounded_density":
         raise InputError("density_glue runs on bounded density instances")
@@ -124,6 +160,8 @@ def verify_density_glue(
     root = spec.root_walker()
     work = GlueWork() if work is None else work
     f_at = f if f is not None else spec.declared_gap
+    n_top = max(n_range, default=0)
+    counts, heavy, heaviest = zip(*_heaviest(root, spec.alphabet_size, n_top, budget))
     margins = []
     witnesses: dict = {}
     verdict = PASS
@@ -137,37 +175,32 @@ def verify_density_glue(
                 f"height table covers lengths <= {params.n_max}, need {need} "
                 f"for n={n}"
             )
-        words = list(iter_language(spec, n, budget))
-        work.words += len(words)
-        work.pairs += len(words) ** 2
-        # (max_v suf_v(a), a v reaching it) for a = 1..n, and likewise pre_w(b)
-        max_suf = _column_maxima([accumulate(reversed(wd)) for wd in words], words)
-        max_pre = _column_maxima([accumulate(wd) for wd in words], words)
+        work.words += counts[n]
+        work.pairs += counts[n] ** 2
         gaps = range(fn, fn + slack + 1)
-        worst, worst_at = min(
-            (h[a + m + b] - max_suf[a - 1][0] - max_pre[b - 1][0], (m, a, b))
+        worst, (m0, a0, b0) = min(
+            (h[a + m + b] - heavy[a] - heavy[b], (m, a, b))
             for m in gaps for a in range(1, n + 1) for b in range(1, n + 1)
         )
         margins.append((n, float(worst)))
         if worst < 0:
             verdict = FAIL
             # lexicographically least violating pair and least gap
+            words = list(iter_language(spec, n, budget))
 
             def miss(start, w):
-                return next((m for m in gaps if walk(start, (0,) * m + w) is None), None)
+                return next(((m,) for m in gaps if walk(start, (0,) * m + w) is None), None)
 
             every = ((i, j) for i in range(len(words)) for j in range(len(words)))
-            scan = glue_pairs(root, words, every, miss, work)
-            i, j, m = next(r for r in scan if r[2] is not None)
-            witnesses[n] = {"v": format_word(words[i]), "w": format_word(words[j]), "m": m}
+            (v, w, (m,)), _ = glue_pairs(root, words, every, miss, work, stops=truth)
+            witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
             continue
-        m0, a0, b0 = worst_at
-        v0, w0 = max_suf[a0 - 1][1], max_pre[b0 - 1][1]
+        v0, w0 = (0,) * (n - a0) + heaviest[a0], heaviest[b0] + (0,) * (n - b0)
         if walk(root, v0 + (0,) * m0 + w0) is None:
             raise IdentityCheckError(f"n={n}: profile check passed but {(v0, m0, w0)} is forbidden")
         # triple spot check at the corner gaps
         rng = random.Random(seed)
-        base = words[: min(len(words), 6)] + [max(words, key=sum)]
+        base = [*islice(_walk(root, spec.alphabet_size, (), n), 6), heaviest[n]]
         triples = [(a, b, c) for a in base for b in base for c in base]
         if len(triples) > TRIPLE_SAMPLE:
             triples = [triples[rng.randrange(len(triples))] for _ in range(TRIPLE_SAMPLE)]
@@ -239,7 +272,7 @@ def verify_sparse_glue(
         work.words += len(words)
         work.pairs += len(pairs)
         gaps, tries = range(fn + 1), (strategy, "exhaustive")
-        worst, worst_pair, failed = worst_glue(
+        failed, worst = glue_pairs(
             root, words, pairs, lambda start, w: least_glue(spec, start, w, gaps, tries), work
         )
         if failed is not None:
@@ -247,9 +280,10 @@ def verify_sparse_glue(
             witnesses[n] = {"v": format_word(failed[0]), "w": format_word(failed[1]), "m_max": fn}
             margins.append((n, float(-1)))
             continue
-        margins.append((n, float(fn - worst)))
-        if worst_pair is not None:
-            witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, worst_pair)))
+        margins.append((n, float(fn - (-1 if worst is None else worst[2][0]))))
+        if worst is not None:
+            v, w, (_, u) = worst
+            witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, (v, u, w))))
     work.states += states_built(root)
     return BoundReport(
         check=CHECK_SPARSE_GLUE,

@@ -195,8 +195,9 @@ def least_gap(ok, v, w, gaps, strategies, filler_of):
     return None
 
 
-def gap_row(words, ok, filler_of, mode, m_max, f_declared, strategy):
-    """GapRow fields over all ordered pairs of words, in lexicographic order.
+def gap_row(words, ok, filler_of, mode, m_max, f_declared, strategy, pairs=None):
+    """GapRow fields over the (i, j) index pairs of words, in the order
+    given; by default all ordered pairs in lexicographic order.
 
     Transitivity: each pair's least gap with the strategy, or else with
     exhaustive search; the first pair with none exhausts the horizon.
@@ -204,55 +205,58 @@ def gap_row(words, ok, filler_of, mode, m_max, f_declared, strategy):
     measured gap), m_max] where neither the strategy nor exhaustive search
     glues.
     """
-    worst, witness, counter, status = -1, None, None, "ok"
-    for v in words:
-        for w in words:
-            got = least_gap(ok, v, w, range(m_max + 1), [strategy], filler_of)
-            if got is None:
-                got = least_gap(ok, v, w, range(m_max + 1), ["exhaustive"], filler_of)
-            if got is None:
-                return {"f_empirical": None, "witness": witness,
-                        "counterexample": (v, w, m_max), "status": "horizon_exhausted",
-                        "coverage": 1.0}
-            if got[0] > worst:
-                worst, witness = got[0], (v, got[1], w)
+    if pairs is None:
+        pairs = [(i, j) for i in range(len(words)) for j in range(len(words))]
+    coverage = len(pairs) / len(words) ** 2
+    worst, witness = -1, None
+    for i, j in pairs:
+        v, w = words[i], words[j]
+        got = least_gap(ok, v, w, range(m_max + 1), [strategy], filler_of)
+        if got is None:
+            got = least_gap(ok, v, w, range(m_max + 1), ["exhaustive"], filler_of)
+        if got is None:
+            return {"f_empirical": None, "witness": witness,
+                    "counterexample": (v, w, m_max), "status": "horizon_exhausted",
+                    "coverage": coverage}
+        if got[0] > worst:
+            worst, witness = got[0], (v, got[1], w)
+    row = {"f_empirical": worst, "witness": witness, "counterexample": None,
+           "status": "ok", "coverage": coverage}
     if mode == "specification":
         start = worst if f_declared is None else f_declared
-        for v in words:
-            for w in words:
-                for m in range(start, m_max + 1):
-                    if least_gap(ok, v, w, [m], [strategy, "exhaustive"], filler_of) is None:
-                        counter = (v, w, m)
-                        break
-                if counter:
-                    break
-            if counter:
-                break
-    return {"f_empirical": worst, "witness": witness, "counterexample": counter,
-            "status": status, "coverage": 1.0}
+        row["counterexample"] = next(
+            ((words[i], words[j], m) for i, j in pairs for m in range(start, m_max + 1)
+             if least_gap(ok, words[i], words[j], [m], [strategy, "exhaustive"],
+                          filler_of) is None),
+            None,
+        )
+    return row
 
 
 def _text(w):
     return "".join(map(str, w))
 
 
-def sparse_glue(words_by_n, ok, filler_of, f, strategy):
-    """(margins, witnesses) of the transitivity certificate over all pairs:
-    each pair's least gap <= f(n), trying the strategy then exhaustive
-    search at each gap. Words are rendered as digit strings."""
+def sparse_glue(words_by_n, ok, filler_of, f, strategy, pairs_by_n=None):
+    """(margins, witnesses) of the transitivity certificate over the (i, j)
+    index pairs of each length's words in pairs_by_n, in the order given
+    (by default all ordered pairs in lexicographic order): each pair's
+    least gap <= f(n), trying the strategy then exhaustive search at each
+    gap. Words are rendered as digit strings."""
     margins, witnesses = [], {}
     for n, words in words_by_n.items():
+        pairs = pairs_by_n[n] if pairs_by_n else [
+            (i, j) for i in range(len(words)) for j in range(len(words))
+        ]
         worst, worst_pair, failed = -1, None, None
-        for v in words:
-            for w in words:
-                got = least_gap(ok, v, w, range(f(n) + 1), [strategy, "exhaustive"], filler_of)
-                if got is None:
-                    failed = (v, w)
-                    break
-                if got[0] > worst:
-                    worst, worst_pair = got[0], (v, got[1], w)
-            if failed:
+        for i, j in pairs:
+            v, w = words[i], words[j]
+            got = least_gap(ok, v, w, range(f(n) + 1), [strategy, "exhaustive"], filler_of)
+            if got is None:
+                failed = (v, w)
                 break
+            if got[0] > worst:
+                worst, worst_pair = got[0], (v, got[1], w)
         if failed:
             margins.append((n, -1.0))
             witnesses[n] = {"v": _text(failed[0]), "w": _text(failed[1]), "m_max": f(n)}
@@ -433,8 +437,10 @@ def block_graph_cylinders(states, succ, phi, n):
     mat = _dense(states, succ, phi)
 
     def perron_vector(m):
+        # the Perron root is the one eigenvalue of largest real part; on a
+        # periodic graph other eigenvalues share its modulus
         vals, vecs = np.linalg.eig(m)
-        v = np.real(vecs[:, int(np.argmax(abs(vals)))])
+        v = np.real(vecs[:, int(np.argmax(vals.real))])
         return v / v.sum()
 
     right, left = perron_vector(mat), perron_vector(mat.T)

@@ -77,13 +77,19 @@ def test_shipped_configs_load():
         build_potential(cfg.potential, build_subshift(cfg.subshift))
 
 
-def test_every_shipped_and_benchmark_config_builds_and_reads_its_checks(monkeypatch):
-    # the configs the benchmark writes, read the way `python -m shiftpress` reads them
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by file path."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports instances.py
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_shipped_and_benchmark_config_builds_and_reads_its_checks(monkeypatch):
+    # the configs the benchmark writes, read the way `python -m shiftpress` reads them
+    workloads = _workloads(monkeypatch)
     texts = {p.name: p.read_text() for p in CONFIG_DIR.glob("*.yaml")}
     for name in workloads.NAMES:
         for seed in (0, 41):
@@ -151,6 +157,15 @@ def test_config_rejects_unknown_keys_and_families():
         ({"checks": {"sparse_glue": {"stratgy": "factor_glue"}}}, "checks.sparse_glue.stratgy"),
         ({"horizons": {"n_max": 10, "var_horizon": 0}}, "horizons.var_horizon"),
         ({"horizons": {"n_max": 10, "var_horizon": 4}}, "horizons.var_horizon"),
+        ({"subshift": {"family": "full_shift", "alphabet_size": 2},
+          "potential": {"kind": "locally_constant", "radius": 0, "values": {"1": -math.inf}}},
+         "potential.values"),
+        ({"potential": {"kind": "run_levels", "levels": [0.5, math.nan], "limit": 0.0}},
+         "potential.levels"),
+        ({"potential": {"kind": "reciprocal_run",
+                        "height": {"form": "affine", "a": math.inf, "b": 1.0}}},
+         "potential.height.a"),
+        ({"tolerances": {"margin": math.nan}}, "tolerances.margin"),
     ],
 )
 def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
@@ -396,10 +411,14 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # `golden_mean` and `sparse_sturmian`, and the `verify measure_lower`
 # hashes of the two golden-mean configs, were re-recorded when the sweep
 # moved to `decimal` directed rounding and exact sums stopped widening;
-# lnZ, brackets and margins moved by less than 1e-13.
+# lnZ, brackets and margins moved by less than 1e-13. The `status.glue`
+# counters of the glue commands (all but `states`, which counts a
+# search's walker states and moved when density_glue stopped listing L_n)
+# were recorded before pair scans were summarised per end key.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
 GLUE_COMMANDS = ("gap-profile", "verify density_glue", "verify sparse_glue")
+GLUE_PINNED = ("memo_hits", "pairs", "probes", "words")
 
 
 def _near(want, got, tol=1e-10):
@@ -426,6 +445,7 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
         assert sorted(work) == ["memo_hits", "pairs", "probes", "states", "words"]
         assert work["words"] >= 1 and work["pairs"] >= 1 and work["states"] >= 1
         assert work["probes"] >= 1 and work["memo_hits"] >= 0
+        assert {k: work[k] for k in GLUE_PINNED} == want["glue"]
     n_state = load_config(config).horizons.n_state
     if command in TRANSFER_COMMANDS and n_state is not None:
         work = status["transfer"]
@@ -456,6 +476,28 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
     assert work["budget"] == DEFAULT_NODE_BUDGET
     # the sweep's work, for every potential
     assert 0 < work["nodes"] <= work["budget"] and work["max_states"] >= 1
+
+
+# Payload sha256s and status.glue counters of the benchmark's glue_search
+# ops at two seeds, recorded before pair scans were summarised per end key
+# and density_glue stopped listing L_n.
+GLUE_SEARCH_PINS = json.loads(
+    (Path(__file__).resolve().parent / "glue_search_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+def test_benchmark_glue_ops_are_pinned(tmp_path, monkeypatch, seed):
+    wl = _workloads(monkeypatch).build("glue_search", CONFIG_DIR.parent, seed)
+    for op in wl.ops:
+        config, out = tmp_path / op.config, tmp_path / op.name
+        config.write_text(wl.configs[op.config])
+        assert main([*op.command, "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = GLUE_SEARCH_PINS[f"{seed}:{op.name}"]
+        assert manifest["outputs"] == want["sha256"], op.name
+        work = manifest["status"]["glue"]
+        assert {k: work[k] for k in GLUE_PINNED} == want["glue"], op.name
 
 
 def test_invalid_family_exits_2_and_writes_nothing(tmp_path):

@@ -8,6 +8,7 @@ from shiftpress.errors import ConstructionError, InputError
 from shiftpress.gluing import (
     MODE_SPECIFICATION,
     MODE_TRANSITIVITY,
+    GlueWork,
     find_glue,
     glue_candidates,
     least_glue,
@@ -268,3 +269,46 @@ def test_factor_glue_miss_falls_back_to_exhaustive(n):
     )
     assert row.f_declared == {4: 2, 6: 4}[n]
     assert row.counterexample is None
+
+
+# ---------------------------------------------------------------------------
+# sampled pair sets against the oracle replaying the same sample pair by pair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("forbidden, declared, n, mode, m_max, pair_budget, status, counter", [
+    ([(1, 1)], None, 6, MODE_TRANSITIVITY, 4, 120, "ok", False),
+    ([(1, 1)], None, 6, MODE_SPECIFICATION, 4, 120, "ok", False),
+    ([(1, 1)], None, 5, MODE_TRANSITIVITY, 0, 60, "horizon_exhausted", True),
+    ([(1, 1)], 0, 5, MODE_SPECIFICATION, 4, 80, "ok", True),  # under-declared
+    ([(0, 0, 0), (1, 1, 1)], None, 7, MODE_SPECIFICATION, 4, 50, "ok", True),
+    ([(0, 1, 1), (1, 0, 1)], None, 7, MODE_TRANSITIVITY, 4, 50, "horizon_exhausted", True),
+])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sampled_profile_matches_oracle_replay(
+    forbidden, declared, n, mode, m_max, pair_budget, status, counter, seed
+):
+    spec = make_sft(2, forbidden, declared_gap=declared)
+    ok = oracles.sft_admissible(2, forbidden)
+    words = [w for w in oracles.all_words(2, n) if ok(w)]
+    pairs, coverage = sample_pairs(words, pair_budget, seed)
+    assert coverage < 1.0
+    work = GlueWork()
+    row = min_gap_profile(spec, n, mode, m_max, pair_budget=pair_budget, seed=seed, work=work)
+    want = oracles.gap_row(
+        words, ok, lambda m, s: oracles.fillers(m, s, 2), mode, m_max, row.f_declared,
+        "exhaustive", pairs,
+    )
+    assert {k: getattr(row, k) for k in want} == want
+    assert row.status == status
+    assert (row.counterexample is not None) == counter
+    # each scan reaches the pairs up to its stopping one, and probes each
+    # (end key of v, w) among them once
+    root = spec.root_walker()
+    keys = [walk(root, v).key() for v in words]
+    scans = [pairs] if status != "ok" or mode == MODE_TRANSITIVITY else [pairs, pairs]
+    if row.counterexample is not None:
+        v, w, _ = row.counterexample
+        scans[-1] = pairs[: pairs.index((words.index(v), words.index(w))) + 1]
+    probes = sum(len({(keys[i], j) for i, j in reached}) for reached in scans)
+    assert (work.probes, work.memo_hits) == (probes, sum(map(len, scans)) - probes)

@@ -3,10 +3,14 @@ import math
 import pytest
 
 import oracles
-from shiftpress.errors import IdentityCheckError, InputError
+from shiftpress import verify
+from shiftpress.errors import BudgetExceededError, IdentityCheckError, InputError
+from shiftpress.gluing import GlueWork, sample_pairs
 from shiftpress.potentials import ZeroPotential
 from shiftpress.pressure import partition_table
 from shiftpress.subshifts import (
+    Tally,
+    language_counts,
     make_bounded_density,
     make_full_shift,
     make_golden_mean,
@@ -125,6 +129,39 @@ def test_density_glue_margins_match_brute_force(k, heights, n_range, f):
         assert failing[2] == {"v": "01", "w": "10", "m": 0}
 
 
+def test_density_glue_margins_come_without_listing_the_language(monkeypatch):
+    # h(j) = ceil(j/2) on {0, 1} is the golden mean, |L_29| = fib(31) =
+    # 1,346,269; the heaviest words are 1010..., so M(a) = ceil(a/2)
+    def refuse(*args, **kwargs):
+        raise AssertionError("L_n listed on a passing run")
+
+    monkeypatch.setattr(verify, "iter_language", refuse)
+    bd, ns, work = half_density(), range(2, 30), GlueWork()
+    assert oracles.fib(31) == 1_346_269
+    tally = Tally()
+    language_counts(bd, 29, tally=tally)
+    assert tally.nodes <= 2 * 2 * 29  # two keys a level: the last symbol
+    with pytest.raises(BudgetExceededError):
+        verify_density_glue(bd, ns, budget=tally.nodes - 1)
+    rep = verify_density_glue(bd, ns, budget=tally.nodes, work=work)
+    assert rep.verdict == PASS
+
+    def half(j):  # h(j) and M(j) alike
+        return -(-j // 2)
+
+    want = []
+    for n in ns:
+        f = bd.declared_gap(n)
+        want.append((n, float(min(
+            half(a + m + b) - half(a) - half(b)
+            for m in range(f, f + 5) for a in range(1, n + 1) for b in range(1, n + 1)
+        ))))
+    assert rep.margins == tuple(want)
+    assert work.words == sum(oracles.fib(n + 2) for n in ns)
+    assert work.pairs == sum(oracles.fib(n + 2) ** 2 for n in ns)
+    assert work.states <= 2 * 64 + 1  # the triple walks reach length 64
+
+
 def test_density_glue_input_guards():
     with pytest.raises(InputError):
         verify_density_glue(make_golden_mean(), [2])
@@ -186,6 +223,33 @@ def test_sparse_glue_matches_oracle(strategy, slope, n_seq, f):
     assert rep.verdict == (FAIL if any(m < 0 for _, m in margins) else PASS)
     assert (rep.verdict == FAIL) == (f is not None)
     assert rep.extra["coverage"] == {n: 1.0 for n in ns}
+
+
+@pytest.mark.parametrize("slope, n_seq, f, pair_budget, verdict", [
+    ((8, 21), (4, 12), None, 100, PASS),
+    ((13, 21), (2, 8), None, 60, PASS),
+    ((13, 21), (2, 8), lambda n: 0, 60, FAIL),  # a sampled pair fails at n = 6
+])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_sampled_sparse_glue_matches_oracle_replay(slope, n_seq, f, pair_budget, verdict, seed):
+    p, q = slope
+    sp = make_sparse_sturmian(make_sturmian_factors(p, q, 2), n_seq)
+    factors = {k: oracles.mechanical_factors(p, q, k) for k in (1, 2)}
+    ns = [5, 6, 7]
+    words_by_n = {n: oracles.sparse_language(p, q, n_seq, n) for n in ns}
+    sampled = {n: sample_pairs(words, pair_budget, seed) for n, words in words_by_n.items()}
+    rep = verify_sparse_glue(sp, ns, strategy="factor_glue", f=f,
+                             pair_budget=pair_budget, seed=seed)
+    margins, witnesses = oracles.sparse_glue(
+        words_by_n, oracles.sparse_admissible(p, q, n_seq),
+        lambda m, s: oracles.fillers(m, s, 2, factors), f or sp.declared_gap, "factor_glue",
+        {n: pairs for n, (pairs, _) in sampled.items()},
+    )
+    assert rep.margins == margins
+    assert rep.witnesses == witnesses
+    assert rep.verdict == verdict
+    assert rep.extra["coverage"] == {n: cov for n, (_, cov) in sampled.items()}
+    assert all(cov < 1.0 for _, cov in sampled.values())
 
 
 def test_sparse_glue_needs_a_bound():
