@@ -12,7 +12,6 @@ output directory, and reports through the exit code:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -175,7 +174,7 @@ class _Run:
         if extra_status:
             self.manifest.status.update(extra_status)
         if self.glue is not None:
-            self.manifest.status["glue"] = dataclasses.asdict(self.glue)
+            self.manifest.status["glue"] = {k: getattr(self.glue, k) for k in GlueWork.__slots__}
         self.manifest.wall_clock_s = time.monotonic() - self.started
         write_manifest(self.manifest, self.out)
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from operator import itemgetter, not_, truth
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
@@ -85,7 +84,6 @@ def least_glue(
     return None
 
 
-@dataclass
 class GlueWork:
     """Work of glue searches, summed over lengths: words read, (v, w) pairs
     sampled, probe calls made, pairs answered by an earlier probe for the
@@ -93,11 +91,10 @@ class GlueWork:
     walks from each root walker. A scan answers each pair it reaches by a
     probe or a hit, whether it reads the answer alone or in a row summary."""
 
-    words: int = 0
-    pairs: int = 0
-    probes: int = 0
-    memo_hits: int = 0
-    states: int = 0
+    __slots__ = ("words", "pairs", "probes", "memo_hits", "states")
+
+    def __init__(self):
+        self.words = self.pairs = self.probes = self.memo_hits = self.states = 0
 
 
 def glue_pairs(
@@ -177,8 +174,7 @@ def sample_pairs(
     return pairs, len(pairs) / total
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     """Measured gluing behavior at one word length.
 
     f_empirical is the worst min-gap seen; status is 'ok' or

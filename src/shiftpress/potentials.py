@@ -28,9 +28,8 @@ representable values keep zero width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConstructionError, IdentityCheckError, InputError
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
@@ -57,16 +56,23 @@ def _add_up(a: float, b: float) -> float:
     return s
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] of floats."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise InputError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise InputError(f"invalid interval [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(v: float) -> "Interval":
@@ -518,8 +524,7 @@ def partial_sum(pot: Potential, w: Word) -> Interval:
     return acc
 
 
-@dataclass(frozen=True)
-class VarProfile:
+class VarProfile(NamedTuple):
     """Measured variation widths var(n) and the induced gap table g(n).
 
     var[n] is the largest eval width at the center of any admissible

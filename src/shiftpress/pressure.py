@@ -31,9 +31,8 @@ decide a locally admissible superset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentBracketError, InputError
 from .potentials import Interval, Potential, VarProfile
@@ -70,8 +69,7 @@ def _factors(ivs: tuple[Interval, ...]) -> tuple[Decimal, Decimal]:
     return _LO.next_minus(_LO.exp(lo)), _HI.next_plus(_HI.exp(hi))
 
 
-@dataclass(frozen=True)
-class PartitionRow:
+class PartitionRow(NamedTuple):
     n: int
     count: int
     lnz_lo: float
@@ -182,8 +180,7 @@ def partition_function(
     return rows[-1]
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(NamedTuple):
     """Rows 1..horizon; nodes and max_states report the work of the sweep."""
 
     rows: tuple[PartitionRow, ...]
@@ -218,15 +215,13 @@ def partition_table(
     )
 
 
-@dataclass(frozen=True)
-class BracketRow:
+class BracketRow(NamedTuple):
     n: int
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
-class PressureBracket:
+class PressureBracket(NamedTuple):
     rows: tuple[BracketRow, ...]
     best_lo: float
     best_hi: float
@@ -293,8 +288,7 @@ def pressure_bracket(
     return bracket
 
 
-@dataclass(frozen=True)
-class AnchorSequence:
+class AnchorSequence(NamedTuple):
     """Lengths where (f + g)/ln n has dropped below each target epsilon."""
 
     indices: tuple[int, ...]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -166,14 +165,17 @@ def equilibrium_payload(mm: MarkovMeasure, pd: PerronData) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunManifest:
-    config_digest: str
-    command: str
-    artifact_version: str = __version__
-    wall_clock_s: float = 0.0
-    status: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
+    """A run's config digest and command, the package version, wall clock,
+    status sections and output sha256s by file name."""
+
+    __slots__ = ("config_digest", "command", "artifact_version", "wall_clock_s", "status",
+                 "outputs")
+
+    def __init__(self, config_digest: str, command: str):
+        self.config_digest, self.command = config_digest, command
+        self.artifact_version, self.wall_clock_s = __version__, 0.0
+        self.status, self.outputs = {}, {}
 
     def record(self, path: str | Path) -> None:
         path = Path(path)

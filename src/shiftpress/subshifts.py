@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ConstructionError, InputError
 from .words import Word, check_symbols, format_word
@@ -54,7 +53,6 @@ GAP_SPECIFICATION = "specification"
 GAP_TRANSITIVITY = "transitivity"
 
 
-@dataclass
 class SubshiftSpec:
     """A subshift given by an incremental admissibility oracle.
 
@@ -65,15 +63,17 @@ class SubshiftSpec:
     answers, None when it answers every n.
     """
 
-    alphabet_size: int
-    family: str
-    exactness: Exactness
-    label: str
-    root_walker: Callable[[], "object"]
-    params: dict = field(default_factory=dict)
-    declared_gap: Callable[[int], int] | None = None
-    gap_mode: str | None = None
-    gap_reach: int | None = None
+    __slots__ = ("alphabet_size", "family", "exactness", "label", "root_walker", "params",
+                 "declared_gap", "gap_mode", "gap_reach")
+
+    def __init__(self, alphabet_size: int, family: str, exactness: Exactness, label: str,
+                 root_walker: Callable[[], object], params: dict | None = None,
+                 declared_gap: Callable[[int], int] | None = None, gap_mode: str | None = None,
+                 gap_reach: int | None = None):
+        self.alphabet_size, self.family, self.exactness = alphabet_size, family, exactness
+        self.label, self.root_walker = label, root_walker
+        self.params = {} if params is None else params
+        self.declared_gap, self.gap_mode, self.gap_reach = declared_gap, gap_mode, gap_reach
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,7 @@ def make_golden_mean() -> SubshiftSpec:
     return make_sft(2, [(1, 1)], declared_gap=1)
 
 
-@dataclass(frozen=True)
-class BoundedDensityParams:
+class BoundedDensityParams(NamedTuple):
     """Height table data for a bounded density shift.
 
     h maps window length to the maximal allowed window sum (1-indexed via
@@ -527,8 +526,7 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
     )
 
 
-@dataclass(frozen=True)
-class SturmianFactorSet:
+class SturmianFactorSet(NamedTuple):
     """Factors, by length, of a rational-slope mechanical word.
 
     slope p/q in lowest terms; factors[k] holds all distinct length-k
@@ -698,15 +696,15 @@ def word_admissible(spec: SubshiftSpec, w: Word) -> Verdict:
     return Verdict.ADMISSIBLE
 
 
-@dataclass
 class Tally:
     """Filled in by a count to length n: counts[k] admissible words of
     length k (0 below the prefix length), the nodes charged, and the most
     distinct walker states on one level."""
 
-    counts: list[int] = field(default_factory=list)
-    nodes: int = 0
-    states: int = 0
+    __slots__ = ("counts", "nodes", "states")
+
+    def __init__(self):
+        self.counts, self.nodes, self.states = [], 0, 0
 
 
 def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: int = -1):

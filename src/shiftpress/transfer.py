@@ -40,7 +40,6 @@ runs give bitwise-identical eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
@@ -59,7 +58,6 @@ BLOCK_GRAPH = "block_graph"
 IDENTITY_TOL, STATIONARITY_TOL = 1e-8, 1e-10
 
 
-@dataclass
 class TransferModel:
     """Recurrent states of a class or block graph (`kind`).
 
@@ -70,16 +68,15 @@ class TransferModel:
     ones were dropped, nodes the walker child calls charged to the budget.
     """
 
-    spec: SubshiftSpec
-    pot: Potential
-    n_state: int
-    kind: str
-    labels: tuple[Word, ...]
-    succ: list[list[int]]
-    weights: list[list[float]]
-    log_weights: list[list[float]]
-    explored: int
-    nodes: int
+    __slots__ = ("spec", "pot", "n_state", "kind", "labels", "succ", "weights", "log_weights",
+                 "explored", "nodes")
+
+    def __init__(self, spec: SubshiftSpec, pot: Potential, n_state: int, kind: str,
+                 labels: tuple[Word, ...], succ: list[list[int]], weights: list[list[float]],
+                 log_weights: list[list[float]], explored: int, nodes: int):
+        self.spec, self.pot, self.n_state, self.kind = spec, pot, n_state, kind
+        self.labels, self.succ, self.weights, self.log_weights = labels, succ, weights, log_weights
+        self.explored, self.nodes = explored, nodes
 
     @property
     def state_count(self) -> int:
@@ -269,13 +266,15 @@ def build_transfer(
     )
 
 
-@dataclass
 class PerronData:
-    lam: float
-    right: list[float]
-    left: list[float]  # normalized so that <left, right> = 1
-    residual: float
-    iterations: int
+    """lam with its right and left vectors, left normalized so that <left, right> = 1."""
+
+    __slots__ = ("lam", "right", "left", "residual", "iterations")
+
+    def __init__(self, lam: float, right: list[float], left: list[float], residual: float,
+                 iterations: int):
+        self.lam, self.right, self.left = lam, right, left
+        self.residual, self.iterations = residual, iterations
 
 
 def _power_iterate(product, n: int, tol: float, max_iter: int):
@@ -346,7 +345,6 @@ def perron(
     return PerronData(lam, right, left, residual=max(res_r, res_l), iterations=max(it_r, it_l))
 
 
-@dataclass
 class MarkovMeasure:
     """Stationary Markov chain on the model's states built from Perron data.
 
@@ -357,14 +355,15 @@ class MarkovMeasure:
     construction.
     """
 
-    model: TransferModel
-    lam: float
-    pi: list[float]
-    p: list[list[float]]
-    entropy: float
-    phi_integral: float
-    stationarity_gap: float
-    identity_gap: float
+    __slots__ = ("model", "lam", "pi", "p", "entropy", "phi_integral", "stationarity_gap",
+                 "identity_gap")
+
+    def __init__(self, model: TransferModel, lam: float, pi: list[float], p: list[list[float]],
+                 entropy: float, phi_integral: float, stationarity_gap: float,
+                 identity_gap: float):
+        self.model, self.lam, self.pi, self.p = model, lam, pi, p
+        self.entropy, self.phi_integral = entropy, phi_integral
+        self.stationarity_gap, self.identity_gap = stationarity_gap, identity_gap
 
 
 def markov_equilibrium(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import truth
 from typing import Callable, Sequence
@@ -64,13 +63,17 @@ HORIZON_EXHAUSTED = "horizon_exhausted"
 TRIPLE_SAMPLE = 200
 
 
-@dataclass
 class BoundReport:
-    check: str
-    verdict: str
-    margins: tuple[tuple[int, float], ...]
-    witnesses: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    """A check's verdict, its (n, margin) pairs, and witnesses and extra data
+    for the payload."""
+
+    __slots__ = ("check", "verdict", "margins", "witnesses", "extra")
+
+    def __init__(self, check: str, verdict: str, margins: tuple[tuple[int, float], ...],
+                 witnesses: dict | None = None, extra: dict | None = None):
+        self.check, self.verdict, self.margins = check, verdict, margins
+        self.witnesses = {} if witnesses is None else witnesses
+        self.extra = {} if extra is None else extra
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,7 @@ oracles.py, so tests can check package results against independent
 enumeration.
 """
 
-import dataclasses
+import copy
 import math
 from typing import Callable, NamedTuple
 
@@ -104,8 +104,15 @@ def count_calls(label: str, n: int) -> int | None:
     return {"full": 2 * n, "golden": 2 * (1 + 2 + 3 * (n - 2))}.get(label)
 
 
+def with_root(spec: SubshiftSpec, root_walker) -> SubshiftSpec:
+    """A copy of spec that starts its walks from root_walker()."""
+    spec = copy.copy(spec)
+    spec.root_walker = root_walker
+    return spec
+
+
 def counted(spec: SubshiftSpec):
     """(a copy of spec whose walkers count their child calls, the counter)."""
     calls = [0]
     root = spec.root_walker
-    return dataclasses.replace(spec, root_walker=lambda: CountedWalker(root(), calls)), calls
+    return with_root(spec, lambda: CountedWalker(root(), calls)), calls

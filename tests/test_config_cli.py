@@ -20,7 +20,7 @@ from shiftpress.config import (
     build_subshift,
     config_from_dict,
     load_config,
-    save_config,
+    read_yaml,
 )
 from shiftpress.errors import InputError
 from shiftpress.potentials import ZeroPotential
@@ -98,7 +98,7 @@ def test_every_shipped_and_benchmark_config_builds_and_reads_its_checks(monkeypa
     assert len(texts) == 6 + 2 * 15
     assert set(CHECK_TABLES) == {"gap_profile", "anchors", *ALL_CHECKS}
     for name, text in sorted(texts.items()):
-        doc = yaml.safe_load(text)
+        doc = read_yaml(text)
         cfg = config_from_dict(doc)
         build_potential(cfg.potential, build_subshift(cfg.subshift))
         raw_checks = doc.get("checks", {})
@@ -273,14 +273,6 @@ def test_shipped_density_config_rejects_a_bool_k(tmp_path, capsys):
 ])
 def test_unknown_check_keys_exit_2_naming_the_key(tmp_path, capsys, command, checks, path):
     _cli_rejects(tmp_path, capsys, golden_doc(checks=checks), path, command)
-
-
-def test_save_load_round_trip(tmp_path):
-    cfg = config_from_dict(golden_doc())
-    save_config(cfg, tmp_path / "roundtrip.yaml")
-    again = load_config(tmp_path / "roundtrip.yaml")
-    assert again.digest == cfg.digest
-    assert again.horizons == cfg.horizons
 
 
 def test_load_rejects_missing_and_invalid_files(tmp_path):

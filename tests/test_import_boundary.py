@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: never numpy, not even where a
-transfer model is built, and every module the benchmark tracer hooks by
-name already at `import shiftpress.cli` (perfbench/trace_boot.py finds
-them in sys.modules, so a module imported only later would crash every
-traced run)."""
+transfer model is built, never yaml, dataclasses or inspect, whose import
+would be most of a small op's start-up, and every module the benchmark
+tracer hooks by name already at `import shiftpress.cli`
+(perfbench/trace_boot.py finds them in sys.modules, so a module imported
+only later would crash every traced run)."""
 
 import json
 import os
@@ -17,6 +18,7 @@ from test_surface import _hooked_names
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+NEVER = ("numpy", "yaml", "dataclasses", "inspect")
 
 
 def _fresh(code: str):
@@ -30,7 +32,7 @@ def _fresh(code: str):
 
 def test_cli_import_loads_every_traced_module_and_no_numpy():
     loaded = _fresh("import json, sys, shiftpress.cli; print(json.dumps(sorted(sys.modules)))")
-    assert "numpy" not in loaded
+    assert [m for m in NEVER if m in loaded] == []
     traced = {f"shiftpress.{mod_name}" for mod_name, _ in _hooked_names()}
     assert "shiftpress.transfer" in traced
     assert sorted(traced - set(loaded)) == []
@@ -50,7 +52,8 @@ RUNS = [
 
 @pytest.mark.parametrize("config, argv", RUNS, ids=[f"{c}:{' '.join(a)}" for c, a in RUNS])
 def test_numpy_loads_only_with_a_transfer_model(tmp_path, config, argv):
-    # the transfer model is plain Python too, so no command loads numpy
+    # the transfer model is plain Python too, so no command loads numpy; and
+    # no command loads yaml, dataclasses or inspect
     doc = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
     if argv == ["equilibrium"]:
         doc["horizons"].setdefault("n_state", 4)
@@ -60,6 +63,6 @@ def test_numpy_loads_only_with_a_transfer_model(tmp_path, config, argv):
     code = (
         "import json, sys, shiftpress.cli\n"
         f"rc = shiftpress.cli.main({argv!r})\n"
-        "print(json.dumps([rc, 'numpy' in sys.modules]))"
+        f"print(json.dumps([rc, [m for m in {NEVER!r} if m in sys.modules]]))"
     )
-    assert _fresh(code) == [0, False]
+    assert _fresh(code) == [0, []]

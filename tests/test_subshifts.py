@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -260,7 +259,7 @@ class WordKeyed:
 
 def _word_keyed(spec):
     root = spec.root_walker
-    return dataclasses.replace(spec, root_walker=lambda: WordKeyed(root()))
+    return cases.with_root(spec, lambda: WordKeyed(root()))
 
 
 def _sampled(words, most=12):
@@ -282,7 +281,7 @@ class DeadEnds:
 
 
 def _dead_ends():
-    return dataclasses.replace(make_golden_mean(), root_walker=DeadEnds)
+    return cases.with_root(make_golden_mean(), DeadEnds)
 
 
 def test_dead_end_words_are_counted_and_listed():
