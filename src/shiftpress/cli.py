@@ -129,7 +129,8 @@ class _Run:
         return self._bracket_g().g_at
 
     def pressure_value(self, params: dict, table) -> float:
-        source = params.get("pressure", "transfer" if self.cfg.horizons.n_state else "bracket")
+        n_state = self.cfg.horizons.n_state
+        source = params.get("pressure", "transfer" if n_state is not None else "bracket")
         if isinstance(source, float):
             return source
         if source == "transfer":

@@ -2,9 +2,10 @@
 
 The partition value at length n is the sum of e^(S_n) over admissible
 words, where S_n is the interval-valued partial sum of the potential along
-the word. Rows come from one forward sweep (a transfer recursion, Lind &
-Marcus, An Introduction to Symbolic Dynamics and Coding, ch. 4): words are
-merged into classes by (walker key, scanner state), since equal walker keys
+the word. Rows come from one forward pass, `subshifts.forward`, whose lane
+is the potential's scanner state (a transfer recursion, Lind & Marcus, An
+Introduction to Symbolic Dynamics and Coding, ch. 4): words are merged
+into classes by (walker key, scanner state), since equal walker keys
 admit the same continuations and equal scanner states emit the same site
 values from there on. Each class carries its word count and two
 non-negative weights enclosing the sums of e^(S_lo) and e^(S_hi) over its
@@ -34,9 +35,9 @@ import math
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, InconsistentBracketError, InputError
+from .errors import InconsistentBracketError, InputError
 from .potentials import Interval, Potential, VarProfile
-from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, walk
+from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward
 from .words import Word, check_symbols
 
 _INF = math.inf
@@ -84,16 +85,9 @@ def _sweep(
     prefix: Word = (),
 ) -> tuple[list[PartitionRow], int, int]:
     """Rows for lengths max(1, len(prefix)) .. n_max of the words
-    extending prefix, from one forward pass over frontier classes, plus the
-    walker child calls made and the largest frontier."""
-    if budget < 1:
-        raise InputError("budget must be >= 1")
-    prefix = tuple(prefix)
-    check_symbols(prefix, spec.alphabet_size)
-    walker = walk(spec.root_walker(), prefix)
-    if walker is None:
-        lengths = range(max(1, len(prefix)), n_max + 1)
-        return [PartitionRow(n, 0, -_INF, -_INF) for n in lengths], 0, 0
+    extending prefix, from one forward pass whose lane is the scanner
+    state with a word count and the lo and hi weights, plus the walker
+    child calls charged and the largest frontier."""
     scan = pot.scanner()
     a_size = spec.alphabet_size
     lo_add, lo_mul, hi_add, hi_mul = _LO.add, _LO.multiply, _HI.add, _HI.multiply
@@ -107,44 +101,24 @@ def _sweep(
             got.append((nxt, *_factors(ivs)))
         return got
 
-    state, lo, hi = scan.start, _ONE, _ONE
-    for sym in prefix:
-        state, f_lo, f_hi = (moves.get(state) or moves_from(state))[sym]
-        lo, hi = lo_mul(lo, f_lo), hi_mul(hi, f_hi)
-    # (walker key, scanner state) -> [walker, word count, lo weight, hi weight]
-    frontier = {(walker.key(), state): [walker, 1, lo, hi]}
-    nodes = max_states = 0
+    def step(state, weights, sym):
+        nxt, f_lo, f_hi = (moves.get(state) or moves_from(state))[sym]
+        count, lo, hi = weights
+        return nxt, (count, lo_mul(lo, f_lo), hi_mul(hi, f_hi))
+
+    def merge(old, new):
+        return old[0] + new[0], lo_add(old[1], new[1]), hi_add(old[2], new[2])
+
+    tally = Tally()
+    lane = (scan.start, (1, _ONE, _ONE), step, merge)
     rows = []
-    for n in range(len(prefix), n_max + 1):
-        if n > len(prefix):
-            grown: dict = {}
-            for (_k, state), (walker, count, lo, hi) in frontier.items():
-                out = moves.get(state) or moves_from(state)
-                for sym in range(a_size):
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceededError(
-                            f"node budget {budget} exhausted at length {n}",
-                            nodes=nodes,
-                            budget=budget,
-                        )
-                    child = walker.child(sym)
-                    if child is None:
-                        continue
-                    nstate, f_lo, f_hi = out[sym]
-                    fresh = [child, count, lo_mul(lo, f_lo), hi_mul(hi, f_hi)]
-                    entry = grown.setdefault((child.key(), nstate), fresh)  # hashed once
-                    if entry is not fresh:
-                        entry[1] += count
-                        entry[2] = lo_add(entry[2], fresh[2])
-                        entry[3] = hi_add(entry[3], fresh[3])
-            frontier = grown
-            max_states = max(max_states, len(frontier))
+    for n, level in enumerate(forward(spec.root_walker(), a_size, prefix, n_max, budget, tally,
+                                      lane), len(prefix)):
         if n < 1:
             continue
         z_lo = z_hi = Decimal(0)
         total = 0
-        for (_k, state), (_w, count, lo, hi) in frontier.items():
+        for _w, state, (count, lo, hi) in level.values():
             c_lo, c_hi = closes.get(state) or closes.setdefault(
                 state, _factors(scan.close(state))
             )
@@ -157,7 +131,7 @@ def _sweep(
         else:
             lnz_lo = lnz_hi = -_INF
         rows.append(PartitionRow(n=n, count=total, lnz_lo=lnz_lo, lnz_hi=lnz_hi))
-    return rows, nodes, max_states
+    return rows, tally.nodes, tally.states
 
 
 def partition_function(

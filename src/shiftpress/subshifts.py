@@ -12,10 +12,14 @@ admissible superset of it. Five families are provided:
 
 Each family exposes an incremental prefix walker, a state of its
 follower-set automaton, so a prefix is rejected as soon as it can no
-longer begin an admissible word. Counting is one forward pass over the
-distinct states of each length; enumeration is depth-first in
-lexicographic order, with a node budget checked against the counts
-before the first word.
+longer begin an admissible word. One forward pass over the classes
+(walker key, lane state) of each length, `forward`, serves every
+recursion over that automaton: counts here, partition sums, the density
+certificate's heaviest words and the transfer class graph, each a lane
+in its own semiring (Mohri, J. Autom. Lang. Comb. 7 (2002)), all charged
+to the node budget by one rule. Enumeration is depth-first in
+lexicographic order, with the budget checked against the counts before
+the first word.
 """
 
 from __future__ import annotations
@@ -697,9 +701,9 @@ def word_admissible(spec: SubshiftSpec, w: Word) -> Verdict:
 
 
 class Tally:
-    """Filled in by a count to length n: counts[k] admissible words of
-    length k (0 below the prefix length), the nodes charged, and the most
-    distinct walker states on one level."""
+    """Filled in by a forward pass: the nodes charged and the most classes
+    on one level past the prefix; by a count to n also counts[k], the
+    admissible words of length k (0 below the prefix length)."""
 
     __slots__ = ("counts", "nodes", "states")
 
@@ -707,42 +711,70 @@ class Tally:
         self.counts, self.nodes, self.states = [], 0, 0
 
 
-def _count(walker, a_size: int, start: int, n: int, budget, tally: Tally, keep: int = -1):
-    """One forward count over the distinct walker states, from length start to n.
+def _same(state, value, sym):  # the counting lane's step
+    return state, value
 
-    Each level maps walker key -> [walker, multiplicity], the number of
-    words of that length reaching the key; equal keys admit the same
-    continuations, so the multiplicities add. Every (state, symbol) child
-    call counts against budget, as in pressure._sweep. Fills in tally and
-    returns the level at length keep (None when no level has that length).
+
+def forward(walker, a_size: int, start: Word, n: float, budget: int, tally: Tally, lane=None,
+            closure: bool = False):
+    """One forward pass over classes (walker key, lane state), from the
+    prefix start to length n (math.inf with closure): yields each length's
+    level, a dict class -> [walker, lane state, value], for lengths
+    len(start) .. n.
+
+    A lane is (start state, start value, step, merge): step(state, value,
+    sym) gives a child's lane state and value, and merge(old, new) the
+    value of a class reached twice. Equal walker keys admit the same
+    continuations and equal lane states step alike, so the words reaching
+    a class merge into its value; the default lane counts them. Levels keep
+    their parents' order, symbols ascending. Each class expanded is charged
+    a_size nodes before its child calls, and tally gets the nodes and the
+    widest level. With closure, a level keeps only classes no earlier
+    level held, and the pass stops at the first empty level.
     """
-    counts, level = tally.counts, {walker.key(): [walker, 1]}  # counts zeroed by _start
-    counts[start] = 1
-    kept = level if keep == start else None
-    nodes = widest = 0
+    if budget < 1:
+        raise InputError("budget must be >= 1")
+    if n < 0:
+        raise InputError("word length must be >= 0")
+    check_symbols(start, a_size)
+    tally.nodes = tally.states = 0
+    if len(start) > n:
+        return
+    state, value, step, merge = (None, 1, _same, int.__add__) if lane is None else lane
+    for s in start:
+        state, value = step(state, value, s)
+    walker, k = walk(walker, start), len(start)
+    level = {} if walker is None else {(walker.key(), state): [walker, state, value]}
+    seen = set(level)
+    yield level
     symbols = range(a_size)
-    for k in range(start + 1, n + 1):
+    while k < n:
+        k += 1
         grown: dict = {}
-        total = 0
-        for w, mult in level.values():
-            nodes += a_size
-            if nodes > budget:
+        for w, state, value in level.values():
+            tally.nodes += a_size
+            if tally.nodes > budget:
                 raise BudgetExceededError(
                     f"node budget {budget} exhausted at length {k}",
-                    nodes=nodes, budget=budget,
+                    nodes=tally.nodes, budget=budget,
                 )
             child = w.child
             for s in symbols:
                 ch = child(s)
                 if ch is not None:
-                    total += mult
-                    grown.setdefault(ch.key(), [ch, 0])[1] += mult  # the key hashed once
-        level, counts[k] = grown, total
-        widest = max(widest, len(level))
-        if k == keep:
-            kept = level
-    tally.nodes, tally.states = nodes, widest
-    return kept
+                    st, v = step(state, value, s)
+                    fresh = [ch, st, v]
+                    got = grown.setdefault((ch.key(), st), fresh)  # the class hashed once
+                    if got is not fresh:
+                        got[2] = merge(got[2], v)
+        if closure:
+            grown = {c: e for c, e in grown.items() if c not in seen}
+            if not grown:
+                return
+            seen.update(grown)
+        level = grown
+        tally.states = max(tally.states, len(level))
+        yield level
 
 
 def _walk(walker, a_size: int, root: Word, depth: int, ends: bool = False):
@@ -770,15 +802,6 @@ def _digits(w: Word) -> str:  # format_word(w) over at most 10 symbols
     return bytes(w).translate(_DIGITS).decode()
 
 
-def _start(spec: SubshiftSpec, n: int, prefix: Word, tally: Tally):
-    """prefix's walker (None when no word of length n extends it); zeroes tally."""
-    if n < 0:
-        raise InputError("word length must be >= 0")
-    check_symbols(prefix, spec.alphabet_size)
-    tally.counts, tally.nodes, tally.states = [0] * (n + 1), 0, 0
-    return walk(spec.root_walker(), prefix) if len(prefix) <= n else None
-
-
 def iter_language(
     spec: SubshiftSpec,
     n: int,
@@ -791,7 +814,7 @@ def iter_language(
 ) -> Iterator[Word] | Iterator[str]:
     """Yield the admissible words of length n in lexicographic order.
 
-    A forward count over walker states (_count) runs first and fills in
+    A forward count (forward's default lane) runs first and fills in
     tally. The budget is charged what a walk of the prefix tree makes: a
     child call per symbol for each admissible word shorter than n. When
     that exceeds it, BudgetExceededError is raised before any word is
@@ -800,24 +823,29 @@ def iter_language(
     text, the words come as language-file text, format_word(w) + "\\n" per
     word, in chunks of whole lines.
     """
-    if budget < 1:
-        raise InputError("budget must be >= 1")
     prefix, tally = tuple(prefix), Tally() if tally is None else tally
-    walker = _start(spec, n, prefix, tally)
-    if walker is None:
-        return
     a_size, start = spec.alphabet_size, len(prefix)
     # text lines are joined from suffix blocks when symbols are one digit
     # (format_word dots a word only when it holds a symbol >= 10)
     split = start + (n - start) // 2 if text and a_size <= 10 else -1
-    level = _count(walker, a_size, start, n, budget, tally, split)
-    tally.nodes = a_size * sum(tally.counts[start:n])
+    tally.counts = counts = [0] * (n + 1)
+    walker = None
+    levels = forward(spec.root_walker(), a_size, prefix, n, budget, tally)
+    for k, level in enumerate(levels, start):
+        counts[k] = sum(e[2] for e in level.values())
+        if k == start and level:
+            (walker, _, _), = level.values()
+        if k == split:
+            kept = level
+    if walker is None:
+        return
+    tally.nodes = a_size * sum(counts[start:n])
     if tally.nodes > budget:
         raise BudgetExceededError(
             f"node budget {budget} exhausted at length {n}",
             nodes=tally.nodes, budget=budget,
         )
-    if level is not None:
+    if split >= 0:
         # one chunk of lines per length-split prefix p: the block of p's end
         # state, a "*" + suffix + "\n" line per admissible word of length
         # n - split from there, with p in place of each "*". A block is
@@ -825,12 +853,12 @@ def iter_language(
         # saw reaching that key has used it
         blocks: dict = {}
         for p, end in _walk(walker, a_size, prefix, split - start, ends=True):
-            got = blocks.get(key := end.key())
+            got = blocks.get(key := (end.key(), None))
             if got is None:
                 block = bytearray()
                 for w in _walk(end, a_size, (), n - split):
                     block += bytes((42, *w, 10))  # "*", the symbols, "\n"
-                got = blocks[key] = [level[key][1], block.translate(_DIGITS).decode()]
+                got = blocks[key] = [kept[key][2], block.translate(_DIGITS).decode()]
             got[0] -= 1
             if not got[0]:
                 del blocks[key]
@@ -849,13 +877,14 @@ def language_counts(
     tally: Tally | None = None,
 ) -> list[int]:
     """[|L_0|, ..., |L_n|] of the words extending prefix (0 below its
-    length), from one forward count over walker states (_count) for every
+    length), from one forward count (forward's default lane) for every
     family. tally, when given, gets the nodes charged and the widest level.
     """
     prefix, tally = tuple(prefix), Tally() if tally is None else tally
-    walker = _start(spec, n, prefix, tally)
-    if walker is not None:
-        _count(walker, spec.alphabet_size, len(prefix), n, budget, tally)
+    tally.counts = [0] * (n + 1)
+    levels = forward(spec.root_walker(), spec.alphabet_size, prefix, n, budget, tally)
+    for k, level in enumerate(levels, len(prefix)):
+        tally.counts[k] = sum(e[2] for e in level.values())
     return tally.counts
 
 

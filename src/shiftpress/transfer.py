@@ -11,11 +11,12 @@ to build one.
   state) that the partition sweep merges words on (`pressure._sweep`):
   equal keys admit the same continuations and equal scanner states emit
   the same site values from there on (Lind & Marcus, An Introduction to
-  Symbolic Dynamics and Coding, section 3.2). The classes are explored
-  from the root in symbol order to closure, and an edge's weight is e^phi
-  for the site values the scanner emits on that step. The model is exact,
-  and n_state plays no part in it: the golden mean has 3 recurrent
-  classes whatever n_state is.
+  Symbolic Dynamics and Coding, section 3.2). One closure pass of
+  `subshifts.forward` finds them, from the root in symbol order until a
+  length brings no new class; an edge's weight is e^phi for the site
+  values the scanner emits on that step. The model is exact, and n_state
+  plays no part in it: the golden mean has 3 recurrent classes whatever
+  n_state is.
 * Block graph at block length n_state, for bounded density shifts, whose
   keys run into the height table's end and never close. One state per
   admissible n_state-word, and an edge u -> v when u and v overlap in
@@ -41,15 +42,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    BudgetExceededError,
-    ConvergenceError,
-    IdentityCheckError,
-    InputError,
-    ReducibleGraphError,
-)
+from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
-from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, iter_language
+from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward, iter_language
 from .words import Word
 
 CLASS_GRAPH = "class_graph"
@@ -65,7 +60,7 @@ class TransferModel:
     edge) with weight e^phi(edge) in weights[i][s] and phi(edge) in
     log_weights[i][s]. labels[i] is the least word from the root to state
     i. explored counts the classes or blocks visited before the transient
-    ones were dropped, nodes the walker child calls charged to the budget.
+    ones were dropped, nodes what was charged to the budget.
     """
 
     __slots__ = ("spec", "pot", "n_state", "kind", "labels", "succ", "weights", "log_weights",
@@ -107,35 +102,34 @@ def _closes(spec: SubshiftSpec) -> bool:
 
 def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
     """Labels, successors and emitted site values of the classes reached
-    from the root, numbered breadth first in symbol order, so that each
-    class is first reached by its least word; plus the child calls made."""
-    scan = pot.scanner()
-    walkers, states, labels = [spec.root_walker()], [scan.start], [()]
-    index = {(walkers[0].key(), scan.start): 0}
-    succ, emitted = [], []
-    nodes = 0
-    for i, (walker, state) in enumerate(zip(walkers, states)):  # grows as it goes
-        row, vals = [-1] * spec.alphabet_size, [()] * spec.alphabet_size
-        for s in range(spec.alphabet_size):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted after {len(succ)} classes",
-                    nodes=nodes, budget=budget,
-                )
+    from the root, from one closure pass whose lane is the scanner state
+    with the least word reaching the class; plus the nodes charged. The
+    classes are numbered breadth first in symbol order, so each class is
+    first reached by its least word."""
+    scan, a_size, tally = pot.scanner(), spec.alphabet_size, Tally()
+    moves: dict = {}  # (scanner state, symbol) -> (next state, emitted values)
+
+    def step(state, word, sym):
+        got = moves[state, sym] = scan.step(state, sym)
+        return got[0], word + (sym,)
+
+    lane = (scan.start, (), step, min)
+    classes: dict = {}
+    for level in forward(spec.root_walker(), a_size, (), math.inf, budget, tally, lane, True):
+        classes.update(level)
+    index = {c: i for i, c in enumerate(classes)}
+    labels, succ, emitted = [], [], []
+    for walker, state, label in classes.values():
+        row, vals = [-1] * a_size, [()] * a_size
+        for s in range(a_size):
             child = walker.child(s)
-            if child is None:
-                continue
-            nxt, vals[s] = scan.step(state, s)
-            j = index.setdefault((child.key(), nxt), len(walkers))
-            if j == len(walkers):
-                walkers.append(child)
-                states.append(nxt)
-                labels.append(labels[i] + (s,))
-            row[s] = j
+            if child is not None:
+                nxt, vals[s] = moves[state, s]
+                row[s] = index[(child.key(), nxt)]
+        labels.append(label)
         succ.append(row)
         emitted.append(vals)
-    return labels, succ, emitted, nodes
+    return labels, succ, emitted, tally.nodes
 
 
 def _block_graph(spec: SubshiftSpec, pot: Potential, n_state: int, budget: int):
@@ -234,8 +228,8 @@ def build_transfer(
     n_state where the family's keys do not close.
 
     Requires an exact-language oracle, a zero or locally constant
-    potential, and exactly one cyclic component. Every walker child call
-    of the exploration or the block walk is charged to budget.
+    potential, and exactly one cyclic component. The closure pass is
+    charged a_size nodes per class, the block graph its enumeration.
     """
     if spec.exactness is not Exactness.EXACT_LANGUAGE:
         raise InputError("transfer models need an exact language oracle")

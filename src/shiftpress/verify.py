@@ -29,11 +29,11 @@ from itertools import islice
 from operator import truth
 from typing import Callable, Sequence
 
-from .errors import BudgetExceededError, IdentityCheckError, InputError
+from .errors import IdentityCheckError, InputError
 from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs
 from .pressure import PartitionTable, _sweep
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, SubshiftSpec, _walk, iter_language, states_built, walk,
+    DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language, states_built, walk,
 )
 from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
@@ -88,35 +88,25 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def _heavier(state, value, sym):
+    count, (light, word) = value
+    return state, (count, (light - sym, word + (sym,)))
+
+
 def _heaviest(root, a_size: int, n: int, budget: int) -> list[tuple[int, int, Word]]:
     """(|L_k|, M(k), the least word of L_k with symbol sum M(k)) for k = 0..n,
     where M(k) is the largest symbol sum over L_k.
 
-    One forward pass over walker keys, as subshifts._count: each key
-    carries its word count and (-sum, word) least over the words reaching
-    it. Those words have the same continuations, so a key's heaviest word
-    extends a parent key's by one symbol. Every (state, symbol) child call
-    counts against budget.
+    One forward pass whose lane carries each class's word count and the
+    least (-sum, word) over the words reaching it, merged by (add, min).
+    Those words have the same continuations, so a class's heaviest word
+    extends a parent's by one symbol.
     """
-    level, out, nodes = {root.key(): [root, 1, (0, ())]}, [(1, 0, ())], 0
-    symbols = range(a_size)
-    for k in range(1, n + 1):
-        grown: dict = {}
-        for w, mult, (light, word) in level.values():
-            nodes += a_size
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted at length {k}", nodes=nodes, budget=budget
-                )
-            for s in symbols:
-                ch = w.child(s)
-                if ch is not None:
-                    got = grown.setdefault(ch.key(), [ch, 0, (1, ())])
-                    got[1] += mult
-                    got[2] = min(got[2], (light - s, word + (s,)))
-        level = grown
-        light, word = min(e[2] for e in level.values())
-        out.append((sum(e[1] for e in level.values()), -light, word))
+    out = []
+    lane = (None, (1, (0, ())), _heavier, lambda a, b: (a[0] + b[0], min(a[1], b[1])))
+    for level in forward(root, a_size, (), n, budget, Tally(), lane):
+        light, word = min(v[1] for _, _, v in level.values())
+        out.append((sum(v[0] for _, _, v in level.values()), -light, word))
     return out
 
 

@@ -671,6 +671,23 @@ def test_verify_fail_exits_5(tmp_path):
     assert report["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("n_state", [0, 1])
+def test_any_set_n_state_makes_the_transfer_the_default_pressure(tmp_path, n_state):
+    # a set n_state, 0 included, selects ln lambda of the golden mean's
+    # class graph, which no n_state changes, and records the transfer work
+    doc = golden_doc(horizons={"n_max": 10, "n_state": n_state},
+                     checks={"partition_upper_spec": {}})
+    cfg_path = write_yaml(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main(["verify", "partition_upper_spec", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report_partition_upper_spec.json").read_text())
+    ln_phi = math.log((1 + math.sqrt(5)) / 2)
+    assert report["extra"]["pressure"] == pytest.approx(ln_phi, abs=1e-12)
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    assert status["transfer"]["model"] == "class_graph"
+
+
 def test_precondition_fail_exits_6(tmp_path):
     doc = golden_doc(checks={"partition_upper_trans": {"C": 0.55, "onset": 5}})
     cfg_path = write_yaml(tmp_path, doc)

@@ -27,6 +27,8 @@ from shiftpress.subshifts import (
     walk,
     word_admissible,
 )
+from shiftpress.transfer import build_transfer
+from shiftpress.verify import _heaviest
 from shiftpress.words import format_word
 
 HALF = [math.ceil(n / 2) for n in range(1, 41)]
@@ -340,6 +342,53 @@ def test_count_budget_error_names_the_length_reached():
     # golden-mean levels 0, 1 and 2 hold 1, 2 and 3 states: 2 + 4 + 6 > 10
     with pytest.raises(BudgetExceededError, match="budget 10 exhausted at length 3$"):
         language_counts(make_golden_mean(), 20, budget=10)
+
+
+# the entry points of the forward passes, run on the golden mean to n: the
+# count, the heaviest sums of the density certificate, the partition sweep
+# and the closure pass of the class graph (which n does not bound)
+PASSES = {
+    "count": lambda n, b: language_counts(make_golden_mean(), n, b),
+    "heaviest": lambda n, b: _heaviest(make_golden_mean().root_walker(), 2, n, b),
+    "sweep": lambda n, b: partition_table(make_golden_mean(), ZeroPotential(), n, b),
+    "class_graph": lambda n, b: build_transfer(make_golden_mean(), ZeroPotential(), n, b),
+}
+
+
+def _budget_error(name, n, budget):
+    """(nodes, message) of the pass's budget error, None when it fits."""
+    try:
+        PASSES[name](n, budget)
+    except BudgetExceededError as exc:
+        return exc.nodes, str(exc)
+    return None
+
+
+def test_every_forward_pass_charges_one_rule():
+    # a_size nodes per class expanded, before its child calls. The levels
+    # hold 1, 2, then 3 classes, so the passes to n = 8 expand 21 classes;
+    # the class graph closes after the root, 0, 1, 00, 01 and 10
+    total, graph = 2 * (1 + 2 + 3 * 6), 2 * 6
+    for budget in range(1, total + 1):
+        got = {name: _budget_error(name, 8, budget) for name in PASSES}
+        assert got["count"] == got["heaviest"] == got["sweep"], budget
+        assert got["class_graph"] == (got["count"] if budget < graph else None), budget
+    assert _budget_error("count", 8, total - 1) == (total, f"node budget {total - 1} "
+                                                    "exhausted at length 8")
+    assert _budget_error("sweep", 8, 2) == (4, "node budget 2 exhausted at length 2")
+    assert _budget_error("count", 8, total) is None
+
+
+@pytest.mark.parametrize("run", [
+    lambda b: list(iter_language(make_golden_mean(), 8, b)),
+    lambda b: language_counts(make_golden_mean(), 8, b),
+    lambda b: partition_table(make_golden_mean(), ZeroPotential(), 8, b),
+    lambda b: build_transfer(make_golden_mean(), ZeroPotential(), 2, b),
+], ids=["iter_language", "language_counts", "partition_table", "build_transfer"])
+def test_a_budget_below_one_is_an_input_error(run):
+    for budget in (0, -3):
+        with pytest.raises(InputError, match="budget must be >= 1"):
+            run(budget)
 
 
 @settings(deadline=None, max_examples=60)

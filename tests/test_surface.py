@@ -3,6 +3,7 @@ benchmark tracer's hooks. perfbench/trace_boot.py looks each hooked name
 up with getattr and no default, so deleting a hooked function would crash
 every traced run; this test fails first."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import shiftpress
 
 TRACE_BOOT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+SRC = Path(shiftpress.__file__).resolve().parent
 
 
 def _hooked_names():
@@ -39,6 +41,24 @@ def test_every_traced_name_is_a_live_function():
         if not callable(getattr(importlib.import_module(f"shiftpress.{mod_name}"), fn_name, None))
     ]
     assert missing == []
+
+
+def test_the_budget_is_enforced_by_the_forward_pass_alone():
+    # one search primitive: every pass charges its nodes in subshifts.forward,
+    # and only the enumeration walk adds a check of its own
+    raises = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                raises += [
+                    (path.name, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "BudgetExceededError"
+                ]
+    assert raises == [("subshifts.py", "forward"), ("subshifts.py", "iter_language")]
+    # and no other mention builds one: the two raises and the class statement
+    assert sum(p.read_text().count("BudgetExceededError(") for p in SRC.glob("*.py")) == 3
 
 
 def test_every_exported_name_resolves():
