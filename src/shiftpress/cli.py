@@ -96,6 +96,12 @@ class _Run:
             raise InputError("--budget must be a positive node count")
         self.spec: SubshiftSpec = build_subshift(self.cfg.subshift)
         self.pot: Potential = build_potential(self.cfg.potential, self.spec)
+        n_state = self.cfg.horizons.n_state
+        if n_state is not None:
+            try:  # a density table must reach the transfer model's window
+                self.spec.root_walker(n_state + 1)
+            except InputError as exc:
+                raise InputError(f"horizons.n_state: {exc}") from None
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
         self.manifest = RunManifest(config_digest=self.digest, command=args.command)
         self.glue: GlueWork | None = None
@@ -149,7 +155,7 @@ class _Run:
         model = build_transfer(self.spec, self.pot, n_state, self.budget)
         pd = perron(model, tol=self.cfg.tolerances.perron)
         self.manifest.status["transfer"] = {
-            "model": model.kind, "n_state": n_state, "explored": model.explored,
+            "n_state": n_state, "explored": model.explored,
             "states": model.state_count, "edges": len(model.edges()),
             "nodes": model.nodes, "budget": self.budget,
             "iterations": pd.iterations, "residual": pd.residual,

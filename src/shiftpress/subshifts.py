@@ -65,13 +65,18 @@ class SubshiftSpec:
     gluing at every gap >= f(n) ("specification") or only at some single
     gap <= f(n) ("transitivity"). gap_reach is the largest n declared_gap
     answers, None when it answers every n.
+
+    root_walker(window=None) gives a fresh root walker. A window K cuts a
+    bounded density shift to its windows of length <= K, a shift of finite
+    type whose keys close (products pass K to both factors); the other
+    families ignore it.
     """
 
     __slots__ = ("alphabet_size", "family", "exactness", "label", "root_walker", "params",
                  "declared_gap", "gap_mode", "gap_reach")
 
     def __init__(self, alphabet_size: int, family: str, exactness: Exactness, label: str,
-                 root_walker: Callable[[], object], params: dict | None = None,
+                 root_walker: Callable[..., object], params: dict | None = None,
                  declared_gap: Callable[[int], int] | None = None, gap_mode: str | None = None,
                  gap_reach: int | None = None):
         self.alphabet_size, self.family, self.exactness = alphabet_size, family, exactness
@@ -101,8 +106,9 @@ class SubshiftSpec:
 # * SFT: the prefix while it is shorter than the block length, then its
 #   last block;
 # * bounded density: the allowance profile a(j), the largest sum the next
-#   j symbols may have, for j up to the height table's remaining reach,
-#   packed into one int with a guarded bit field per entry;
+#   j symbols may have, for j up to the height table's remaining reach (up
+#   to K under a window K), packed into one int with a guarded bit field
+#   per entry;
 # * sparse Sturmian: the last (longest factor - 1) symbols, and for each
 #   constraint j the distance d_j back to the end of the latest j-factor;
 # * product: the pair of factor keys.
@@ -207,23 +213,34 @@ class _DensityTables:
     profiles of length L: s times the low bit of every field for s = 0..k,
     the guard bits, the capped heights c(1..L) packed with their sentinel,
     and those with the guard bits set. It is built once per L, on first use.
+
+    With a window K the heights run to c(L + 1) instead: a step from a
+    K-field profile then refills field K with c(K), so profiles keep K
+    fields, and only windows of length <= K are enforced.
     """
 
-    __slots__ = ("k", "w", "vmask", "n_cap", "caps", "_masks")
+    __slots__ = ("k", "w", "vmask", "n_cap", "caps", "refill", "_masks")
 
-    def __init__(self, caps: Sequence[int], k: int):
+    def __init__(self, caps: Sequence[int], k: int, window: int | None = None):
         self.k, self.n_cap = k, len(caps)
         self.w = w = (k * self.n_cap).bit_length() + 1
         self.vmask = (1 << w) - 1
         # the sentinel, then c(n_cap) .. c(1) as w-bit fields, read in base 2
         self.caps = int("1" + "".join(format(c, f"0{w}b") for c in reversed(caps)), 2)
+        self.refill = window is not None
+        if self.refill and not 1 <= window <= self.n_cap:
+            raise InputError(
+                f"bounded density height table only covers lengths <= {self.n_cap}, "
+                f"not the window {window}"
+            )
         self._masks: dict = {}
 
     def masks(self, L: int):
         got = self._masks.get(L)
         if got is None:
-            w, top = self.w, 1 << (L * self.w)
-            ones = (top - 1) // self.vmask
+            w = self.w
+            ones = ((1 << L * w) - 1) // self.vmask
+            top = 1 << (L + self.refill) * w
             guard, caps = ones << (w - 1), self.caps & (top - 1) | top
             steps = tuple(s * ones for s in range(self.k + 1))
             got = self._masks[L] = (steps, guard, caps, caps | guard)
@@ -242,7 +259,9 @@ class _DensityWalker(_State):
     One step works on all fields at once: x = (a >> w) - s ONES cannot
     borrow across fields since a(j+1) >= a(1) >= s, and (CAPS | GUARD) - x
     leaves a field's guard bit set iff c(j) >= x(j); the sentinels cancel.
-    Those fields keep x(j), the others take c(j).
+    Those fields keep x(j), the others take c(j). With a window K
+    (_DensityTables), CAPS runs one field further, to c(K), and that field
+    and the sentinel above it are taken from CAPS.
     """
 
     __slots__ = ()
@@ -333,7 +352,7 @@ def make_full_shift(alphabet_size: int) -> SubshiftSpec:
         family="full",
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"full shift on {alphabet_size} symbols",
-        root_walker=lambda: _FullWalker.root(None, alphabet_size, ()),
+        root_walker=lambda window=None: _FullWalker.root(None, alphabet_size, ()),
         params={},
         declared_gap=lambda n: 0,
         gap_mode=GAP_SPECIFICATION,
@@ -410,7 +429,7 @@ def make_sft(
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"SFT on {alphabet_size} symbols avoiding "
         + ",".join(format_word(f) for f in sorted(forb)),
-        root_walker=lambda: _SftWalker.root(tables, alphabet_size, ()),
+        root_walker=lambda window=None: _SftWalker.root(tables, alphabet_size, ()),
         params={"forbidden": sorted(forb)},
         declared_gap=f_decl,
         gap_mode=mode,
@@ -508,8 +527,14 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
     # a window of length j sums to at most k j, so capping h there keeps the
     # language; profile entries then lie in 0 .. k n_max (a is
     # non-decreasing in j, so a(j+1) - s >= a(1) - s >= 0)
-    tables = _DensityTables([min(v, k * j) for j, v in enumerate(hs, start=1)], k)
-    root_key = tables.caps
+    capped = [min(v, k * j) for j, v in enumerate(hs, start=1)]
+    tables = _DensityTables(capped, k)
+
+    def root(window=None):
+        if window is None:
+            return _DensityWalker.root(tables, k + 1, tables.caps)
+        cut = _DensityTables(capped, k, window)
+        return _DensityWalker.root(cut, k + 1, cut.masks(window - 1)[2])
 
     def f_decl(n: int) -> int:
         if n < 1 or n > n_max:
@@ -522,7 +547,7 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
         family="bounded_density",
         exactness=Exactness.EXACT_LANGUAGE,
         label=f"bounded density shift, k={k}, alpha={alpha}",
-        root_walker=lambda: _DensityWalker.root(tables, k + 1, root_key),
+        root_walker=root,
         params={"density": params},
         declared_gap=f_decl,
         gap_mode=GAP_SPECIFICATION,
@@ -633,7 +658,7 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
         family="sparse_sturmian",
         exactness=Exactness.LOCAL_SUPERSET,
         label=f"sparse Sturmian shift, slope {fs.slope}, n_seq={tuple(ns)}",
-        root_walker=lambda: _SparseWalker.root(tables, 2, root_key),
+        root_walker=lambda window=None: _SparseWalker.root(tables, 2, root_key),
         params={"factor_set": fs, "n_seq": tuple(ns)},
         declared_gap=f_decl,
         gap_mode=GAP_TRANSITIVITY,
@@ -641,8 +666,8 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
     )
 
 
-def _product_root(a: SubshiftSpec, b: SubshiftSpec):
-    wa, wb = a.root_walker(), b.root_walker()
+def _product_root(a: SubshiftSpec, b: SubshiftSpec, window: int | None):
+    wa, wb = a.root_walker(window), b.root_walker(window)
     b_size = b.alphabet_size
     return _ProductWalker.root(b_size, a.alphabet_size * b_size, (wa.key(), wb.key()), wa, wb)
 
@@ -678,7 +703,7 @@ def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
         family="product",
         exactness=exact,
         label=f"product of ({a.label}) and ({b.label})",
-        root_walker=lambda: _product_root(a, b),
+        root_walker=lambda window=None: _product_root(a, b, window),
         params={"a": a, "b": b},
         declared_gap=f_decl,
         gap_mode=mode,
@@ -810,7 +835,6 @@ def iter_language(
     *,
     text: bool = False,
     tally: Tally | None = None,
-    ends: bool = False,
 ) -> Iterator[Word] | Iterator[str]:
     """Yield the admissible words of length n in lexicographic order.
 
@@ -819,7 +843,6 @@ def iter_language(
     child call per symbol for each admissible word shorter than n. When
     that exceeds it, BudgetExceededError is raised before any word is
     yielded. With a prefix, only words extending it are yielded. With
-    ends (tuple words only), each word comes as (w, end walker of w). With
     text, the words come as language-file text, format_word(w) + "\\n" per
     word, in chunks of whole lines.
     """
@@ -865,7 +888,7 @@ def iter_language(
             if got[1]:
                 yield got[1].replace("*", _digits(p))
     else:
-        words = _walk(walker, a_size, prefix, n - start, ends)
+        words = _walk(walker, a_size, prefix, n - start)
         yield from (format_word(w) + "\n" for w in words) if text else words
 
 

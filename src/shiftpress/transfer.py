@@ -2,35 +2,27 @@
 
 A transfer model is a finite weighted graph that presents the subshift:
 reading symbol s in state i leads to at most one state, and a path
-multiplies e^phi over the sites its symbols decide. There are two ways
-to build one.
+multiplies e^phi over the sites its symbols decide. Its nodes are the
+classes (walker key, scanner state) that the partition sweep merges words
+on (`pressure._sweep`): equal keys admit the same continuations and equal
+scanner states emit the same site values from there on (Lind & Marcus, An
+Introduction to Symbolic Dynamics and Coding, section 3.2). One closure
+pass of `subshifts.forward` finds them, from the root in symbol order
+until a length brings no new class; an edge's weight is e^phi for the
+site values the scanner emits on that step, so any radius works at any
+n_state.
 
-* Class graph, for families whose follower-set automaton closes (the
-  full shift, SFTs, and products of those) under a zero or locally
-  constant potential. Its nodes are the classes (walker key, scanner
-  state) that the partition sweep merges words on (`pressure._sweep`):
-  equal keys admit the same continuations and equal scanner states emit
-  the same site values from there on (Lind & Marcus, An Introduction to
-  Symbolic Dynamics and Coding, section 3.2). One closure pass of
-  `subshifts.forward` finds them, from the root in symbol order until a
-  length brings no new class; an edge's weight is e^phi for the site
-  values the scanner emits on that step. The model is exact, and n_state
-  plays no part in it: the golden mean has 3 recurrent classes whatever
-  n_state is.
-* Block graph at block length n_state, for bounded density shifts, whose
-  keys run into the height table's end and never close. One state per
-  admissible n_state-word, and an edge u -> v when u and v overlap in
-  n_state - 1 symbols and the joined word is admissible; its weight is
-  e^phi at the first fully visible site of the joined word, which needs
-  n_state >= 2r + 1 for a radius-r potential. For a constraint longer
-  than the blocks the model is a finite-type approximation and
-  overestimates.
+The root walker is asked for the window K = n_state + 1. The full shift,
+SFTs and their products ignore it, and their model is exact: the golden
+mean has 3 recurrent classes whatever n_state is. A bounded density shift
+is cut to its windows of length <= K, the shift of finite type that the
+block graph at block length n_state presents, so its keys close; for a
+constraint longer than K the model overestimates.
 
-Either way the model keeps the one strongly connected component that
-carries a cycle, the recurrent states, and refuses a graph with more
-than one. Each state is labelled by the least word (shortest, then
-lexicographically least) leading to it from the root; on a block graph
-that is the block itself.
+The model keeps the one strongly connected component that carries a
+cycle, the recurrent classes, and refuses a graph with more than one.
+Each class is labelled by the least word (shortest, then
+lexicographically least) leading to it from the root.
 
 Perron data comes from plain power iteration with uniform start and
 max-norm normalization, on the right and on the left; the eigenvalue is
@@ -44,32 +36,30 @@ import math
 
 from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
-from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward, iter_language
+from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward
 from .words import Word
 
-CLASS_GRAPH = "class_graph"
-BLOCK_GRAPH = "block_graph"
 # markov_equilibrium's bounds on |h + integral - ln lambda| and on the l1 gap of pi P - pi
 IDENTITY_TOL, STATIONARITY_TOL = 1e-8, 1e-10
 
 
 class TransferModel:
-    """Recurrent states of a class or block graph (`kind`).
+    """Recurrent classes of the class graph.
 
     The edge reading symbol s from state i goes to succ[i][s] (-1: no
     edge) with weight e^phi(edge) in weights[i][s] and phi(edge) in
     log_weights[i][s]. labels[i] is the least word from the root to state
-    i. explored counts the classes or blocks visited before the transient
-    ones were dropped, nodes what was charged to the budget.
+    i. explored counts the classes visited before the transient ones were
+    dropped, nodes what was charged to the budget.
     """
 
-    __slots__ = ("spec", "pot", "n_state", "kind", "labels", "succ", "weights", "log_weights",
+    __slots__ = ("spec", "pot", "n_state", "labels", "succ", "weights", "log_weights",
                  "explored", "nodes")
 
-    def __init__(self, spec: SubshiftSpec, pot: Potential, n_state: int, kind: str,
+    def __init__(self, spec: SubshiftSpec, pot: Potential, n_state: int,
                  labels: tuple[Word, ...], succ: list[list[int]], weights: list[list[float]],
                  log_weights: list[list[float]], explored: int, nodes: int):
-        self.spec, self.pot, self.n_state, self.kind = spec, pot, n_state, kind
+        self.spec, self.pot, self.n_state = spec, pot, n_state
         self.labels, self.succ, self.weights, self.log_weights = labels, succ, weights, log_weights
         self.explored, self.nodes = explored, nodes
 
@@ -82,30 +72,12 @@ class TransferModel:
         return [(i, s, j) for i, row in enumerate(self.succ) for s, j in enumerate(row) if j >= 0]
 
 
-def _radius(pot: Potential) -> int:
-    if isinstance(pot, ZeroPotential):
-        return 0
-    if isinstance(pot, LocallyConstantPotential):
-        return pot.radius
-    raise InputError(
-        "transfer models need a locally constant (or zero) potential; "
-        "use pressure brackets for run-based potentials"
-    )
-
-
-def _closes(spec: SubshiftSpec) -> bool:
-    """Whether the family's follower-set automaton has finitely many keys."""
-    if spec.family == "product":
-        return _closes(spec.params["a"]) and _closes(spec.params["b"])
-    return spec.family in ("full", "sft")
-
-
-def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
+def _class_graph(spec: SubshiftSpec, pot: Potential, window: int, budget: int):
     """Labels, successors and emitted site values of the classes reached
-    from the root, from one closure pass whose lane is the scanner state
-    with the least word reaching the class; plus the nodes charged. The
-    classes are numbered breadth first in symbol order, so each class is
-    first reached by its least word."""
+    from the root walker at window, from one closure pass whose lane is
+    the scanner state with the least word reaching the class; plus the
+    nodes charged. The classes are numbered breadth first in symbol order,
+    so each class is first reached by its least word."""
     scan, a_size, tally = pot.scanner(), spec.alphabet_size, Tally()
     moves: dict = {}  # (scanner state, symbol) -> (next state, emitted values)
 
@@ -115,7 +87,8 @@ def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
 
     lane = (scan.start, (), step, min)
     classes: dict = {}
-    for level in forward(spec.root_walker(), a_size, (), math.inf, budget, tally, lane, True):
+    root = spec.root_walker(window)
+    for level in forward(root, a_size, (), math.inf, budget, tally, lane, True):
         classes.update(level)
     index = {c: i for i, c in enumerate(classes)}
     labels, succ, emitted = [], [], []
@@ -127,34 +100,6 @@ def _class_graph(spec: SubshiftSpec, pot: Potential, budget: int):
                 nxt, vals[s] = moves[state, s]
                 row[s] = index[(child.key(), nxt)]
         labels.append(label)
-        succ.append(row)
-        emitted.append(vals)
-    return labels, succ, emitted, tally.nodes
-
-
-def _block_graph(spec: SubshiftSpec, pot: Potential, n_state: int, budget: int):
-    """Labels, successors and edge site values of the block graph at
-    n_state, from one walk charged to budget like iter_language; each
-    edge is one step of a state's end walker."""
-    r = _radius(pot)
-    if n_state < 2 * r + 1:
-        raise InputError(
-            f"n_state={n_state} too small for potential radius {r}; need >= {2 * r + 1}"
-        )
-    tally = Tally()
-    leaves = list(iter_language(spec, n_state, budget, tally=tally, ends=True))
-    if not leaves:
-        raise InputError("no admissible states at this block length")
-    labels = [u for u, _ in leaves]
-    index = {u: i for i, u in enumerate(labels)}
-    succ, emitted = [], []
-    for u, end in leaves:
-        row, vals = [-1] * spec.alphabet_size, [()] * spec.alphabet_size
-        for s in range(spec.alphabet_size):
-            if end.child(s) is not None:
-                joined = u + (s,)
-                # exact languages are factorial, so the suffix is a state
-                row[s], vals[s] = index[joined[1:]], (pot.eval(joined, r),)
         succ.append(row)
         emitted.append(vals)
     return labels, succ, emitted, tally.nodes
@@ -214,7 +159,7 @@ def _cyclic_component(succ: list[list[int]]) -> list[int]:
 def _edge_phi(ivs) -> float:
     """phi of an edge: the sum of the site values it emits, all points."""
     if any(iv.width != 0.0 for iv in ivs):
-        raise InputError("edge weight not determined by the joined block")
+        raise InputError("edge weight not determined by the class")
     return math.fsum(iv.lo for iv in ivs)
 
 
@@ -224,22 +169,20 @@ def build_transfer(
     n_state: int,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> TransferModel:
-    """The recurrent part of the class graph, or of the block graph at
-    n_state where the family's keys do not close.
+    """The recurrent part of the class graph at window n_state + 1.
 
     Requires an exact-language oracle, a zero or locally constant
     potential, and exactly one cyclic component. The closure pass is
-    charged a_size nodes per class, the block graph its enumeration.
+    charged a_size nodes per class.
     """
     if spec.exactness is not Exactness.EXACT_LANGUAGE:
         raise InputError("transfer models need an exact language oracle")
-    _radius(pot)
-    if _closes(spec):
-        kind = CLASS_GRAPH
-        labels, succ, emitted, nodes = _class_graph(spec, pot, budget)
-    else:
-        kind = BLOCK_GRAPH
-        labels, succ, emitted, nodes = _block_graph(spec, pot, n_state, budget)
+    if not isinstance(pot, (ZeroPotential, LocallyConstantPotential)):
+        raise InputError(
+            "transfer models need a locally constant (or zero) potential; "
+            "use pressure brackets for run-based potentials"
+        )
+    labels, succ, emitted, nodes = _class_graph(spec, pot, n_state + 1, budget)
     keep = _cyclic_component(succ)
     new = {old: i for i, old in enumerate(keep)}
     # an edge out of the component leads to no cycle, and is dropped
@@ -253,7 +196,7 @@ def build_transfer(
         for l_row, row in zip(logs, rows)
     ]
     return TransferModel(
-        spec, pot, n_state, kind,
+        spec, pot, n_state,
         labels=tuple(labels[old] for old in keep),
         succ=rows, weights=weights, log_weights=logs,
         explored=len(labels), nodes=nodes,

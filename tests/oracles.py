@@ -102,6 +102,19 @@ def bd_admissible(h):
     return ok
 
 
+def window_admissible(h, window):
+    """Membership in the window cut of a bounded density shift, h as in
+    bd_admissible: every window of length <= window sums to at most
+    h[length]; longer windows are not checked."""
+
+    def ok(w):
+        n = len(w)
+        return all(sum(w[i:j]) <= h[j - i]
+                   for i in range(n) for j in range(i + 1, min(n, i + window) + 1))
+
+    return ok
+
+
 def bd_language(k, h, n):
     return list(filter(bd_admissible(h), all_words(k + 1, n)))
 

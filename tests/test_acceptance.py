@@ -224,13 +224,14 @@ def test_criterion_07_partition_upper_bounds(tmp_path):
 
 def test_criterion_08_variational_identity():
     """entropy + integral = ln(lambda) within 1e-8 and stationarity within
-    1e-10 on five weighted class graphs and one bounded-density block graph
-    with over 2^10 states."""
+    1e-10 on six weighted class graphs, the last a bounded-density window
+    cut with over 2^10 states."""
     t0 = time.monotonic()
     gm = make_golden_mean()
     fs = make_full_shift(2)
     center0 = {w: LN2 for w in [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]}
-    bd = make_bounded_density(1, [math.ceil(n / 2) for n in range(1, 41)])
+    # floor(n/3) + ceil(2 sqrt n); its window 20 keeps 9,224 classes
+    bd = make_bounded_density(1, [n // 3 + math.isqrt(4 * n - 1) + 1 for n in range(1, 1025)])
     instances = [
         (fs, LocallyConstantPotential(0, {(0,): 0.3, (1,): -0.2}, 2), 1),
         (gm, LocallyConstantPotential(1, center0, 2), 3),
@@ -239,7 +240,7 @@ def test_criterion_08_variational_identity():
         (gm, LocallyConstantPotential(
             2, {(0, 0, 0, 0, 0): 0.1, (0, 0, 1, 0, 0): 0.4}, 2), 5),
         (fs, LocallyConstantPotential(1, {(0, 1, 0): 0.7}, 2), 10),
-        (bd, LocallyConstantPotential(1, {(0, 1, 0): 0.7}, 2), 15),
+        (bd, LocallyConstantPotential(1, {(0, 1, 0): 0.7}, 2), 19),
     ]
     state_counts = []
     for spec, pot, n_state in instances:

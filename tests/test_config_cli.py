@@ -25,7 +25,7 @@ from shiftpress.config import (
 from shiftpress.errors import InputError
 from shiftpress.potentials import ZeroPotential
 from shiftpress.reports import sha256_file
-from shiftpress.subshifts import DEFAULT_NODE_BUDGET, Tally, iter_language
+from shiftpress.subshifts import DEFAULT_NODE_BUDGET
 from shiftpress.verify import ALL_CHECKS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -166,6 +166,10 @@ def test_config_rejects_unknown_keys_and_families():
                         "height": {"form": "affine", "a": math.inf, "b": 1.0}}},
          "potential.height.a"),
         ({"tolerances": {"margin": math.nan}}, "tolerances.margin"),
+        # the transfer model's window n_state + 1 is past the height table
+        ({"subshift": {"family": "bounded_density", "k": 1, "height": {
+            "form": "ceil_frac", "num": 1, "den": 2, "n_max": 64}},
+          "horizons": {"n_max": 10, "n_state": 70}}, "horizons.n_state"),
     ],
 )
 def test_misspelled_keys_and_values_exit_2_naming_the_key(tmp_path, capsys, override, key):
@@ -444,7 +448,7 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
         assert work["n_state"] == n_state and work["budget"] == DEFAULT_NODE_BUDGET
         assert 0 < work["nodes"] <= work["budget"] and work["iterations"] >= 1
         assert 0 < work["states"] <= work["edges"] and work["residual"] >= 0.0
-        assert work["model"] == "class_graph" and work["states"] <= work["explored"]
+        assert work["states"] <= work["explored"]
     if command == "enumerate":
         work = status["enumerate"]
         assert work["count"] == want["count"] and work["budget"] == DEFAULT_NODE_BUDGET
@@ -555,36 +559,29 @@ def _equilibrium_budget(tmp_path, config, budget):
     return code, status
 
 
-@pytest.mark.parametrize("name", ["full_shift", "golden_mean", "golden_mean_weighted"])
-def test_transfer_budget_is_the_enumeration_budget(tmp_path, name):
+@pytest.mark.parametrize("name, n_state, explored, states", [
+    ("full_shift", None, 1, 1),
+    ("golden_mean", None, 6, 3),
+    ("golden_mean_weighted", None, 6, 3),
+    ("bounded_density", 4, 2, 2),
+], ids=["full_shift", "golden_mean", "golden_mean_weighted", "bounded_density"])
+def test_transfer_budget_is_the_enumeration_budget(tmp_path, name, n_state, explored, states):
     # the class graph is charged in the unit of the count and the sweep, one
     # node per (class, symbol) child call: one class on the full shift; the
-    # root, 0, 1, 00, 01 and 10 on the golden mean, with or without weights
-    explored = {"full_shift": 1}.get(name, 6)
+    # root, 0, 1, 00, 01 and 10 on the golden mean, with or without weights;
+    # the root, which 0 leads back to, and 1 on the ceil(n/2) table cut to
+    # the window 5
     nodes = 2 * explored
-    config = CONFIG_DIR / f"{name}.yaml"
+    doc = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    if n_state is not None:
+        doc["horizons"]["n_state"] = n_state
+    config = write_yaml(tmp_path, doc)
     code, status = _equilibrium_budget(tmp_path, config, nodes)
     assert code == 0
     work = status["transfer"]
-    assert work["model"] == "class_graph" and work["explored"] == explored
-    assert work["states"] == {"full_shift": 1}.get(name, 3)
+    assert (work["explored"], work["states"]) == (explored, states)
     assert work["nodes"] == work["budget"] == nodes
     assert _equilibrium_budget(tmp_path, config, nodes - 1)[0] == 3
-
-
-def test_block_graph_budget_is_the_enumeration_budget(tmp_path):
-    # the block graph charges exactly what enumerating its states charges
-    doc = yaml.safe_load((CONFIG_DIR / "bounded_density.yaml").read_text())
-    doc["horizons"]["n_state"] = 4
-    config = write_yaml(tmp_path, doc)
-    tally = Tally()
-    states = list(iter_language(build_subshift(doc["subshift"]), 4, tally=tally))
-    code, status = _equilibrium_budget(tmp_path, config, tally.nodes)
-    assert code == 0
-    work = status["transfer"]
-    assert work["model"] == "block_graph" and work["explored"] == work["states"] == len(states)
-    assert work["nodes"] == work["budget"] == tally.nodes
-    assert _equilibrium_budget(tmp_path, config, tally.nodes - 1)[0] == 3
 
 
 def test_cli_import_loads_no_scipy():
@@ -685,7 +682,7 @@ def test_any_set_n_state_makes_the_transfer_the_default_pressure(tmp_path, n_sta
     ln_phi = math.log((1 + math.sqrt(5)) / 2)
     assert report["extra"]["pressure"] == pytest.approx(ln_phi, abs=1e-12)
     status = json.loads((out / "manifest.json").read_text())["status"]
-    assert status["transfer"]["model"] == "class_graph"
+    assert status["transfer"]["n_state"] == n_state
 
 
 def test_precondition_fail_exits_6(tmp_path):

@@ -43,7 +43,7 @@ RUNS = [
     ("bounded_density", ["verify", "density_glue"]),
     ("bounded_density", ["gap-profile"]),
     ("bounded_density", ["pressure"]),
-    ("bounded_density", ["equilibrium"]),  # with n_state: a block graph
+    ("bounded_density", ["equilibrium"]),  # with n_state: a window cut
     ("golden_mean", ["pressure"]),  # horizons.n_state: the class graph
     ("golden_mean", ["equilibrium"]),
     ("golden_mean", ["verify", "measure_lower"]),

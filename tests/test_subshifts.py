@@ -441,6 +441,9 @@ def _instance(desc):
     if kind == "bd":
         k, h = args
         return make_bounded_density(k, h), oracles.bd_admissible((0,) + h)
+    if kind == "bdw":  # read from spec.root_walker(window)
+        k, h, window = args
+        return make_bounded_density(k, h), oracles.window_admissible((0,) + h, window)
     if kind == "sparse":
         p, q, n_seq = args
         fs = make_sturmian_factors(p, q, len(n_seq))
@@ -456,6 +459,11 @@ def _instance(desc):
 def _language(desc, n):
     spec, ok = _instance(desc)
     return frozenset(filter(ok, oracles.all_words(spec.alphabet_size, n)))
+
+
+def _window(desc):
+    """The window a family description's root walker is asked for."""
+    return desc[3] if desc[0] == "bdw" else None
 
 
 def _family(desc, lengths, cont_max):
@@ -498,6 +506,10 @@ _FAMILIES = st.one_of(
     _family(st.just(("bd", 1, _SQRT)), (0, 8), 3),
     _family(st.tuples(st.just("bd"), st.just(2), _HEIGHTS), (0, 5), 2),
     _family(_WIDE, (0, 5), 2),
+    # window cuts: the profile keeps K fields, refilled with c(K)
+    _family(st.tuples(st.just("bdw"), st.just(1), _HEIGHTS, st.integers(1, 8)), (0, 7), 3),
+    _family(st.just(("bdw", 1, _SQRT, 11)), (0, 9), 3),
+    _family(st.tuples(st.just("bdw"), st.just(2), _HEIGHTS, st.integers(1, 5)), (0, 5), 2),
     # sparse keys hold no length, so prefixes start at the empty word
     _family(st.sampled_from([("sparse", 8, 21, (2, 8)), ("sparse", 13, 21, (2, 8))]), (0, 13), 2),
     _family(st.just(("product",)), (0, 4), 2),
@@ -507,6 +519,7 @@ _FAMILIES = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(_FAMILIES)
 @example((("sft", ((0, 0), (1, 0, 1))), (0, 7), 3))  # language {1^n}: 0 never extends
+@example((("bdw", 1, _SQRT, 11), (0, 9), 3))  # the first binding window is 11 long
 def test_equal_keys_admit_the_same_continuations(family):
     desc, (lo, hi), cont_max = family
     try:
@@ -517,7 +530,7 @@ def test_equal_keys_admit_the_same_continuations(family):
     followers_of = {}
     for n in range(lo, hi + 1):
         for p in sorted(_language(desc, n)):
-            key = walk(spec.root_walker(), p).key()
+            key = walk(spec.root_walker(_window(desc)), p).key()
             followers = frozenset(c for c in conts if p + c in _language(desc, n + len(c)))
             assert followers_of.setdefault(key, followers) == followers, (desc, p, key)
 
@@ -626,6 +639,30 @@ def test_packed_density_keys_decode_to_the_allowance_profile(table, draws):
     for t in range(len(prefix) + 1):
         key = walk(spec.root_walker(), prefix[:t]).key()
         assert _unpack(key, k, len(h)) == oracles.bd_allowance(k, (0,) + h, prefix[:t])
+
+
+# ceil(2n/5) + 1: windows of length 4 and more bind
+FIFTHS = [-(-2 * n // 5) + 1 for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("h", [HALF, FIFTHS], ids=["half", "fifths"])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 8, 12])
+def test_window_walker_accepts_the_window_oracle_language(h, window):
+    spec = make_bounded_density(1, h)
+    ok = oracles.window_admissible([0] + h, window)
+    root = spec.root_walker(window)
+    for n in range(13):
+        for w in oracles.all_words(2, n):
+            assert (walk(root, w) is not None) == ok(w), w
+
+
+def test_a_window_past_the_height_table_is_an_input_error():
+    spec = make_bounded_density(1, HALF[:6])
+    assert walk(spec.root_walker(6), (0, 1) * 20) is not None  # never at the table's end
+    for window in (0, 7):
+        msg = f"^bounded density height table only covers lengths <= 6, not the window {window}$"
+        with pytest.raises(InputError, match=msg):
+            spec.root_walker(window)
 
 
 def test_height_table_end_raises_where_it_did():

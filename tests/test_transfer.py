@@ -50,7 +50,7 @@ def golden_model(n_state=2, pot=None):
 @pytest.mark.parametrize("n_state", [1, 2, 3])
 def test_golden_eigenvalue_is_phi_at_every_block_length(n_state):
     model = golden_model(n_state)
-    assert model.kind == "class_graph" and model.state_count == 3
+    assert model.state_count == 3
     pd = perron(model)
     assert pd.lam == pytest.approx(PHI, abs=1e-12)
     assert pd.residual <= 1e-12 * pd.lam
@@ -58,8 +58,8 @@ def test_golden_eigenvalue_is_phi_at_every_block_length(n_state):
 
 
 def test_golden_class_graph_explores_six_classes_at_any_n_state():
-    # the root, 0, 1 and the three 2-blocks; a block graph at n_state 20
-    # would have 17,711 states
+    # the root, 0, 1 and the three 2-blocks; the 20-blocks of the golden
+    # mean are 17,711
     model = golden_model(20)
     assert (model.explored, model.nodes, model.state_count) == (6, 12, 3)
     assert model.labels == ((0, 0), (0, 1), (1, 0))
@@ -78,10 +78,12 @@ def test_weighted_eigenvalue_closed_form():
     assert pd.lam == pytest.approx(1 + math.sqrt(3), abs=1e-12)
 
 
-def test_bounded_density_block_graph_matches_golden():
-    bd = make_bounded_density(1, [math.ceil(n / 2) for n in range(1, 33)])
-    pd = perron(build_transfer(bd, ZeroPotential(), 3))
-    assert pd.lam == pytest.approx(PHI, abs=1e-12)
+def test_bounded_density_window_matches_golden():
+    # every window of the ceil(n/2) table from length 2 on is the golden
+    # mean, so its keys close at 2 classes where its 15-blocks are 1,597
+    model = build_transfer(make_bounded_density(1, HALF), ZeroPotential(), 15)
+    assert model.state_count <= 3 and model.explored <= 3
+    assert math.log(perron(model).lam) == pytest.approx(math.log(PHI), abs=1e-12)
 
 
 def test_perron_validation_and_convergence_failure():
@@ -110,14 +112,12 @@ def test_transfer_rejects_superset_oracles():
         build_transfer(sp, ZeroPotential(), 3)
 
 
-def test_transfer_rejects_small_blocks_for_wide_potentials():
-    # only the block graph reads edge weights off its blocks; the class
-    # graph takes them from the scanner at any n_state
-    pot = LocallyConstantPotential(1, {}, 2, default=0.0)
-    with pytest.raises(InputError):
-        build_transfer(make_bounded_density(1, HALF), pot, 2)
-    assert build_transfer(make_bounded_density(1, HALF), pot, 3).kind == "block_graph"
-    assert build_transfer(make_golden_mean(), pot, 1).kind == "class_graph"
+def test_transfer_window_must_fit_the_height_table():
+    # the window n_state + 1 reads the table up to that length
+    bd = make_bounded_density(1, HALF[:6])
+    assert build_transfer(bd, ZeroPotential(), 5).state_count == 2
+    with pytest.raises(InputError, match="only covers lengths <= 6, not the window 7$"):
+        build_transfer(bd, ZeroPotential(), 6)
 
 
 def test_reducible_graph_is_refused():
@@ -160,37 +160,13 @@ def _oracle_phi(radius):
     return lambda joined: oracles.phi_lc(joined, radius, radius, values, default)
 
 
-def compare_with_block_graph_oracle(spec, ok, n_state, weighted=False):
-    """States, successors, edge count and ln(lambda) (1e-12) of a block
-    graph against the oracle; a graph the oracle finds reducible must be
-    refused. Returns whether ln(lambda) was compared."""
-    states, succ = oracles.block_graph(ok, spec.alphabet_size, n_state)
-    pot = _potential(1 if weighted else None, spec.alphabet_size)
-    if not oracles.strongly_connected(succ):
-        with pytest.raises(ReducibleGraphError):
-            build_transfer(spec, pot, n_state)
-        return False
-    model = build_transfer(spec, pot, n_state)
-    assert model.kind == "block_graph"
-    assert list(model.labels) == states
-    assert model.succ == succ
-    assert len(model.edges()) == sum(j >= 0 for row in succ for j in row)
-    try:
-        lam = perron(model, max_iter=20_000).lam
-    except ConvergenceError:  # periodic graph whose Perron vector is not uniform
-        return False
-    phi = _oracle_phi(1 if weighted else None)
-    assert math.log(lam) == pytest.approx(
-        oracles.block_graph_ln_lambda(states, succ, phi), abs=1e-12
-    )
-    return True
-
-
-def compare_class_graph_with_oracle(spec, ok, n_state, radius=None, block_len=4):
+def compare_class_graph_with_oracle(spec, ok, n_state, radius=None, block_len=4,
+                                    windowed=False):
     """ln(lambda) (1e-12) and every cylinder up to length block_len (1e-10)
     of the class graph against the oracle block graph at block_len (at
     least the constraint's and the table's width); a graph the oracle finds
-    reducible must be refused. The model must not depend on n_state.
+    reducible must be refused. Unless windowed (a bounded density shift,
+    cut to the window n_state + 1), the model must not depend on n_state.
     Returns whether the values were compared."""
     states, succ = oracles.block_graph(ok, spec.alphabet_size, block_len)
     pot = _potential(radius, spec.alphabet_size)
@@ -199,9 +175,10 @@ def compare_class_graph_with_oracle(spec, ok, n_state, radius=None, block_len=4)
             build_transfer(spec, pot, n_state)
         return False
     model = build_transfer(spec, pot, n_state)
-    assert model.kind == "class_graph"
-    again = build_transfer(spec, pot, 1)
-    assert (again.labels, again.succ, again.weights) == (model.labels, model.succ, model.weights)
+    if not windowed:
+        again = build_transfer(spec, pot, 1)
+        assert (again.labels, again.succ, again.weights) == (
+            model.labels, model.succ, model.weights)
     try:
         pd = perron(model, max_iter=20_000)
     except ConvergenceError:  # periodic graph whose Perron vector is not uniform
@@ -266,10 +243,47 @@ def test_long_forbidden_word_is_exact_at_every_n_state():
     assert got == [got[0]] * 4
 
 
-@pytest.mark.parametrize("n_state", [1, 2, 3, 4, 5, 6])
-def test_bounded_density_block_graph_matches_oracle(n_state):
-    ok = oracles.bd_admissible([0] + HALF)
-    compare_with_block_graph_oracle(make_bounded_density(1, HALF), ok, n_state)
+# floor(n/3) + ceil(2 sqrt n): windows up to length 10 are free, so the
+# window 11 has 1,024 blocks of length 10 and closes at 11 classes
+SQRT = [n // 3 + math.isqrt(4 * n - 1) + 1 for n in range(1, 1025)]
+
+
+@pytest.mark.parametrize("n_state", [0, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("radius", [None, 1])
+def test_bounded_density_window_matches_oracle(n_state, radius):
+    # the window n_state + 1 is the shift of finite type that the block
+    # graph at n_state presents; radius 1 reads the 3-words of a block graph
+    # at block length 2 or more
+    ok = oracles.window_admissible([0] + HALF, n_state + 1)
+    block_len = max(n_state, 2)
+    assert compare_class_graph_with_oracle(
+        make_bounded_density(1, HALF), ok, n_state, radius, block_len, windowed=True)
+
+
+def test_sqrt_table_window_matches_the_1024_block_oracle():
+    ok = oracles.window_admissible([0] + SQRT, 11)
+    spec = make_bounded_density(1, SQRT)
+    assert compare_class_graph_with_oracle(spec, ok, 10, 1, block_len=10, windowed=True)
+    assert build_transfer(spec, ZeroPotential(), 10).explored == 11
+
+
+def test_sqrt_table_window_classes_stay_few():
+    # the block graph at n_state 15 has 32,697 blocks
+    model = build_transfer(make_bounded_density(1, SQRT), ZeroPotential(), 15)
+    assert model.state_count <= model.explored <= 400
+    assert math.log(perron(model).lam) < LN2
+
+
+@pytest.mark.parametrize("n_state", [1, 2, 3])
+def test_product_passes_the_window_to_both_factors(n_state):
+    # the density factor is the golden mean at every window from 2 on
+    window = oracles.window_admissible([0] + HALF, n_state + 1)
+    ok = oracles.product_admissible(window, lambda w: True, 2)
+    spec = product_subshift(make_bounded_density(1, HALF), make_full_shift(2))
+    assert compare_class_graph_with_oracle(spec, ok, n_state, block_len=2, windowed=True)
+    with pytest.raises(InputError, match="not the window 7$"):
+        build_transfer(product_subshift(make_full_shift(2), make_bounded_density(1, HALF[:6])),
+                       ZeroPotential(), 6)
 
 
 @pytest.mark.parametrize("n_state", [1, 2, 3])
