@@ -18,38 +18,8 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
-from .config import ExperimentConfig, build_potential, build_subshift, load_config
-from .errors import (
-    BudgetExceededError,
-    ConvergenceError,
-    IdentityCheckError,
-    InconsistentBracketError,
-    InputError,
-    ReducibleGraphError,
-)
-from .gluing import GlueWork, min_gap_profile
-from .potentials import Potential, variation_profile
-from .pressure import anchor_sequence, partition_table, pressure_bracket
-from .reports import (
-    ANCHOR_HEADER,
-    BRACKET_HEADER,
-    GAP_HEADER,
-    PARTITION_HEADER,
-    RunManifest,
-    bound_report_payload,
-    bracket_rows,
-    equilibrium_payload,
-    gap_profile_rows,
-    partition_rows,
-    write_csv,
-    write_json,
-    write_manifest,
-    write_words,
-)
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
-from .transfer import build_transfer, markov_equilibrium, perron
-from .verify import (
+from . import __version__, gluing, pressure, reports, transfer, verify
+from .config import (
     ALL_CHECKS,
     CHECK_DENSITY_GLUE,
     CHECK_MEASURE_LOWER,
@@ -57,17 +27,25 @@ from .verify import (
     CHECK_PARTITION_SPEC,
     CHECK_PARTITION_TRANS,
     CHECK_SPARSE_GLUE,
+    ExperimentConfig,
+    build_potential,
+    build_subshift,
+    load_config,
+)
+from .errors import (
     FAIL,
     HORIZON_EXHAUSTED,
     PASS,
     PRECONDITION_FAIL,
-    verify_density_glue,
-    verify_measure_lower,
-    verify_partition_upper_anchor,
-    verify_partition_upper_spec,
-    verify_partition_upper_trans,
-    verify_sparse_glue,
+    BudgetExceededError,
+    ConvergenceError,
+    IdentityCheckError,
+    InconsistentBracketError,
+    InputError,
+    ReducibleGraphError,
 )
+from .potentials import Potential, variation_profile
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
 from .words import parse_word
 
 EXIT_OK = 0
@@ -103,8 +81,8 @@ class _Run:
             except InputError as exc:
                 raise InputError(f"horizons.n_state: {exc}") from None
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
-        self.manifest = RunManifest(config_digest=self.digest, command=args.command)
-        self.glue: GlueWork | None = None
+        self.manifest = reports.RunManifest(config_digest=self.digest, command=args.command)
+        self.glue: gluing.GlueWork | None = None
         self.started = time.monotonic()
 
     def dest(self, name: str) -> Path:
@@ -114,9 +92,9 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out / name
 
-    def glue_work(self) -> GlueWork:
+    def glue_work(self) -> gluing.GlueWork:
         """Counters for this run's glue search; they go to status.glue."""
-        self.glue = GlueWork()
+        self.glue = gluing.GlueWork()
         return self.glue
 
     def gap_callable(self) -> Callable[[int], int]:
@@ -141,7 +119,7 @@ class _Run:
             return source
         if source == "transfer":
             return math.log(self.transfer("pressure source 'transfer'")[1].lam)
-        bracket = pressure_bracket(
+        bracket = pressure.pressure_bracket(
             self.spec, self.pot, table, g=self._bracket_g(), tol=self.cfg.tolerances.margin
         )
         return bracket.best_hi
@@ -152,8 +130,8 @@ class _Run:
         n_state = self.cfg.horizons.n_state
         if n_state is None:
             raise InputError(f"{needed_by} needs horizons.n_state")
-        model = build_transfer(self.spec, self.pot, n_state, self.budget)
-        pd = perron(model, tol=self.cfg.tolerances.perron)
+        model = transfer.build_transfer(self.spec, self.pot, n_state, self.budget)
+        pd = transfer.perron(model, tol=self.cfg.tolerances.perron)
         self.manifest.status["transfer"] = {
             "n_state": n_state, "explored": model.explored,
             "states": model.state_count, "edges": len(model.edges()),
@@ -181,9 +159,9 @@ class _Run:
         if extra_status:
             self.manifest.status.update(extra_status)
         if self.glue is not None:
-            self.manifest.status["glue"] = {k: getattr(self.glue, k) for k in GlueWork.__slots__}
+            self.manifest.status["glue"] = {k: getattr(self.glue, k) for k in self.glue.__slots__}
         self.manifest.wall_clock_s = time.monotonic() - self.started
-        write_manifest(self.manifest, self.out)
+        reports.write_manifest(self.manifest, self.out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +173,13 @@ def cmd_enumerate(run: _Run) -> int:
     # one count over walker states fills the tally, then the words stream out
     n = run.cfg.horizons.n_max
     tally = Tally()
-    path = write_words(
+    path = reports.write_words(
         run.dest(f"language_n{n}.txt"),
         iter_language(run.spec, n, run.budget, text=True, tally=tally),
     )
     run.manifest.record(path)
     counts = list(enumerate(tally.counts))[1:]
-    path = write_csv(run.dest("counts.csv"), ("n", "count"), counts, run.digest)
+    path = reports.write_csv(run.dest("counts.csv"), ("n", "count"), counts, run.digest)
     run.manifest.record(path)
     status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes,
               "budget": run.budget, "states": tally.states}
@@ -212,17 +190,17 @@ def cmd_enumerate(run: _Run) -> int:
 
 def cmd_pressure(run: _Run) -> int:
     cfg = run.cfg
-    table = partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
-    bracket = pressure_bracket(
+    table = pressure.partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
+    bracket = pressure.pressure_bracket(
         run.spec, run.pot, table, g=run._bracket_g(), tol=cfg.tolerances.margin
     )
-    path = write_csv(
-        run.dest("partition.csv"), PARTITION_HEADER, partition_rows(table),
+    path = reports.write_csv(
+        run.dest("partition.csv"), reports.PARTITION_HEADER, reports.partition_rows(table),
         run.digest, flags={"upper_bound_only": table.upper_bound_only},
     )
     run.manifest.record(path)
-    path = write_csv(
-        run.dest("bracket.csv"), BRACKET_HEADER, bracket_rows(bracket),
+    path = reports.write_csv(
+        run.dest("bracket.csv"), reports.BRACKET_HEADER, reports.bracket_rows(bracket),
         run.digest,
         flags={
             "best_lo": bracket.best_lo,
@@ -254,7 +232,7 @@ def cmd_pressure(run: _Run) -> int:
             "residual": pd.residual,
             "iterations": pd.iterations,
         }
-        path = write_json(run.dest("transfer.json"), payload, run.digest)
+        path = reports.write_json(run.dest("transfer.json"), payload, run.digest)
         run.manifest.record(path)
     run.finish(status)
     if bracket.upper_bound_only:
@@ -273,16 +251,18 @@ def cmd_gap_profile(run: _Run) -> int:
     ns = params.get("n_range", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
     work = run.glue_work()
     rows = [
-        min_gap_profile(run.spec, n, cfg.mode, m_max=cfg.horizons.m_max, strategy=cfg.strategy,
-                        budget=run.budget, pair_budget=cfg.pair_budget, seed=cfg.seed, work=work)
+        gluing.min_gap_profile(
+            run.spec, n, cfg.mode, m_max=cfg.horizons.m_max, strategy=cfg.strategy,
+            budget=run.budget, pair_budget=cfg.pair_budget, seed=cfg.seed, work=work,
+        )
         for n in ns
     ]
-    path = write_csv(
-        run.dest("gap_profile.csv"), GAP_HEADER, gap_profile_rows(rows),
+    path = reports.write_csv(
+        run.dest("gap_profile.csv"), reports.GAP_HEADER, reports.gap_profile_rows(rows),
         run.digest, flags={"mode": cfg.mode, "strategy": cfg.strategy},
     )
     run.manifest.record(path)
-    exhausted = [r.n for r in rows if r.status == "horizon_exhausted"]
+    exhausted = [r.n for r in rows if r.status == HORIZON_EXHAUSTED]
     counterexamples = [r.n for r in rows if r.counterexample is not None]
     run.finish(
         {
@@ -316,7 +296,7 @@ def _run_check(run: _Run, tag: str):
     tol = cfg.tolerances.margin
     small_default = list(range(2, min(cfg.horizons.n_max, 8) + 1))
     if tag == CHECK_DENSITY_GLUE:
-        return verify_density_glue(
+        return verify.verify_density_glue(
             run.spec, params.get("n_range", small_default),
             slack=params.get("slack", 4),
             f=_check_f(params),
@@ -325,7 +305,7 @@ def _run_check(run: _Run, tag: str):
             work=run.glue_work(),
         )
     if tag == CHECK_SPARSE_GLUE:
-        return verify_sparse_glue(
+        return verify.verify_sparse_glue(
             run.spec, params.get("n_range", small_default),
             strategy=params.get("strategy", cfg.strategy),
             f=_check_f(params),
@@ -334,9 +314,9 @@ def _run_check(run: _Run, tag: str):
             seed=cfg.seed,
             work=run.glue_work(),
         )
-    table = partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
+    table = pressure.partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
     if tag == CHECK_PARTITION_SPEC:
-        return verify_partition_upper_spec(
+        return verify.verify_partition_upper_spec(
             table,
             run.pressure_value(params, table),
             _check_f(params) or run.gap_callable(),
@@ -351,7 +331,7 @@ def _run_check(run: _Run, tag: str):
         if anchors is None:
             eps_list = params.get("epsilons", [epsilon])
             horizon = run.anchor_horizon(table.horizon)
-            seq = anchor_sequence(
+            seq = pressure.anchor_sequence(
                 run.gap_callable(), run.variation_callable(), horizon, eps_list
             )
             if not seq.indices:
@@ -360,13 +340,13 @@ def _run_check(run: _Run, tag: str):
                     if horizon < table.horizon
                     else "below the horizon; raise horizons.n_max or the epsilons"))
             anchors = list(seq.indices)
-        return verify_partition_upper_anchor(
+        return verify.verify_partition_upper_anchor(
             table, run.pressure_value(params, table), anchors, epsilon, tol
         )
     if tag == CHECK_PARTITION_TRANS:
         if "C" not in params:
             raise InputError("partition_upper_trans needs checks.partition_upper_trans.C")
-        return verify_partition_upper_trans(
+        return verify.verify_partition_upper_trans(
             table,
             run.pressure_value(params, table),
             params["C"],
@@ -380,8 +360,8 @@ def _run_check(run: _Run, tag: str):
     if tag == CHECK_MEASURE_LOWER:
         if "cylinder" not in params:
             raise InputError("measure_lower needs checks.measure_lower.cylinder")
-        mm = markov_equilibrium(*run.transfer("measure_lower"))
-        return verify_measure_lower(
+        mm = transfer.markov_equilibrium(*run.transfer("measure_lower"))
+        return verify.verify_measure_lower(
             mm,
             parse_word(params["cylinder"]),
             params.get("n_range", list(range(1, table.horizon + 1))),
@@ -395,7 +375,8 @@ def _run_check(run: _Run, tag: str):
 
 def cmd_verify(run: _Run, tag: str) -> int:
     rep = _run_check(run, tag)
-    path = write_json(run.dest(f"report_{tag}.json"), bound_report_payload(rep), run.digest)
+    payload = reports.bound_report_payload(rep)
+    path = reports.write_json(run.dest(f"report_{tag}.json"), payload, run.digest)
     run.manifest.record(path)
     run.finish({"verify": {"check": tag, "verdict": rep.verdict}})
     worst = rep.min_margin()
@@ -405,8 +386,9 @@ def cmd_verify(run: _Run, tag: str) -> int:
 
 def cmd_equilibrium(run: _Run) -> int:
     model, pd = run.transfer("equilibrium")
-    mm = markov_equilibrium(model, pd)
-    path = write_json(run.dest("equilibrium.json"), equilibrium_payload(mm, pd), run.digest)
+    mm = transfer.markov_equilibrium(model, pd)
+    payload = reports.equilibrium_payload(mm, pd)
+    path = reports.write_json(run.dest("equilibrium.json"), payload, run.digest)
     run.manifest.record(path)
     run.finish(
         {
@@ -429,7 +411,7 @@ def cmd_anchors(run: _Run) -> int:
     cfg = run.cfg
     params = cfg.checks.get("anchors", {})
     eps_list = params.get("epsilons", [0.5, 0.4, 0.3])
-    seq = anchor_sequence(
+    seq = pressure.anchor_sequence(
         run.gap_callable(), run.variation_callable(),
         run.anchor_horizon(cfg.horizons.n_max), eps_list,
     )
@@ -437,8 +419,8 @@ def cmd_anchors(run: _Run) -> int:
         (k + 1, eps, n, score)
         for k, (eps, n, score) in enumerate(zip(seq.epsilons, seq.indices, seq.scores))
     ]
-    path = write_csv(
-        run.dest("anchors.csv"), ANCHOR_HEADER, rows, run.digest,
+    path = reports.write_csv(
+        run.dest("anchors.csv"), reports.ANCHOR_HEADER, rows, run.digest,
         flags={"complete": seq.complete},
     )
     run.manifest.record(path)

@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .errors import InputError
-from .gluing import MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES
 from .potentials import (
     LocallyConstantPotential,
     Potential,
@@ -56,6 +55,9 @@ from .potentials import (
     make_run_levels,
 )
 from .subshifts import (
+    MODE_SPECIFICATION,
+    MODE_TRANSITIVITY,
+    STRATEGIES,
     SubshiftSpec,
     make_bounded_density,
     make_full_shift,
@@ -288,21 +290,29 @@ KIND_TABLES = {
     "run_levels": {"levels": _list_of(_float), "limit": _float},
 }
 _read_potential = _tagged("kind", KIND_TABLES, default="zero")
-# checks.<tag>: the parameters a command, or `verify <tag>`, reads
+# checks.<tag>: the parameters a command, or `verify <tag>`, reads; the
+# tags of `verify` are the checks in verify.py
+CHECK_DENSITY_GLUE = "density_glue"
+CHECK_SPARSE_GLUE = "sparse_glue"
+CHECK_PARTITION_SPEC = "partition_upper_spec"
+CHECK_PARTITION_ANCHOR = "partition_upper_anchor"
+CHECK_PARTITION_TRANS = "partition_upper_trans"
+CHECK_MEASURE_LOWER = "measure_lower"
 _N_RANGE, _EPSILONS = _list_of(_positive, 1), _list_of(_float_from(0, strict=True))
-CHECK_TABLES = {
-    "gap_profile": {"n_range": _N_RANGE},
-    "anchors": {"epsilons": _EPSILONS},
-    "density_glue": {"n_range": _N_RANGE, "slack": _natural, "f_const": _natural},
-    "sparse_glue": {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
-                    "f_const": _natural},
-    "partition_upper_spec": {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
-    "partition_upper_anchor": {"pressure": _pressure, "epsilon": _float_from(0),
-                               "epsilons": _EPSILONS, "anchors": _N_RANGE},
-    "partition_upper_trans": {"pressure": _pressure, "C": _float, "onset": _int_from(3),
-                              "f_const": _natural, "n_range": _N_RANGE},
-    "measure_lower": {"cylinder": _word, "n_range": _N_RANGE},
+_VERIFY_TABLES = {
+    CHECK_DENSITY_GLUE: {"n_range": _N_RANGE, "slack": _natural, "f_const": _natural},
+    CHECK_SPARSE_GLUE: {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
+                        "f_const": _natural},
+    CHECK_PARTITION_SPEC: {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
+    CHECK_PARTITION_ANCHOR: {"pressure": _pressure, "epsilon": _float_from(0),
+                             "epsilons": _EPSILONS, "anchors": _N_RANGE},
+    CHECK_PARTITION_TRANS: {"pressure": _pressure, "C": _float, "onset": _int_from(3),
+                            "f_const": _natural, "n_range": _N_RANGE},
+    CHECK_MEASURE_LOWER: {"cylinder": _word, "n_range": _N_RANGE},
 }
+ALL_CHECKS = tuple(_VERIFY_TABLES)
+CHECK_TABLES = {"gap_profile": {"n_range": _N_RANGE}, "anchors": {"epsilons": _EPSILONS},
+                **_VERIFY_TABLES}
 CONFIG_TABLE = {
     "label": _str, "subshift": _read_subshift, "potential": _read_potential,
     "horizons": dict.fromkeys(Horizons._fields, _or_none(_natural)) | {"n_max": _positive},

@@ -1,7 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types and check verdicts shared across the package.
 
-The CLI maps these onto process exit codes; see cli.py.
+The CLI maps both onto process exit codes; see cli.py.
 """
+
+# a verify check's verdict; HORIZON_EXHAUSTED is also a gap profile row's status
+PASS = "pass"
+FAIL = "fail"
+PRECONDITION_FAIL = "precondition_fail"
+HORIZON_EXHAUSTED = "horizon_exhausted"
 
 
 class ShiftpressError(Exception):

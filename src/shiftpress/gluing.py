@@ -30,14 +30,12 @@ import random
 from operator import itemgetter, not_, truth
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError
-from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, states_built, walk
+from .errors import HORIZON_EXHAUSTED, InputError
+from .subshifts import (
+    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES, SubshiftSpec,
+    iter_language, states_built, walk,
+)
 from .words import Word, check_symbols
-
-MODE_TRANSITIVITY = "transitivity"
-MODE_SPECIFICATION = "specification"
-
-STRATEGIES = ("exhaustive", "zero_glue", "factor_glue")
 
 
 def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]:
@@ -238,7 +236,7 @@ def min_gap_profile(
         )
 
     missed, worst = glue_pairs(root, words, pairs, least, work)
-    status = "ok" if missed is None else "horizon_exhausted"
+    status = "ok" if missed is None else HORIZON_EXHAUSTED
     counterexample = None if missed is None else (*missed[:2], m_max)
     witness = None if worst is None else (worst[0], worst[2][1], worst[1])
     f_emp = worst[2][0] if status == "ok" else None

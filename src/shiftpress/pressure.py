@@ -37,7 +37,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InconsistentBracketError, InputError
 from .potentials import Interval, Potential, VarProfile
-from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward
+from .subshifts import (
+    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, Exactness, SubshiftSpec, Tally, forward,
+)
 from .words import Word, check_symbols
 
 _INF = math.inf
@@ -233,7 +235,7 @@ def pressure_bracket(
     f = spec.declared_gap
     lower_valid = (
         f is not None
-        and spec.gap_mode == "specification"
+        and spec.gap_mode == MODE_SPECIFICATION
         and spec.exactness is Exactness.EXACT_LANGUAGE
     )
     inf_phi = pot.bounds.lo

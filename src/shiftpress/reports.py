@@ -15,11 +15,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import __version__
-from .gluing import GapRow
-from .pressure import PartitionTable, PressureBracket
-from .transfer import MarkovMeasure, PerronData, cylinder_measure
-from .verify import BoundReport
+from . import __version__, gluing, pressure, transfer, verify
 from .words import format_word
 
 
@@ -107,18 +103,18 @@ GAP_HEADER = (
 ANCHOR_HEADER = ("k", "epsilon", "n", "score")
 
 
-def partition_rows(table: PartitionTable):
+def partition_rows(table: pressure.PartitionTable):
     for row in table.rows:
         yield (row.n, row.count, row.lnz_lo, row.lnz_hi)
 
 
-def bracket_rows(bracket: PressureBracket):
+def bracket_rows(bracket: pressure.PressureBracket):
     for row in bracket.rows:
         lo = None if row.lo == float("-inf") else row.lo
         yield (row.n, lo, row.hi)
 
 
-def gap_profile_rows(rows: Iterable[GapRow]):
+def gap_profile_rows(rows: Iterable[gluing.GapRow]):
     for r in rows:
         v, u, w = ("", "", "")
         if r.witness is not None:
@@ -126,7 +122,7 @@ def gap_profile_rows(rows: Iterable[GapRow]):
         yield (r.n, r.f_declared, r.f_empirical, v, u, w, r.status, r.coverage)
 
 
-def bound_report_payload(rep: BoundReport) -> dict:
+def bound_report_payload(rep: verify.BoundReport) -> dict:
     return {
         "check": rep.check,
         "verdict": rep.verdict,
@@ -136,7 +132,7 @@ def bound_report_payload(rep: BoundReport) -> dict:
     }
 
 
-def equilibrium_payload(mm: MarkovMeasure, pd: PerronData) -> dict:
+def equilibrium_payload(mm: transfer.MarkovMeasure, pd: transfer.PerronData) -> dict:
     model = mm.model
     payload = {
         "n_state": model.n_state,
@@ -153,7 +149,7 @@ def equilibrium_payload(mm: MarkovMeasure, pd: PerronData) -> dict:
             format_word(label): p for label, p in zip(model.labels, mm.pi)
         },
         "symbol_cylinders": {
-            str(s): cylinder_measure(mm, (s,))
+            str(s): transfer.cylinder_measure(mm, (s,))
             for s in range(model.spec.alphabet_size)
         },
     }

@@ -53,8 +53,11 @@ class Exactness(Enum):
     LOCAL_SUPERSET = "locally_admissible_superset"
 
 
-GAP_SPECIFICATION = "specification"
-GAP_TRANSITIVITY = "transitivity"
+# a declared gap bound's mode, and the filler strategies a glue search may
+# try: gluing searches by them and config validates them
+MODE_SPECIFICATION = "specification"
+MODE_TRANSITIVITY = "transitivity"
+STRATEGIES = ("exhaustive", "zero_glue", "factor_glue")
 
 
 class SubshiftSpec:
@@ -355,7 +358,7 @@ def make_full_shift(alphabet_size: int) -> SubshiftSpec:
         root_walker=lambda window=None: _FullWalker.root(None, alphabet_size, ()),
         params={},
         declared_gap=lambda n: 0,
-        gap_mode=GAP_SPECIFICATION,
+        gap_mode=MODE_SPECIFICATION,
     )
 
 
@@ -421,7 +424,7 @@ def make_sft(
         if declared_gap < 0:
             raise ConstructionError("declared_gap must be >= 0")
         f_decl = lambda n, _g=declared_gap: _g
-        mode = GAP_SPECIFICATION
+        mode = MODE_SPECIFICATION
 
     return SubshiftSpec(
         alphabet_size=alphabet_size,
@@ -550,7 +553,7 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
         root_walker=root,
         params={"density": params},
         declared_gap=f_decl,
-        gap_mode=GAP_SPECIFICATION,
+        gap_mode=MODE_SPECIFICATION,
         gap_reach=n_max,
     )
 
@@ -661,7 +664,7 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
         root_walker=lambda window=None: _SparseWalker.root(tables, 2, root_key),
         params={"factor_set": fs, "n_seq": tuple(ns)},
         declared_gap=f_decl,
-        gap_mode=GAP_TRANSITIVITY,
+        gap_mode=MODE_TRANSITIVITY,
         gap_reach=horizon,
     )
 
@@ -691,12 +694,12 @@ def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
     if (
         a.declared_gap is not None
         and b.declared_gap is not None
-        and a.gap_mode == GAP_SPECIFICATION
-        and b.gap_mode == GAP_SPECIFICATION
+        and a.gap_mode == MODE_SPECIFICATION
+        and b.gap_mode == MODE_SPECIFICATION
     ):
         fa, fb = a.declared_gap, b.declared_gap
         f_decl = lambda n: max(fa(n), fb(n))
-        mode = GAP_SPECIFICATION
+        mode = MODE_SPECIFICATION
         reach = min((r for r in (a.gap_reach, b.gap_reach) if r is not None), default=None)
     return SubshiftSpec(
         alphabet_size=a.alphabet_size * b_size,

@@ -18,7 +18,7 @@ side, so negative means violated), and witnesses for failures. Checks:
   (nP)/mu + ((mu-1)/mu) lnZ(n) - g(n) - ln(2)/mu for a cylinder of
   positive equilibrium measure mu.
 
-Verdicts: pass, fail, precondition_fail, horizon_exhausted.
+Verdicts: pass, fail, precondition_fail (errors.py).
 """
 
 from __future__ import annotations
@@ -29,35 +29,17 @@ from itertools import islice
 from operator import truth
 from typing import Callable, Sequence
 
-from .errors import IdentityCheckError, InputError
+from . import pressure as pressure_mod, transfer  # measure_lower alone runs them
+from .config import (
+    CHECK_DENSITY_GLUE, CHECK_MEASURE_LOWER, CHECK_PARTITION_ANCHOR, CHECK_PARTITION_SPEC,
+    CHECK_PARTITION_TRANS, CHECK_SPARSE_GLUE,
+)
+from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
 from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs
-from .pressure import PartitionTable, _sweep
 from .subshifts import (
     DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language, states_built, walk,
 )
-from .transfer import MarkovMeasure, cylinder_measure
 from .words import Word, format_word
-
-CHECK_DENSITY_GLUE = "density_glue"
-CHECK_SPARSE_GLUE = "sparse_glue"
-CHECK_PARTITION_SPEC = "partition_upper_spec"
-CHECK_PARTITION_ANCHOR = "partition_upper_anchor"
-CHECK_PARTITION_TRANS = "partition_upper_trans"
-CHECK_MEASURE_LOWER = "measure_lower"
-
-ALL_CHECKS = (
-    CHECK_DENSITY_GLUE,
-    CHECK_SPARSE_GLUE,
-    CHECK_PARTITION_SPEC,
-    CHECK_PARTITION_ANCHOR,
-    CHECK_PARTITION_TRANS,
-    CHECK_MEASURE_LOWER,
-)
-
-PASS = "pass"
-FAIL = "fail"
-PRECONDITION_FAIL = "precondition_fail"
-HORIZON_EXHAUSTED = "horizon_exhausted"
 
 # triples (va, vb, vc) verify_density_glue spot-checks at each length
 TRIPLE_SAMPLE = 200
@@ -293,7 +275,7 @@ def verify_sparse_glue(
 
 
 def verify_partition_upper_spec(
-    table: PartitionTable,
+    table: pressure_mod.PartitionTable,
     pressure: float,
     f: Callable[[int], int],
     g: Callable[[int], float],
@@ -322,7 +304,7 @@ def verify_partition_upper_spec(
 
 
 def verify_partition_upper_anchor(
-    table: PartitionTable,
+    table: pressure_mod.PartitionTable,
     pressure: float,
     anchor_lengths: Sequence[int],
     epsilon: float,
@@ -362,7 +344,7 @@ def verify_partition_upper_anchor(
 
 
 def verify_partition_upper_trans(
-    table: PartitionTable,
+    table: pressure_mod.PartitionTable,
     pressure: float,
     big_c: float,
     onset: int,
@@ -430,10 +412,10 @@ def verify_partition_upper_trans(
 
 
 def verify_measure_lower(
-    mm: MarkovMeasure,
+    mm: transfer.MarkovMeasure,
     cyl: Word,
     n_range: Sequence[int],
-    table: PartitionTable,
+    table: pressure_mod.PartitionTable,
     g: Callable[[int], float],
     tol: float = 1e-9,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -448,7 +430,7 @@ def verify_measure_lower(
     """
     cyl = tuple(cyl)
     model = mm.model
-    mu = cylinder_measure(mm, cyl)
+    mu = transfer.cylinder_measure(mm, cyl)
     if mu <= 0.0:
         raise InputError(
             f"cylinder {format_word(cyl)} has measure {mu}; need a positive-measure cylinder"
@@ -465,7 +447,7 @@ def verify_measure_lower(
         tops[prefix] = max(n, tops.get(prefix, 0))
     lhs_of = {}  # prefixes shorter than cyl are swept to their own length only
     for prefix, top in tops.items():
-        rows, _nodes, _states = _sweep(model.spec, model.pot, top, budget, prefix)
+        rows, _nodes, _states = pressure_mod._sweep(model.spec, model.pot, top, budget, prefix)
         lhs_of.update((r.n, r.lnz_hi) for r in rows)
     margins = []
     bad = []

@@ -15,6 +15,7 @@ import oracles
 from shiftpress import cli
 from shiftpress.cli import main
 from shiftpress.config import (
+    ALL_CHECKS,
     CHECK_TABLES,
     build_potential,
     build_subshift,
@@ -26,7 +27,6 @@ from shiftpress.errors import InputError
 from shiftpress.potentials import ZeroPotential
 from shiftpress.reports import sha256_file
 from shiftpress.subshifts import DEFAULT_NODE_BUDGET
-from shiftpress.verify import ALL_CHECKS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH = CONFIG_DIR.parent / "perfbench"
