@@ -14,26 +14,31 @@ words lexicographically, `zero_glue` only the all-zero filler, and
 used by the sparse family's own gap certificate).
 
 Whether v u w is admissible depends on v only through its walker key, so
-each word is read once to its end walker and fillers are tried from
-there. Pairs are scanned in rows, one per first word v: a row is
-summarised once per end key of v (its first stopping pair, and its first
-pair of largest gap before that), so first words that share a key share
-the summary, and a pair is probed once per (key of v, w). All walks of
-one search start from one root walker, so they share its states.
+each word is read once to its end walker, and the fillers of length m
+from that key collapse to their own end keys: FillerLevels keeps, per
+start key and m, each key some filler reaches with the least such
+filler, one forward pass per start key grown only as far as a search
+asks. An exhaustive search at gap m asks which of those keys admit w,
+once per (key, w). Pairs are scanned in rows, one per first word v: a
+row is summarised once per end key of v (its first stopping pair, and its
+first pair of largest gap before that), so first words that share a key
+share the summary, and a pair is probed once per (key of v, w). All walks
+of one search start from one root walker, so they share its states.
 GlueWork counts the work for the run manifest.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import itemgetter, not_, truth
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HORIZON_EXHAUSTED, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES, SubshiftSpec,
-    iter_language, states_built, walk,
+    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES, SubshiftSpec, Tally,
+    forward, iter_language, states_built, walk,
 )
 from .words import Word, check_symbols
 
@@ -82,6 +87,63 @@ def least_glue(
     return None
 
 
+def _extend(state, value, sym):  # the least-filler lane's step
+    return state, value + (sym,)
+
+
+class FillerLevels:
+    """Fillers from each start walker of one search, collapsed to their
+    end keys: level m of a start key maps every key some filler of length m
+    reaches to the least such filler. A level is a forward pass's level in
+    a lane of words merged by min, so its keys run in the order of their
+    least fillers, and the first key that admits w holds the
+    lexicographically least filler of length m that joins. Each start
+    key's pass grows one length at a time when a search first asks for it,
+    so no filler is walked longer than the search needs, and is charged the
+    budget by the rule of every pass. Whether a key admits w is decided
+    once per (key, w).
+    """
+
+    def __init__(self, spec: SubshiftSpec, budget: int):
+        self.spec, self.budget = spec, budget
+        self.passes: dict = {}  # start key -> (levels built, the pass)
+        self.admits: dict = {}  # w -> {walker: whether it reads w}; one walker a key
+
+    def filler(self, start, w: Word, m: int) -> Word | None:
+        """The least filler of length m taking start on through w, or None."""
+        k = start.key()
+        got = self.passes.get(k)
+        if got is None:
+            got = self.passes[k] = [], forward(
+                start, self.spec.alphabet_size, (), math.inf, self.budget, Tally(),
+                (None, (), _extend, min),
+            )
+        levels, grow = got
+        while len(levels) <= m:
+            levels.append(next(grow))
+        seen = self.admits.setdefault(w, {})
+        for walker, _, u in levels[m].values():
+            ok = seen.get(walker)
+            if ok is None:
+                ok = seen[walker] = walk(walker, w) is not None
+            if ok:
+                return u
+        return None
+
+    def least(self, start, w: Word, gaps: Iterable[int], strategy: str = "exhaustive"):
+        """(m, u) for the least m in gaps at which the strategy's candidates,
+        or else any filler, take start on through w; u is the first such
+        candidate, or else the least filler. None if no m does."""
+        for m in gaps:
+            got = strategy != "exhaustive" and least_glue(self.spec, start, w, (m,), (strategy,))
+            if got:
+                return got
+            u = self.filler(start, w, m)
+            if u is not None:
+                return m, u
+        return None
+
+
 class GlueWork:
     """Work of glue searches, summed over lengths: words read, (v, w) pairs
     sampled, probe calls made, pairs answered by an earlier probe for the
@@ -96,27 +158,28 @@ class GlueWork:
 
 
 def glue_pairs(
-    root, words: Sequence[Word], pairs: Iterable[tuple[int, int]], probe: Callable,
+    root, words: Sequence[Word], rows: Iterable[tuple[int, Sequence[int]]], probe: Callable,
     work: GlueWork, stops: Callable = not_,
 ) -> tuple[tuple[Word, Word, object] | None, tuple[Word, Word, object] | None]:
-    """Scan (i, j) pairs in order for got = probe(walker after words[i] from
-    root, words[j]), a tuple or None, up to the first pair with stops(got),
-    by default the first None. Returns (v, w, got) of that pair (None if
-    none stops the scan) and of the first pair before it of largest got[0]
-    (None if none).
+    """Scan pairs (i, j) row by row, in order, for got = probe(walker after
+    words[i] from root, words[j]), a tuple or None, up to the first pair
+    with stops(got), by default the first None. A row (i, js) holds the
+    pairs (i, j), j in js, in scan order. Returns (v, w, got) of
+    that pair (None if none stops the scan) and of the first pair before it
+    of largest got[0] (None if none).
 
     The words must be admissible and the probe may see the walker only
-    through what it admits. A row, the run of pairs with one i, is
-    summarised once per (end key of words[i], row), and a key's rows share
-    their answers per j: each pair reached is probed once per (key, j).
+    through what it admits. A row is summarised once per (end key of
+    words[i], js), and a key's rows share their answers per j: each pair
+    reached is probed once per (key, j).
     """
     starts = [walk(root, v) for v in words]
     answers: dict = {}  # end key -> {j: got}
-    rows: dict = {}  # (end key, row) -> (first stopping (j, got), first largest (j, got))
+    summaries: dict = {}  # (end key, js) -> (first stopping (j, got), first largest (j, got))
     best = None
-    for i, group in itertools.groupby(pairs, itemgetter(0)):
-        row, k = tuple(map(itemgetter(1), group)), starts[i].key()
-        summary = rows.get((k, row))
+    for i, row in rows:
+        k = starts[i].key()
+        summary = summaries.get((k, row))
         if summary is None:
             seen = answers.setdefault(k, {})
             stop = top = None
@@ -132,7 +195,7 @@ def glue_pairs(
                     break
                 if got is not None and (top is None or got[0] > top[1][0]):
                     top = j, got
-            summary = rows[k, row] = stop, top
+            summary = summaries[k, row] = stop, top
         else:  # a repeat row: the first one with its summary did not stop
             work.memo_hits += len(row)
         stop, top = summary
@@ -153,7 +216,8 @@ def find_glue(spec: SubshiftSpec, v: Word, w: Word, m: int, strategy: str) -> Wo
 def sample_pairs(
     words: Sequence[Word], pair_budget: int, seed: int
 ) -> tuple[list[tuple[int, int]], float]:
-    """All index pairs if they fit the budget, else a deterministic sample.
+    """A deterministic sample of the index pairs, which must not all fit
+    the budget.
 
     The sample always contains every pair involving the lexicographic
     extremes and a maximal-sum word (the adversarial candidates), plus a
@@ -162,7 +226,7 @@ def sample_pairs(
     n = len(words)
     total = n * n
     if total <= pair_budget:
-        return [(i, j) for i in range(n) for j in range(n)], 1.0
+        raise InputError(f"all {total} pairs fit the pair budget {pair_budget}; none is sampled")
     marked = {0, n - 1, max(range(n), key=lambda i: (sum(words[i]), i))}
     chosen = {p for i in marked for j in range(n) for p in ((i, j), (j, i))}
     rng = random.Random(seed)
@@ -170,6 +234,20 @@ def sample_pairs(
         chosen.add((rng.randrange(n), rng.randrange(n)))
     pairs = sorted(chosen)
     return pairs, len(pairs) / total
+
+
+def pair_rows(
+    words: Sequence[Word], pair_budget: int, seed: int
+) -> tuple[list[tuple[int, Sequence[int]]], int, float]:
+    """The pairs a search scans, as glue_pairs rows: all of them, each row
+    every index, if they fit the budget, else sample_pairs's sample.
+    Returns (rows, pair count, coverage fraction)."""
+    n = len(words)
+    if n * n <= pair_budget:
+        return [(i, range(n)) for i in range(n)], n * n, 1.0
+    pairs, coverage = sample_pairs(words, pair_budget, seed)
+    rows = [(i, tuple(map(itemgetter(1), g))) for i, g in itertools.groupby(pairs, itemgetter(0))]
+    return rows, len(pairs), coverage
 
 
 class GapRow(NamedTuple):
@@ -210,8 +288,10 @@ def min_gap_profile(
     In specification mode every m from f_declared (or the measured
     minimum) up to m_max must glue; a failing m yields a counterexample.
     For non-exhaustive strategies a miss is retried exhaustively before
-    being reported, so counterexamples are genuine. work, when given,
-    gets the search's counters added.
+    being reported, so counterexamples are genuine; a gap then misses
+    just when no filler of that length glues, whatever the strategy.
+    Specification mode needs m_max >= f_declared. work, when given, gets
+    the search's counters added.
     """
     if mode not in (MODE_TRANSITIVITY, MODE_SPECIFICATION):
         raise InputError(f"unknown mode {mode!r}")
@@ -220,35 +300,40 @@ def min_gap_profile(
     f_declared = None if spec.declared_gap is None else spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)
+    if mode == MODE_SPECIFICATION and f_declared is not None and m_max < f_declared:
+        raise InputError(
+            f"horizons.m_max: {m_max} is below f_declared({n}) = {f_declared}, so "
+            f"specification mode would check no gap at n={n}"
+        )
     words = list(iter_language(spec, n, budget))
     if not words:
         raise InputError(f"language empty at length {n}")
-    pairs, coverage = sample_pairs(words, pair_budget, seed)
+    rows, n_pairs, coverage = pair_rows(words, pair_budget, seed)
     gaps = range(m_max + 1)
     root = spec.root_walker()
+    fillers = FillerLevels(spec, budget)
     work = GlueWork() if work is None else work
     work.words += len(words)
-    work.pairs += len(pairs)
+    work.pairs += n_pairs
 
     def least(start, w):  # the strategy at every gap, then an exhaustive retry
-        return least_glue(spec, start, w, gaps, (strategy,)) or (
-            None if strategy == "exhaustive" else least_glue(spec, start, w, gaps, ("exhaustive",))
-        )
+        return (strategy != "exhaustive" and least_glue(spec, start, w, gaps, (strategy,))
+                or fillers.least(start, w, gaps))
 
-    missed, worst = glue_pairs(root, words, pairs, least, work)
+    missed, worst = glue_pairs(root, words, rows, least, work)
     status = "ok" if missed is None else HORIZON_EXHAUSTED
     counterexample = None if missed is None else (*missed[:2], m_max)
     witness = None if worst is None else (worst[0], worst[2][1], worst[1])
     f_emp = worst[2][0] if status == "ok" else None
 
     if mode == MODE_SPECIFICATION and status == "ok":
+        # with the exhaustive retry a gap misses iff no filler at all glues
         checked = range(f_declared if f_declared is not None else f_emp, m_max + 1)
 
         def first_miss(start, w):
-            glued = (least_glue(spec, start, w, (m,), (strategy, "exhaustive")) for m in checked)
-            return next(((m,) for m, got in zip(checked, glued) if got is None), None)
+            return next(((m,) for m in checked if fillers.filler(start, w, m) is None), None)
 
-        miss, _ = glue_pairs(root, words, pairs, first_miss, work, stops=truth)
+        miss, _ = glue_pairs(root, words, rows, first_miss, work, stops=truth)
         counterexample = None if miss is None else (*miss[:2], *miss[2])
     work.states += states_built(root)
 

@@ -29,13 +29,12 @@ from itertools import islice
 from operator import truth
 from typing import Callable, Sequence
 
-from . import pressure as pressure_mod, transfer  # measure_lower alone runs them
+from . import gluing, pressure as pressure_mod, transfer  # run by the checks that use them
 from .config import (
     CHECK_DENSITY_GLUE, CHECK_MEASURE_LOWER, CHECK_PARTITION_ANCHOR, CHECK_PARTITION_SPEC,
     CHECK_PARTITION_TRANS, CHECK_SPARSE_GLUE,
 )
 from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
-from .gluing import GlueWork, glue_pairs, least_glue, sample_pairs
 from .subshifts import (
     DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language, states_built, walk,
 )
@@ -100,7 +99,7 @@ def verify_density_glue(
     f: Callable[[int], int] | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
     seed: int = 0,
-    work: GlueWork | None = None,
+    work: gluing.GlueWork | None = None,
 ) -> BoundReport:
     """Certificate that v 0^m w stays admissible for all m >= f(n).
 
@@ -123,17 +122,19 @@ def verify_density_glue(
 
     Triples v 0^m1 w 0^m2 u are spot-checked on a deterministic sample at
     the corner gaps, drawn from the first six words of L_n and its least
-    word of largest sum. work, when given, gets the counters added: every
-    pair counts as sampled, each triple walk and witness scan call as a
-    probe, a triple reusing the walker after v 0^m w 0^m as a memo hit,
-    and the pass's states as built.
+    word of largest sum. The walker after v 0^m is read once per v, and
+    whether the walker after v 0^m w 0^m reads u once per (walker, u).
+    work, when given, gets the counters added: every pair counts as
+    sampled, each triple checked and witness scan call as a probe, a
+    triple reusing the walker after v 0^m w 0^m as a memo hit, and the
+    pass's states as built.
     """
     if spec.family != "bounded_density":
         raise InputError("density_glue runs on bounded density instances")
     params = spec.params["density"]
     h = params.h
     root = spec.root_walker()
-    work = GlueWork() if work is None else work
+    work = gluing.GlueWork() if work is None else work
     f_at = f if f is not None else spec.declared_gap
     n_top = max(n_range, default=0)
     counts, heavy, heaviest = zip(*_heaviest(root, spec.alphabet_size, n_top, budget))
@@ -166,8 +167,8 @@ def verify_density_glue(
             def miss(start, w):
                 return next(((m,) for m in gaps if walk(start, (0,) * m + w) is None), None)
 
-            every = ((i, j) for i in range(len(words)) for j in range(len(words)))
-            (v, w, (m,)), _ = glue_pairs(root, words, every, miss, work, stops=truth)
+            every = ((i, range(len(words))) for i in range(len(words)))
+            (v, w, (m,)), _ = gluing.glue_pairs(root, words, every, miss, work, stops=truth)
             witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
             continue
         v0, w0 = (0,) * (n - a0) + heaviest[a0], heaviest[b0] + (0,) * (n - b0)
@@ -182,14 +183,23 @@ def verify_density_glue(
         for m in (fn, fn + slack):
             if 3 * n + 2 * m > params.n_max:
                 continue
+            zeros, leads = (0,) * m, {}  # va -> walker after va 0^m
             heads: dict = {}  # walker after va 0^m vb 0^m
+            reads: dict = {}  # (that walker, vc) -> whether it reads vc
             for va, vb, vc in triples:
                 work.probes += 1
                 if (va, vb) not in heads:
-                    heads[va, vb] = walk(root, va + (0,) * m + vb + (0,) * m)
+                    if va not in leads:
+                        leads[va] = walk(root, va + zeros)
+                    lead = leads[va]
+                    heads[va, vb] = None if lead is None else walk(lead, vb + zeros)
                 else:
                     work.memo_hits += 1
-                if heads[va, vb] is None or walk(heads[va, vb], vc) is None:
+                head = heads[va, vb]
+                ok = head is not None and reads.get((head, vc))
+                if ok is None:
+                    ok = reads[head, vc] = walk(head, vc) is not None
+                if not ok:
                     verdict = FAIL
                     witnesses[n] = {"triple": [format_word(x) for x in (va, vb, vc)], "m": m}
                     break
@@ -219,7 +229,7 @@ def verify_sparse_glue(
     budget: int = DEFAULT_NODE_BUDGET,
     pair_budget: int = 150_000,
     seed: int = 0,
-    work: GlueWork | None = None,
+    work: gluing.GlueWork | None = None,
 ) -> BoundReport:
     """Certificate that some filler of length <= f(n) joins every pair.
 
@@ -234,7 +244,8 @@ def verify_sparse_glue(
     if f_at is None:
         raise InputError("no gap bound declared or supplied")
     root = spec.root_walker()
-    work = GlueWork() if work is None else work
+    fillers = gluing.FillerLevels(spec, budget)
+    work = gluing.GlueWork() if work is None else work
     margins = []
     witnesses: dict = {}
     verdict = PASS
@@ -242,13 +253,13 @@ def verify_sparse_glue(
     for n in n_range:
         fn = f_at(n)
         words = list(iter_language(spec, n, budget))
-        pairs, coverage = sample_pairs(words, pair_budget, seed)
+        rows, n_pairs, coverage = gluing.pair_rows(words, pair_budget, seed)
         coverages[n] = coverage
         work.words += len(words)
-        work.pairs += len(pairs)
-        gaps, tries = range(fn + 1), (strategy, "exhaustive")
-        failed, worst = glue_pairs(
-            root, words, pairs, lambda start, w: least_glue(spec, start, w, gaps, tries), work
+        work.pairs += n_pairs
+        gaps = range(fn + 1)
+        failed, worst = gluing.glue_pairs(
+            root, words, rows, lambda start, w: fillers.least(start, w, gaps, strategy), work
         )
         if failed is not None:
             verdict = FAIL

@@ -719,6 +719,51 @@ def test_gap_profile_success(tmp_path):
     assert all(r[2] == "1" for r in rows)  # f_empirical
 
 
+def test_specification_horizon_below_the_declared_gap_exits_2(tmp_path, capsys):
+    # f_declared(n) = 2 on the shipped density config: m_max 1 checks no
+    # gap, which used to pass every row
+    doc = yaml.safe_load((CONFIG_DIR / "bounded_density.yaml").read_text())
+    doc["horizons"]["m_max"] = 1
+    _cli_rejects(tmp_path, capsys, doc, "horizons.m_max", "gap-profile")
+    doc["horizons"]["m_max"] = 2
+    out = tmp_path / "at_gap"
+    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 0
+    assert (out / "gap_profile.csv").exists()
+
+
+@pytest.mark.parametrize("table, rc", [(9, 0), (8, 2)])
+def test_transitivity_reads_the_density_table_only_to_the_least_gap(tmp_path, capsys, table, rc):
+    # at n = 4 the least gap is 1, so v u w needs lengths <= 9; filler
+    # levels grow only to the gap each pair asks for, never to m_max = 8
+    doc = {"subshift": _bd(height={**BD_HEIGHT, "n_max": table}), "mode": "transitivity",
+           "strategy": "exhaustive", "horizons": {"n_max": 4, "m_max": 8},
+           "checks": {"gap_profile": {"n_range": [4]}}}
+    out = tmp_path / "out"
+    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == rc
+    if rc:
+        assert "height table only covers lengths <= 8" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert [r[2] for r in read_csv_payload(out / "gap_profile.csv")[2]] == ["1"]
+
+
+@pytest.mark.parametrize("budget, rc", [(174, 0), (173, 3)])
+def test_filler_levels_are_charged_the_budget(tmp_path, capsys, budget, rc):
+    # golden mean, n = 2, gaps 1..30: from each start key (the last two
+    # symbols) the filler levels hold 1, 2 (or 1), 3, 3, ... keys; gap 30
+    # expands levels 0..29, at most 87 keys of 2 nodes each. Listing L_2
+    # costs 6 nodes, so the levels alone pass the budget.
+    doc = golden_doc(mode="specification", horizons={"n_max": 4, "m_max": 30},
+                     checks={"gap_profile": {"n_range": [2]}})
+    out = tmp_path / "out"
+    argv = ["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]
+    assert main([*argv, "--budget", str(budget)]) == rc
+    if rc:
+        assert (f"budget exhausted: node budget {budget} exhausted at length 30"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 def test_verify_density_glue_via_cli(tmp_path):
     doc = {
         "label": "half density",

@@ -13,6 +13,7 @@ from shiftpress.gluing import (
     glue_candidates,
     least_glue,
     min_gap_profile,
+    pair_rows,
     sample_pairs,
 )
 from shiftpress.subshifts import (
@@ -23,6 +24,7 @@ from shiftpress.subshifts import (
     make_sft,
     make_sparse_sturmian,
     make_sturmian_factors,
+    product_subshift,
     walk,
     word_admissible,
 )
@@ -90,10 +92,23 @@ def test_find_glue_and_min_gap_on_the_blocked_pair():
 
 
 def test_sample_pairs_small_sets_are_exhaustive():
+    # a set that fits the budget reaches the scan as full rows, not as a
+    # list of pair tuples; sample_pairs draws samples only
     words = list(iter_language(make_golden_mean(), 3))
-    pairs, coverage = sample_pairs(words, 10_000, seed=7)
-    assert coverage == 1.0
-    assert len(pairs) == len(words) ** 2
+    n = len(words)
+    rows, count, coverage = pair_rows(words, 10_000, seed=7)
+    assert coverage == 1.0 and count == n ** 2
+    assert [(i, list(js)) for i, js in rows] == [(i, list(range(n))) for i in range(n)]
+    with pytest.raises(InputError, match="fit the pair budget"):
+        sample_pairs(words, n ** 2, seed=7)
+
+
+def test_pair_rows_group_a_sample_by_first_word():
+    words = list(iter_language(make_golden_mean(), 6))
+    pairs, coverage = sample_pairs(words, 120, seed=3)
+    rows, count, got = pair_rows(words, 120, seed=3)
+    assert (count, got) == (len(pairs), coverage)
+    assert [(i, j) for i, js in rows for j in js] == pairs
 
 
 def test_sample_pairs_budgeted_sample_is_deterministic_and_marked():
@@ -255,6 +270,44 @@ def test_zero_glue_miss_falls_back_to_exhaustive():
         spec, oracles.sft_admissible(2, [(0, 0)]), 3, MODE_TRANSITIVITY, 4, "zero_glue"
     )
     assert row.witness == ((0, 1, 0), (1,), (0, 1, 0))
+
+
+# k = 1 tables: the half-density cap (worst gap 1), and floor(L/3) + 1
+# (worst gap 3 from n = 3)
+DENSITY_TABLES = {
+    "half": [math.ceil(k / 2) for k in range(1, 25)],
+    "third": [k // 3 + 1 for k in range(1, 25)],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+@pytest.mark.parametrize("table", sorted(DENSITY_TABLES))
+def test_bounded_density_profile_matches_oracle(table, mode, n):
+    h = DENSITY_TABLES[table]
+    spec = make_bounded_density(1, h)
+    row = assert_row_matches_oracle(
+        spec, oracles.bd_admissible([0, *h]), n, mode, spec.declared_gap(n) + 2
+    )
+    assert row.status == "ok" and row.witness is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+def test_product_profile_matches_oracle(mode, n):
+    # golden mean x full shift on 2 symbols: symbol 2 i + j is the pair (i, j)
+    spec = product_subshift(make_golden_mean(), make_full_shift(2))
+    ok = oracles.product_admissible(oracles.sft_admissible(2, [(1, 1)]), lambda w: True, 2)
+    row = assert_row_matches_oracle(spec, ok, n, mode, 3)
+    assert row.f_empirical == 1 and len(row.witness[1]) == 1
+
+
+def test_specification_needs_a_horizon_reaching_the_declared_gap():
+    with pytest.raises(InputError, match="horizons.m_max: 0 is below f_declared"):
+        min_gap_profile(make_golden_mean(), 3, MODE_SPECIFICATION, 0)
+    assert min_gap_profile(make_golden_mean(), 3, MODE_TRANSITIVITY, 0).status == (
+        "horizon_exhausted"
+    )
 
 
 @pytest.mark.parametrize("n", [4, 6])

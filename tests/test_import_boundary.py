@@ -53,7 +53,10 @@ RUNS = [
     ("bounded_density", {"n_state": 4}, ["equilibrium"], 0, "gluing pressure verify"),
     ("golden_mean", {}, ["pressure"], 0, "gluing verify"),  # horizons.n_state: the class graph
     ("golden_mean", {}, ["equilibrium"], 0, "gluing pressure verify"),
-    ("golden_mean", {}, ["verify", "measure_lower"], 0, ""),
+    ("golden_mean", {}, ["verify", "measure_lower"], 0, "gluing"),
+    # the filler levels of a glue search stay in gluing
+    ("golden_mean", {}, ["gap-profile"], 0, "pressure transfer verify"),
+    ("sparse_sturmian", {}, ["verify", "sparse_glue"], 0, "pressure transfer"),
     # a misspelled key exits 2 having run only cli, config and config's imports
     ("golden_mean", {"n_mx": 3}, ["enumerate"], 2, "gluing pressure reports transfer verify"),
 ]

@@ -162,6 +162,26 @@ def test_density_glue_margins_come_without_listing_the_language(monkeypatch):
     assert work.states <= 2 * 64 + 1  # the triple walks reach length 64
 
 
+def test_density_glue_triple_witnesses_are_genuine():
+    # h(L) = min(L, 2 + L // 2) at gap 2 joins every pair but not every
+    # triple at n = 3; the counters count every triple checked, however
+    # many walks the walker memos save
+    h = [min(L, 2 + L // 2) for L in range(1, 41)]
+    work = GlueWork()
+    rep = verify_density_glue(make_bounded_density(1, h), range(2, 7), slack=0,
+                              f=lambda n: 2, work=work)
+    assert rep.verdict == FAIL
+    assert rep.witnesses[3] == {"triple": ["111", "111", "111"], "m": 2}
+    assert [n for n, got in rep.witnesses.items() if "triple" in got] == [3]
+    ok = oracles.bd_admissible([0, *h])
+    for n in (4, 5, 6):  # pair failures, each genuine
+        got = rep.witnesses[n]
+        v, w = (tuple(map(int, got[k])) for k in "vw")
+        assert ok(v) and ok(w) and not ok(v + (0,) * got["m"] + w)
+    assert not ok((1, 1, 1, 0, 0) * 2 + (1, 1, 1))
+    assert (work.probes, work.memo_hits) == (714, 663)
+
+
 def test_density_glue_input_guards():
     with pytest.raises(InputError):
         verify_density_glue(make_golden_mean(), [2])
