@@ -11,7 +11,9 @@ deterministic sample once the pair count passes a budget), recording the
 worst pair as a witness. Filler search strategies: `exhaustive` tries all
 words lexicographically, `zero_glue` only the all-zero filler, and
 `factor_glue` concatenations of two Sturmian factors (the construction
-used by the sparse family's own gap certificate).
+used by the sparse family's own gap certificate). The last two list their
+candidates; an exhaustive search, and the exhaustive retry of the others,
+runs over filler classes.
 
 Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, and the fillers of length m
@@ -44,15 +46,14 @@ from .words import Word, check_symbols
 
 
 def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]:
-    """Candidate fillers of length m, in deterministic order."""
+    """Candidate fillers of length m of a listing strategy, in
+    deterministic order; exhaustive searches go through FillerLevels."""
     if m < 0:
         raise InputError("filler length must be >= 0")
     if m == 0:
         yield ()
     elif strategy == "zero_glue":
         yield (0,) * m
-    elif strategy == "exhaustive":
-        yield from itertools.product(range(spec.alphabet_size), repeat=m)
     elif strategy == "factor_glue":
         fs = spec.params.get("factor_set")
         if fs is None:
@@ -74,12 +75,21 @@ def least_glue(
     """(m, u) for the least m in gaps with a filler u taking walker `start`
     on through w, or None. At each m the distinct strategies in `tries` are
     searched in turn; a later one is a retry run only when the earlier missed.
+    An exhaustive try asks filler levels for the least filler, the first
+    that lexicographic order would find.
     """
     if start is None:
         return None
     tries = tuple(dict.fromkeys(tries))
+    fillers = None
     for m in gaps:
         for strategy in tries:
+            if strategy == "exhaustive":
+                fillers = fillers or FillerLevels(spec, DEFAULT_NODE_BUDGET)
+                u = fillers.filler(start, w, m)
+                if u is not None:
+                    return m, u
+                continue
             for u in glue_candidates(spec, m, strategy):
                 mid = walk(start, u)
                 if mid is not None and walk(mid, w) is not None:
@@ -297,6 +307,9 @@ def min_gap_profile(
         raise InputError(f"unknown mode {mode!r}")
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
+    if strategy == "factor_glue" and spec.params.get("factor_set") is None:
+        # checked here, as the levels answer every gap a search reaches past m = 0
+        raise InputError("factor_glue needs a sparse Sturmian instance")
     f_declared = None if spec.declared_gap is None else spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)

@@ -731,6 +731,18 @@ def test_specification_horizon_below_the_declared_gap_exits_2(tmp_path, capsys):
     assert (out / "gap_profile.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["specification", "transitivity"])
+def test_factor_glue_off_the_sparse_family_exits_2(tmp_path, capsys, mode):
+    # every full-shift pair glues at m = 0, so no search asks factor_glue
+    # for a candidate; the strategy is still checked against the family
+    doc = yaml.safe_load((CONFIG_DIR / "full_shift.yaml").read_text())
+    doc["strategy"], doc["mode"] = "factor_glue", mode
+    out = tmp_path / "out"
+    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "factor_glue needs a sparse Sturmian instance" in capsys.readouterr().err
+    assert not (out / "gap_profile.csv").exists()
+
+
 @pytest.mark.parametrize("table, rc", [(9, 0), (8, 2)])
 def test_transitivity_reads_the_density_table_only_to_the_least_gap(tmp_path, capsys, table, rc):
     # at n = 4 the least gap is 1, so v u w needs lengths <= 9; filler

@@ -86,6 +86,40 @@ def test_find_glue_and_min_gap_on_the_blocked_pair():
     assert least_glue(gm, start, (1, 0), range(5), ("exhaustive",)) == (1, (0,))
 
 
+def _gluing_case(name):
+    """(spec, oracle membership test) for the lexicographic filler tests."""
+    if name == "golden":
+        return make_golden_mean(), oracles.sft_admissible(2, [(1, 1)])
+    if name == "density":
+        h = [math.ceil(k / 2) for k in range(1, 17)]
+        return make_bounded_density(1, h), oracles.bd_admissible([0, *h])
+    sft, forb = seeded_sft(int(name[3:]))
+    return sft, oracles.sft_admissible(2, forb)
+
+
+# many fillers share an end key on the golden mean and the density shift;
+# the seeded SFTs have gaps up to 2, pairs with no filler and fillers with a 1
+@pytest.mark.parametrize("case", ["golden", "density", "sft1", "sft12"])
+def test_exhaustive_tries_match_the_lexicographic_oracle(case):
+    # an exhaustive try reads filler levels, not a list of every word: the
+    # filler it finds must still be the first in lexicographic order
+    spec, ok = _gluing_case(case)
+
+    def filler_of(m, strategy):
+        return oracles.fillers(m, strategy, 2)
+
+    tries = ("zero_glue", "exhaustive")
+    words = list(iter_language(spec, 3))
+    for v in words:
+        start = walk(spec.root_walker(), v)
+        for w in words:
+            want = oracles.least_gap(ok, v, w, range(5), tries, filler_of)
+            assert least_glue(spec, start, w, range(5), tries) == want
+            for m in range(5):
+                first = next((u for u in filler_of(m, "exhaustive") if ok(v + u + w)), None)
+                assert find_glue(spec, v, w, m, "exhaustive") == first
+
+
 # ---------------------------------------------------------------------------
 # pair sampling
 # ---------------------------------------------------------------------------
@@ -212,6 +246,9 @@ def test_profile_validation():
         min_gap_profile(gm, 3, "no_such_mode", 2)
     with pytest.raises(InputError):
         min_gap_profile(gm, 3, MODE_TRANSITIVITY, 2, "no_such_strategy")
+    for mode in (MODE_TRANSITIVITY, MODE_SPECIFICATION):  # glues at m = 0, still refused
+        with pytest.raises(InputError, match="factor_glue needs a sparse Sturmian instance"):
+            min_gap_profile(make_full_shift(2), 2, mode, 3, "factor_glue")
 
 
 # ---------------------------------------------------------------------------
