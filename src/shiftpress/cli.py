@@ -104,10 +104,15 @@ class _Run:
             )
         return self.spec.declared_gap
 
-    def anchor_horizon(self, horizon: int) -> int:
-        """horizon, cut to the largest n the declared gap bound answers."""
+    def anchor_sequence(self, horizon: int, epsilons) -> pressure.AnchorSequence:
+        """The anchors for the epsilons from the declared gap bound and the
+        variation, searched up to horizon cut to the largest n the bound
+        answers."""
         reach = self.spec.gap_reach
-        return horizon if reach is None else min(horizon, reach)
+        return pressure.anchor_sequence(
+            self.gap_callable(), self.variation_callable(),
+            horizon if reach is None else min(horizon, reach), epsilons,
+        )
 
     def variation_callable(self) -> Callable[[int], float]:
         return self._bracket_g().g_at
@@ -329,15 +334,12 @@ def _run_check(run: _Run, tag: str):
         epsilon = params.get("epsilon", 0.5)
         anchors = params.get("anchors")
         if anchors is None:
-            eps_list = params.get("epsilons", [epsilon])
-            horizon = run.anchor_horizon(table.horizon)
-            seq = pressure.anchor_sequence(
-                run.gap_callable(), run.variation_callable(), horizon, eps_list
-            )
+            seq = run.anchor_sequence(table.horizon, params.get("epsilons", [epsilon]))
             if not seq.indices:
+                reach = run.spec.gap_reach
                 raise InputError("no anchor lengths found " + (
-                    f"up to n={horizon}, the reach of the declared gap bound; raise the epsilons"
-                    if horizon < table.horizon
+                    f"up to n={reach}, the reach of the declared gap bound; raise the epsilons"
+                    if reach is not None and reach < table.horizon
                     else "below the horizon; raise horizons.n_max or the epsilons"))
             anchors = list(seq.indices)
         return verify.verify_partition_upper_anchor(
@@ -408,13 +410,8 @@ def cmd_equilibrium(run: _Run) -> int:
 
 
 def cmd_anchors(run: _Run) -> int:
-    cfg = run.cfg
-    params = cfg.checks.get("anchors", {})
-    eps_list = params.get("epsilons", [0.5, 0.4, 0.3])
-    seq = pressure.anchor_sequence(
-        run.gap_callable(), run.variation_callable(),
-        run.anchor_horizon(cfg.horizons.n_max), eps_list,
-    )
+    params = run.cfg.checks.get("anchors", {})
+    seq = run.anchor_sequence(run.cfg.horizons.n_max, params.get("epsilons", [0.5, 0.4, 0.3]))
     rows = [
         (k + 1, eps, n, score)
         for k, (eps, n, score) in enumerate(zip(seq.epsilons, seq.indices, seq.scores))

@@ -8,12 +8,12 @@ Two questions are asked of a pair of admissible words (v, w):
 
 min_gap_profile answers them over all pairs at a length (or a documented
 deterministic sample once the pair count passes a budget), recording the
-worst pair as a witness. Filler search strategies: `exhaustive` tries all
-words lexicographically, `zero_glue` only the all-zero filler, and
-`factor_glue` concatenations of two Sturmian factors (the construction
-used by the sparse family's own gap certificate). The last two list their
-candidates; an exhaustive search, and the exhaustive retry of the others,
-runs over filler classes.
+worst pair as a witness. A gap is the least m at which any filler glues;
+the filler strategy picks only the witness filler there: the least one
+for `exhaustive` and `zero_glue` (0^m, the least word of length m,
+whenever it glues), and for `factor_glue` a concatenation of two Sturmian
+factors first (the sparse family's own gap construction), if one glues.
+FillerLevels.least is the only glue search.
 
 Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, and the fillers of length m
@@ -45,19 +45,26 @@ from .subshifts import (
 from .words import Word, check_symbols
 
 
+def _lists_candidates(spec: SubshiftSpec, strategy: str) -> bool:
+    """Whether the strategy lists candidates (factor_glue alone does);
+    InputError if it is unknown, or is factor_glue off the sparse family."""
+    if strategy not in STRATEGIES:
+        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if strategy == "factor_glue" and spec.params.get("factor_set") is None:
+        raise InputError("factor_glue needs a sparse Sturmian instance")
+    return strategy == "factor_glue"
+
+
 def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]:
-    """Candidate fillers of length m of a listing strategy, in
-    deterministic order; exhaustive searches go through FillerLevels."""
+    """The candidate fillers of length m a strategy lists, in deterministic
+    order: the empty filler at m = 0, and past it factor_glue's
+    concatenations of two factors; the other strategies list none."""
     if m < 0:
         raise InputError("filler length must be >= 0")
     if m == 0:
         yield ()
-    elif strategy == "zero_glue":
-        yield (0,) * m
-    elif strategy == "factor_glue":
-        fs = spec.params.get("factor_set")
-        if fs is None:
-            raise InputError("factor_glue needs a sparse Sturmian instance")
+    elif _lists_candidates(spec, strategy):
+        fs = spec.params["factor_set"]
         seen = set()
         for ka in range(max(0, m - fs.k_max), min(m, fs.k_max) + 1):  # both parts <= k_max
             for s in sorted(fs.factors[ka]) if ka else [()]:
@@ -65,36 +72,6 @@ def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]
                     if s + t not in seen:
                         seen.add(s + t)
                         yield s + t
-    else:
-        raise InputError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-
-
-def least_glue(
-    spec: SubshiftSpec, start, w: Word, gaps: Iterable[int], tries: Sequence[str]
-) -> tuple[int, Word] | None:
-    """(m, u) for the least m in gaps with a filler u taking walker `start`
-    on through w, or None. At each m the distinct strategies in `tries` are
-    searched in turn; a later one is a retry run only when the earlier missed.
-    An exhaustive try asks filler levels for the least filler, the first
-    that lexicographic order would find.
-    """
-    if start is None:
-        return None
-    tries = tuple(dict.fromkeys(tries))
-    fillers = None
-    for m in gaps:
-        for strategy in tries:
-            if strategy == "exhaustive":
-                fillers = fillers or FillerLevels(spec, DEFAULT_NODE_BUDGET)
-                u = fillers.filler(start, w, m)
-                if u is not None:
-                    return m, u
-                continue
-            for u in glue_candidates(spec, m, strategy):
-                mid = walk(start, u)
-                if mid is not None and walk(mid, w) is not None:
-                    return m, u
-    return None
 
 
 def _extend(state, value, sym):  # the least-filler lane's step
@@ -116,6 +93,7 @@ class FillerLevels:
 
     def __init__(self, spec: SubshiftSpec, budget: int):
         self.spec, self.budget = spec, budget
+        self.root = spec.root_walker()
         self.passes: dict = {}  # start key -> (levels built, the pass)
         self.admits: dict = {}  # w -> {walker: whether it reads w}; one walker a key
 
@@ -141,17 +119,35 @@ class FillerLevels:
         return None
 
     def least(self, start, w: Word, gaps: Iterable[int], strategy: str = "exhaustive"):
-        """(m, u) for the least m in gaps at which the strategy's candidates,
-        or else any filler, take start on through w; u is the first such
-        candidate, or else the least filler. None if no m does."""
+        """(m, u) for the least m in gaps at which some filler takes start
+        on through w, or None if no m does. u is the first of the
+        strategy's candidates that does, or else the least filler."""
+        listed = _lists_candidates(self.spec, strategy)
         for m in gaps:
-            got = strategy != "exhaustive" and least_glue(self.spec, start, w, (m,), (strategy,))
-            if got:
-                return got
+            for u in glue_candidates(self.spec, m, strategy) if listed else ():
+                mid = walk(start, u)
+                if mid is not None and walk(mid, w) is not None:
+                    return m, u
             u = self.filler(start, w, m)
             if u is not None:
                 return m, u
         return None
+
+    def scan(self, n: int, gaps: Iterable[int], strategy: str, pair_budget: int, seed: int,
+             work: GlueWork):
+        """Each pair's least gap at length n, by glue_pairs over least on
+        pair_rows of L_n. Returns (words, rows, coverage, the first pair with
+        no gap, the first of largest gap), a pair as (v, w, (m, u)) or None."""
+        words = list(iter_language(self.spec, n, self.budget))
+        if not words:
+            raise InputError(f"language empty at length {n}")
+        rows, n_pairs, coverage = pair_rows(words, pair_budget, seed)
+        work.words += len(words)
+        work.pairs += n_pairs
+        missed, worst = glue_pairs(
+            self.root, words, rows, lambda start, w: self.least(start, w, gaps, strategy), work
+        )
+        return words, rows, coverage, missed, worst
 
 
 class GlueWork:
@@ -219,7 +215,9 @@ def glue_pairs(
 def find_glue(spec: SubshiftSpec, v: Word, w: Word, m: int, strategy: str) -> Word | None:
     """First filler of length exactly m that joins v and w, or None."""
     check_symbols(tuple(v) + tuple(w), spec.alphabet_size)
-    got = least_glue(spec, walk(spec.root_walker(), v), w, (m,), (strategy,))
+    fillers = FillerLevels(spec, DEFAULT_NODE_BUDGET)
+    start = walk(fillers.root, v)
+    got = None if start is None else fillers.least(start, w, (m,), strategy)
     return None if got is None else got[1]
 
 
@@ -263,11 +261,11 @@ def pair_rows(
 class GapRow(NamedTuple):
     """Measured gluing behavior at one word length.
 
-    f_empirical is the worst min-gap seen; status is 'ok' or
-    'horizon_exhausted' (some pair had no filler of length <= m_max, with
-    the offending pair in `counterexample`). In specification mode,
-    `counterexample` instead records the least (v, w, m) in the checked
-    range with no filler, if any.
+    f_empirical is the worst min-gap seen, whatever the strategy, which
+    picks only the witness's filler; status is 'ok' or 'horizon_exhausted'
+    (some pair had no filler of length <= m_max, with the offending pair
+    in `counterexample`). In specification mode, `counterexample` instead
+    records the least (v, w, m) in the checked range with no filler.
     """
 
     n: int
@@ -296,20 +294,12 @@ def min_gap_profile(
     """Measure gluing gaps at length n.
 
     In specification mode every m from f_declared (or the measured
-    minimum) up to m_max must glue; a failing m yields a counterexample.
-    For non-exhaustive strategies a miss is retried exhaustively before
-    being reported, so counterexamples are genuine; a gap then misses
-    just when no filler of that length glues, whatever the strategy.
-    Specification mode needs m_max >= f_declared. work, when given, gets
-    the search's counters added.
+    minimum) up to m_max must glue; an m at which no filler glues yields
+    a counterexample, whatever the strategy. Specification mode needs
+    m_max >= f_declared. work, when given, gets the search's counters added.
     """
     if mode not in (MODE_TRANSITIVITY, MODE_SPECIFICATION):
         raise InputError(f"unknown mode {mode!r}")
-    if strategy not in STRATEGIES:
-        raise InputError(f"unknown strategy {strategy!r}")
-    if strategy == "factor_glue" and spec.params.get("factor_set") is None:
-        # checked here, as the levels answer every gap a search reaches past m = 0
-        raise InputError("factor_glue needs a sparse Sturmian instance")
     f_declared = None if spec.declared_gap is None else spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)
@@ -318,36 +308,24 @@ def min_gap_profile(
             f"horizons.m_max: {m_max} is below f_declared({n}) = {f_declared}, so "
             f"specification mode would check no gap at n={n}"
         )
-    words = list(iter_language(spec, n, budget))
-    if not words:
-        raise InputError(f"language empty at length {n}")
-    rows, n_pairs, coverage = pair_rows(words, pair_budget, seed)
-    gaps = range(m_max + 1)
-    root = spec.root_walker()
     fillers = FillerLevels(spec, budget)
     work = GlueWork() if work is None else work
-    work.words += len(words)
-    work.pairs += n_pairs
-
-    def least(start, w):  # the strategy at every gap, then an exhaustive retry
-        return (strategy != "exhaustive" and least_glue(spec, start, w, gaps, (strategy,))
-                or fillers.least(start, w, gaps))
-
-    missed, worst = glue_pairs(root, words, rows, least, work)
+    words, rows, coverage, missed, worst = fillers.scan(
+        n, range(m_max + 1), strategy, pair_budget, seed, work
+    )
     status = "ok" if missed is None else HORIZON_EXHAUSTED
     counterexample = None if missed is None else (*missed[:2], m_max)
     witness = None if worst is None else (worst[0], worst[2][1], worst[1])
     f_emp = worst[2][0] if status == "ok" else None
 
     if mode == MODE_SPECIFICATION and status == "ok":
-        # with the exhaustive retry a gap misses iff no filler at all glues
         checked = range(f_declared if f_declared is not None else f_emp, m_max + 1)
 
         def first_miss(start, w):
             return next(((m,) for m in checked if fillers.filler(start, w, m) is None), None)
 
-        miss, _ = glue_pairs(root, words, rows, first_miss, work, stops=truth)
+        miss, _ = glue_pairs(fillers.root, words, rows, first_miss, work, stops=truth)
         counterexample = None if miss is None else (*miss[:2], *miss[2])
-    work.states += states_built(root)
+    work.states += states_built(fillers.root)
 
     return GapRow(n, mode, strategy, f_declared, f_emp, witness, counterexample, status, coverage)

@@ -235,15 +235,14 @@ def verify_sparse_glue(
 
     Above the pair budget a deterministic stratified sample is used (all
     pairs touching the lexicographic extremes and a maximal-density word,
-    plus a seeded fill); the coverage fraction is reported. A pair with no
-    filler at any length up to f(n) is a genuine counterexample when the
-    exhaustive strategy (or the exhaustive retry) was used. work, when
-    given, gets the search's counters added.
+    plus a seeded fill); the coverage fraction is reported. A pair's gap
+    is the least at which any filler glues, so a pair with none up to f(n)
+    is a genuine counterexample whatever the strategy, which picks only
+    the witness filler. work, when given, gets the search's counters added.
     """
     f_at = f if f is not None else spec.declared_gap
     if f_at is None:
         raise InputError("no gap bound declared or supplied")
-    root = spec.root_walker()
     fillers = gluing.FillerLevels(spec, budget)
     work = gluing.GlueWork() if work is None else work
     margins = []
@@ -252,25 +251,18 @@ def verify_sparse_glue(
     coverages = {}
     for n in n_range:
         fn = f_at(n)
-        words = list(iter_language(spec, n, budget))
-        rows, n_pairs, coverage = gluing.pair_rows(words, pair_budget, seed)
-        coverages[n] = coverage
-        work.words += len(words)
-        work.pairs += n_pairs
-        gaps = range(fn + 1)
-        failed, worst = gluing.glue_pairs(
-            root, words, rows, lambda start, w: fillers.least(start, w, gaps, strategy), work
+        _, _, coverages[n], failed, worst = fillers.scan(
+            n, range(fn + 1), strategy, pair_budget, seed, work
         )
         if failed is not None:
             verdict = FAIL
             witnesses[n] = {"v": format_word(failed[0]), "w": format_word(failed[1]), "m_max": fn}
             margins.append((n, float(-1)))
             continue
-        margins.append((n, float(fn - (-1 if worst is None else worst[2][0]))))
-        if worst is not None:
-            v, w, (_, u) = worst
-            witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, (v, u, w))))
-    work.states += states_built(root)
+        margins.append((n, float(fn - worst[2][0])))
+        v, w, (_, u) = worst
+        witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, (v, u, w))))
+    work.states += states_built(fillers.root)
     return BoundReport(
         check=CHECK_SPARSE_GLUE,
         verdict=verdict,

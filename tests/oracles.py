@@ -212,8 +212,9 @@ def gap_row(words, ok, filler_of, mode, m_max, f_declared, strategy, pairs=None)
     """GapRow fields over the (i, j) index pairs of words, in the order
     given; by default all ordered pairs in lexicographic order.
 
-    Transitivity: each pair's least gap with the strategy, or else with
-    exhaustive search; the first pair with none exhausts the horizon.
+    Transitivity: each pair's least gap, trying the strategy then
+    exhaustive search at each gap, so the strategy picks only the filler;
+    the first pair with none exhausts the horizon.
     Specification: the first pair and least m in [f_declared (or the
     measured gap), m_max] where neither the strategy nor exhaustive search
     glues.
@@ -224,9 +225,7 @@ def gap_row(words, ok, filler_of, mode, m_max, f_declared, strategy, pairs=None)
     worst, witness = -1, None
     for i, j in pairs:
         v, w = words[i], words[j]
-        got = least_gap(ok, v, w, range(m_max + 1), [strategy], filler_of)
-        if got is None:
-            got = least_gap(ok, v, w, range(m_max + 1), ["exhaustive"], filler_of)
+        got = least_gap(ok, v, w, range(m_max + 1), [strategy, "exhaustive"], filler_of)
         if got is None:
             return {"f_empirical": None, "witness": witness,
                     "counterexample": (v, w, m_max), "status": "horizon_exhausted",

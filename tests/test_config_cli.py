@@ -731,16 +731,23 @@ def test_specification_horizon_below_the_declared_gap_exits_2(tmp_path, capsys):
     assert (out / "gap_profile.csv").exists()
 
 
-@pytest.mark.parametrize("mode", ["specification", "transitivity"])
-def test_factor_glue_off_the_sparse_family_exits_2(tmp_path, capsys, mode):
-    # every full-shift pair glues at m = 0, so no search asks factor_glue
-    # for a candidate; the strategy is still checked against the family
+@pytest.mark.parametrize("command, mode", [
+    (["gap-profile"], "specification"),
+    (["gap-profile"], "transitivity"),
+    (["verify", "sparse_glue"], "transitivity"),
+], ids=["specification", "transitivity", "sparse_glue"])
+def test_factor_glue_off_the_sparse_family_exits_2(tmp_path, capsys, command, mode):
+    # every full-shift pair glues at m = 0, so no search needs a factor
+    # candidate; the strategy is still checked against the family first
     doc = yaml.safe_load((CONFIG_DIR / "full_shift.yaml").read_text())
     doc["strategy"], doc["mode"] = "factor_glue", mode
+    doc["checks"] = {"sparse_glue": {"n_range": [2, 3], "f_const": 1, "strategy": "factor_glue"}}
     out = tmp_path / "out"
-    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 2
-    assert "factor_glue needs a sparse Sturmian instance" in capsys.readouterr().err
-    assert not (out / "gap_profile.csv").exists()
+    assert main([*command, "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "factor_glue needs a sparse Sturmian instance" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table, rc", [(9, 0), (8, 2)])

@@ -8,15 +8,16 @@ from shiftpress.errors import ConstructionError, InputError
 from shiftpress.gluing import (
     MODE_SPECIFICATION,
     MODE_TRANSITIVITY,
+    FillerLevels,
     GlueWork,
     find_glue,
     glue_candidates,
-    least_glue,
     min_gap_profile,
     pair_rows,
     sample_pairs,
 )
 from shiftpress.subshifts import (
+    DEFAULT_NODE_BUDGET,
     iter_language,
     make_bounded_density,
     make_full_shift,
@@ -56,9 +57,11 @@ def test_candidates_empty_filler():
     assert list(glue_candidates(gm, 0, "zero_glue")) == [()]
 
 
-def test_zero_glue_offers_one_filler():
+def test_zero_glue_lists_no_filler():
+    # 0^m is the least word of length m, so the filler levels offer it
+    # first whenever it joins; a list of it would only repeat that walk
     gm = make_golden_mean()
-    assert list(glue_candidates(gm, 3, "zero_glue")) == [(0, 0, 0)]
+    assert list(glue_candidates(gm, 3, "zero_glue")) == []
 
 
 def test_factor_glue_candidates_are_factor_concatenations():
@@ -83,7 +86,7 @@ def test_find_glue_and_min_gap_on_the_blocked_pair():
     gm = make_golden_mean()
     assert find_glue(gm, (0, 1), (1, 0), 0, "exhaustive") is None
     start = walk(gm.root_walker(), (0, 1))
-    assert least_glue(gm, start, (1, 0), range(5), ("exhaustive",)) == (1, (0,))
+    assert FillerLevels(gm, DEFAULT_NODE_BUDGET).least(start, (1, 0), range(5)) == (1, (0,))
 
 
 def _gluing_case(name):
@@ -109,12 +112,13 @@ def test_exhaustive_tries_match_the_lexicographic_oracle(case):
         return oracles.fillers(m, strategy, 2)
 
     tries = ("zero_glue", "exhaustive")
+    fillers = FillerLevels(spec, DEFAULT_NODE_BUDGET)
     words = list(iter_language(spec, 3))
     for v in words:
-        start = walk(spec.root_walker(), v)
+        start = walk(fillers.root, v)
         for w in words:
             want = oracles.least_gap(ok, v, w, range(5), tries, filler_of)
-            assert least_glue(spec, start, w, range(5), tries) == want
+            assert fillers.least(start, w, range(5), "zero_glue") == want
             for m in range(5):
                 first = next((u for u in filler_of(m, "exhaustive") if ok(v + u + w)), None)
                 assert find_glue(spec, v, w, m, "exhaustive") == first
@@ -215,13 +219,19 @@ def test_horizon_exhaustion_is_reported():
     assert row.counterexample == ((0, 1), (1, 0), 0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_zero_glue_matches_exhaustive_on_bounded_density(n):
-    bd = make_bounded_density(1, [math.ceil(k / 2) for k in range(1, 33)])
-    a = min_gap_profile(bd, n, MODE_TRANSITIVITY, 6, "zero_glue")
-    b = min_gap_profile(bd, n, MODE_TRANSITIVITY, 6, "exhaustive")
-    assert a.f_empirical == b.f_empirical
-    assert a.status == b.status == "ok"
+# the ternary SFT avoiding 11 and 101 joins 1 to 1 with the filler 2 at
+# gap 1, and with the zero filler only at gap 2
+@pytest.mark.parametrize("spec, n, m_max", [
+    *(pytest.param(make_sft(3, [(1, 1), (1, 0, 1)]), n, 4, id=f"ternary-{n}") for n in (1, 2, 3)),
+    *(pytest.param(make_bounded_density(1, [math.ceil(k / 2) for k in range(1, 33)]), n, 6,
+                   id=f"density-{n}") for n in (2, 3, 4, 5, 6)),
+])
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+def test_a_strategy_never_moves_a_rows_gap(spec, n, m_max, mode):
+    a = min_gap_profile(spec, n, mode, m_max, "zero_glue")
+    b = min_gap_profile(spec, n, mode, m_max, "exhaustive")
+    assert a._replace(strategy="exhaustive") == b
+    assert a.status == "ok"
 
 
 def test_sparse_transitivity_within_declared_budget():
@@ -300,8 +310,8 @@ def test_underdeclared_sft_counterexample_matches_oracle():
 
 
 def test_zero_glue_miss_falls_back_to_exhaustive():
-    # avoiding 00, the zero filler never joins ...0 to 0...; the exhaustive
-    # retry over the whole horizon finds the filler 1
+    # avoiding 00, the zero filler never joins ...0 to 0...; the least
+    # filler at gap 1 does, the filler 1
     spec = make_sft(2, [(0, 0)])
     row = assert_row_matches_oracle(
         spec, oracles.sft_admissible(2, [(0, 0)]), 3, MODE_TRANSITIVITY, 4, "zero_glue"
@@ -350,7 +360,7 @@ def test_specification_needs_a_horizon_reaching_the_declared_gap():
 @pytest.mark.parametrize("n", [4, 6])
 def test_factor_glue_miss_falls_back_to_exhaustive(n):
     # no concatenation of two factors has length 5 or 6 (k_max = 2), so the
-    # specification pass retries those gaps exhaustively
+    # levels' least filler answers those gaps of the specification pass
     factors = {k: oracles.mechanical_factors(8, 21, k) for k in (1, 2)}
     assert list(glue_candidates(sparse_instance(), 5, "factor_glue")) == []
     row = assert_row_matches_oracle(

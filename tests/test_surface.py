@@ -61,6 +61,21 @@ def test_the_budget_is_enforced_by_the_forward_pass_alone():
     assert sum(p.read_text().count("BudgetExceededError(") for p in SRC.glob("*.py")) == 3
 
 
+def test_only_the_filler_levels_list_candidates():
+    # one glue search: FillerLevels.least is the only loop over a
+    # strategy's candidate fillers, so no second filler loop comes back
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            callers |= {
+                (path.name, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and "glue_candidates" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            }
+    assert callers == {("gluing.py", "FillerLevels")}
+
+
 def test_every_exported_name_resolves():
     assert len(set(shiftpress.__all__)) == len(shiftpress.__all__)
     assert [name for name in shiftpress.__all__ if not hasattr(shiftpress, name)] == []
