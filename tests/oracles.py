@@ -314,6 +314,22 @@ def phi_levels(x, i, levels, limit):
     return levels[k] if k < len(levels) else limit
 
 
+def completion_hull(w, i, ext, phi, limit):
+    """Hull of phi(x, j) over the binary points x through w, w[i] at site j.
+
+    Each side of w gets every ext-symbol extension, closed by a symbol
+    unlike w[i], which reaches every run radius up to ext past the visible
+    one. A constant w also completes to the constant point, worth limit.
+    So ext must reach every radius whose value the limit does not bound.
+    """
+    b = (1 - w[i],)
+    vals = [phi(b + u + tuple(w) + v + b, 1 + ext + i)
+            for u in all_words(2, ext) for v in all_words(2, ext)]
+    if len(set(w)) == 1:
+        vals.append(limit)
+    return min(vals), max(vals)
+
+
 def phi_lc(x, i, r, values, default):
     block = tuple(x[i - r : i + r + 1])
     assert len(block) == 2 * r + 1

@@ -178,6 +178,44 @@ def test_run_levels_eval():
     assert (iv.lo, iv.hi) == (0.5, 1.0)
 
 
+SHORT_SITES = [(w, i) for n in range(1, 5) for w in oracles.all_words(2, n) for i in range(n)]
+LEVEL_POOL = [-1.0, -0.0, 0.0, 0.5, 2.0]  # small, so tables repeat values
+
+
+def assert_run_hulls_match_completions(pot, phi, limit):
+    # 4 free symbols a side reach every radius a level table of <= 4 entries
+    # or a word of <= 4 symbols tells apart; bounds is the hull through (0,)
+    for w, i in SHORT_SITES:
+        iv = pot.eval(w, i)
+        assert (iv.lo, iv.hi) == oracles.completion_hull(w, i, 4, phi, limit), (w, i)
+    assert (pot.bounds.lo, pot.bounds.hi) == oracles.completion_hull((0,), 0, 4, phi, limit)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(LEVEL_POOL), min_size=1, max_size=4),
+       st.sampled_from(LEVEL_POOL))
+def test_run_levels_eval_is_the_hull_over_completions(levels, limit):
+    pot = make_run_levels(levels, limit)
+    assert_run_hulls_match_completions(
+        pot, lambda x, j: oracles.phi_levels(x, j, levels, limit), limit)
+
+
+@pytest.mark.parametrize("h", [h_lin, h_sq, lambda k: 1.0 + k // 2], ids=["lin", "sq", "steps"])
+def test_reciprocal_run_eval_is_the_hull_over_completions(h):
+    assert_run_hulls_match_completions(
+        make_reciprocal_run(h), lambda x, j: oracles.phi_run(x, j, h), 0.0)
+
+
+@pytest.mark.parametrize("w, center", [
+    ((0,) * 7, 3),  # no visible break: radius >= 3
+    ((0,) * 6 + (1,), 2),  # radius 2 or 3
+    ((0,) * 8 + (1,), 4),  # radius exactly 3
+])
+def test_reciprocal_run_past_k_cap_raises(w, center):
+    with pytest.raises(InputError, match="run radius 3 beyond tabulated horizon 2"):
+        make_reciprocal_run(h_lin, k_cap=2).eval(w, center)
+
+
 def test_variation_on_golden_mean_skips_forbidden_blocks():
     pot = make_reciprocal_run(h_lin)
     gm = make_golden_mean()
