@@ -57,6 +57,7 @@ from .potentials import (
 from .subshifts import (
     MODE_SPECIFICATION,
     MODE_TRANSITIVITY,
+    PAIR_BUDGET,
     STRATEGIES,
     SubshiftSpec,
     make_bounded_density,
@@ -92,7 +93,7 @@ class ExperimentConfig(NamedTuple):
     strategy: str = "exhaustive"
     mode: str = MODE_TRANSITIVITY
     seed: int = 0
-    pair_budget: int = 200_000
+    pair_budget: int = PAIR_BUDGET
     checks: dict = {}
     output_dir: str = "out"
 

@@ -47,7 +47,8 @@ class InconsistentBracketError(ShiftpressError):
 
 
 class ReducibleGraphError(ShiftpressError):
-    """Block graph is not strongly connected; no Perron data exists."""
+    """The class graph has no cyclic component, or more than one, so Perron
+    data is not well defined."""
 
 
 class ConvergenceError(ShiftpressError):

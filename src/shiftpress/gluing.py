@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HORIZON_EXHAUSTED, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, MODE_TRANSITIVITY, STRATEGIES, SubshiftSpec, Tally,
-    forward, iter_language, states_built, walk,
+    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, MODE_TRANSITIVITY, PAIR_BUDGET, STRATEGIES,
+    SubshiftSpec, Tally, forward, iter_language, states_built, walk,
 )
 from .words import Word, check_symbols
 
@@ -287,7 +287,7 @@ def min_gap_profile(
     strategy: str = "exhaustive",
     *,
     budget: int = DEFAULT_NODE_BUDGET,
-    pair_budget: int = 200_000,
+    pair_budget: int = PAIR_BUDGET,
     seed: int = 0,
     work: GlueWork | None = None,
 ) -> GapRow:

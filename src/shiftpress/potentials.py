@@ -272,27 +272,39 @@ class _WindowScanner:
         )
 
 
-def _visible_break(w: Word, center: int) -> tuple[int, int, int | None]:
+def _visible_break(w: Word, center: int) -> tuple[int, int | None]:
     """Radius bookkeeping for run-based potentials.
 
-    Returns (min one-sided visibility, max one-sided visibility, d) where d
-    is the least distance at which a visible symbol differs from the
-    center symbol, or None if everything visible matches it.
+    Returns (min one-sided visibility, d) where d is the least distance at
+    which a visible symbol differs from the center symbol, or None if
+    everything visible matches it.
     """
     sym = w[center]
     left = center
     right = len(w) - 1 - center
-    far = max(left, right)
-    for d in range(1, far + 1):
+    rv = min(left, right)
+    for d in range(1, max(left, right) + 1):
         if d <= left and w[center - d] != sym:
-            return min(left, right), far, d
+            return rv, d
         if d <= right and w[center + d] != sym:
-            return min(left, right), far, d
-    return min(left, right), far, None
+            return rv, d
+    return rv, None
 
 
 class _RunPotential(Potential):
-    """A value fixed by the run radius of the center; see _RunScanner."""
+    """A value fixed by the run radius of the center; see _RunScanner.
+
+    Each kind supplies _hull(lo, hi), the hull of its values at run radii
+    lo..hi; hi None covers every radius >= lo and the constant points.
+    """
+
+    def eval(self, w: Word, center: int) -> Interval:
+        _check_center(w, center)
+        rv, d = _visible_break(w, center)
+        if d is None:
+            return self._hull(rv, None)
+        # the run radius is between rv and d - 1, a point when d <= rv + 1
+        return self._hull(min(rv, d - 1), d - 1)
 
     def scanner(self):
         return _RunScanner(self)
@@ -302,7 +314,7 @@ class _RunPotential(Potential):
         # (2n+1)-block, so only admissible constant blocks leave width
         root = spec.root_walker()
         return [
-            self.eval((0,) * (2 * n + 1), n).width
+            self._hull(n, None).width
             if any(walk(root, (s,) * (2 * n + 1)) is not None
                    for s in range(spec.alphabet_size))
             else 0.0
@@ -391,7 +403,7 @@ class ReciprocalRunPotential(_RunPotential):
         self.h_table = table
         self.k_cap = k_cap
         self._h = h
-        self.bounds = Interval(0.0, 1.0 / table[0])
+        self.bounds = self._hull(0, None)
 
     @cached_property
     def sum_diverges(self) -> bool:
@@ -414,15 +426,9 @@ class ReciprocalRunPotential(_RunPotential):
             )
         return 1.0 / self.h_table[k]
 
-    def eval(self, w: Word, center: int) -> Interval:
-        _check_center(w, center)
-        rv, _far, d = _visible_break(w, center)
-        if d is not None and d <= rv + 1:
-            return Interval.point(self._inv(d - 1))
-        if d is not None:
-            # run radius is between rv and d-1; h non-decreasing
-            return Interval(self._inv(d - 1), self._inv(rv))
-        return Interval(0.0, self._inv(rv))
+    def _hull(self, lo: int, hi: int | None) -> Interval:
+        # h is non-decreasing, and constant points are worth 0
+        return Interval(0.0 if hi is None else self._inv(hi), self._inv(lo))
 
 
 def _looks_divergent(dyadic_partial_sums: Sequence[float]) -> bool:
@@ -444,8 +450,7 @@ def _looks_divergent(dyadic_partial_sums: Sequence[float]) -> bool:
 class RunLevelPotential(_RunPotential):
     """Value a_k at run radius k, a_inf on constant points.
 
-    Levels beyond the table continue at a_inf. Tail minima and maxima are
-    precomputed so undecided radii cost O(1).
+    Levels beyond the table continue at a_inf.
     """
 
     kind = "run_levels"
@@ -456,49 +461,16 @@ class RunLevelPotential(_RunPotential):
             raise ConstructionError("level table must be non-empty")
         self.a = vals
         self.a_inf = float(a_inf)
-        n = len(vals)
-        tmin = [0.0] * (n + 1)
-        tmax = [0.0] * (n + 1)
-        tmin[n] = tmax[n] = self.a_inf
-        for i in range(n - 1, -1, -1):
-            tmin[i] = min(vals[i], tmin[i + 1])
-            tmax[i] = max(vals[i], tmax[i + 1])
-        self._tail_min = tmin
-        self._tail_max = tmax
-        self.bounds = Interval(tmin[0], tmax[0])
+        self.bounds = self._hull(0, None)
 
-    def _level(self, k: int) -> float:
-        return self.a[k] if k < len(self.a) else self.a_inf
-
-    def _range_hull(self, k_lo: int, k_hi: int | None) -> Interval:
-        """Hull of a_k over k_lo <= k <= k_hi (k_hi None means unbounded,
-        including the constant-point value)."""
-        n = len(self.a)
-        if k_hi is None:
-            i = min(k_lo, n)
-            return Interval(self._tail_min[i], self._tail_max[i])
-        lo = _INF
-        hi = -_INF
-        if k_hi >= n:
-            lo, hi = self.a_inf, self.a_inf
-            k_hi = n - 1
-        for k in range(min(k_lo, n), k_hi + 1):
-            v = self.a[k]
-            lo = min(lo, v)
-            hi = max(hi, v)
-        if k_lo >= n:
-            lo = min(lo, self.a_inf)
-            hi = max(hi, self.a_inf)
-        return Interval(lo, hi)
-
-    def eval(self, w: Word, center: int) -> Interval:
-        _check_center(w, center)
-        rv, _far, d = _visible_break(w, center)
-        if d is not None and d <= rv + 1:
-            return Interval.point(self._level(d - 1))
-        if d is not None:
-            return self._range_hull(rv, d - 1)
-        return self._range_hull(rv, None)
+    def _hull(self, lo: int, hi: int | None) -> Interval:
+        # min and max keep the first of equal values, so this order fixes
+        # which zero, 0.0 or -0.0, an endpoint is
+        if hi is None:
+            vals = self.a[lo:] + [self.a_inf]
+        else:
+            vals = ([self.a_inf] if hi >= len(self.a) else []) + self.a[lo : hi + 1]
+        return Interval(min(vals), max(vals))
 
 
 def make_reciprocal_run(

@@ -37,9 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InconsistentBracketError, InputError
 from .potentials import Interval, Potential, VarProfile
-from .subshifts import (
-    DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, Exactness, SubshiftSpec, Tally, forward,
-)
+from .subshifts import DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, SubshiftSpec, Tally, forward
 from .words import Word, check_symbols
 
 _INF = math.inf
@@ -185,7 +183,7 @@ def partition_table(
     rows, nodes, max_states = _sweep(spec, pot, n_max, budget)
     return PartitionTable(
         rows=tuple(rows),
-        upper_bound_only=spec.exactness is Exactness.LOCAL_SUPERSET,
+        upper_bound_only=not spec.exact,
         nodes=nodes,
         max_states=max_states,
     )
@@ -233,11 +231,7 @@ def pressure_bracket(
     flagged upper_bound_only.
     """
     f = spec.declared_gap
-    lower_valid = (
-        f is not None
-        and spec.gap_mode == MODE_SPECIFICATION
-        and spec.exactness is Exactness.EXACT_LANGUAGE
-    )
+    lower_valid = f is not None and spec.gap_mode == MODE_SPECIFICATION and spec.exact
     inf_phi = pot.bounds.lo
     rows = []
     best_hi = math.inf

@@ -45,23 +45,21 @@ class Verdict(Enum):
         return self is Verdict.ADMISSIBLE
 
 
-class Exactness(Enum):
-    # Oracle decides membership in the language of the subshift.
-    EXACT_LANGUAGE = "exact_language"
-    # Oracle decides a locally admissible superset; counts and partition
-    # sums computed from it are upper bounds only.
-    LOCAL_SUPERSET = "locally_admissible_superset"
-
-
 # a declared gap bound's mode, and the filler strategies a glue search may
 # try: gluing searches by them and config validates them
 MODE_SPECIFICATION = "specification"
 MODE_TRANSITIVITY = "transitivity"
 STRATEGIES = ("exhaustive", "zero_glue", "factor_glue")
+# the pairs a glue scan checks at one length; past it, it samples that many
+PAIR_BUDGET = 200_000
 
 
 class SubshiftSpec:
     """A subshift given by an incremental admissibility oracle.
+
+    exact records whether the oracle decides membership in the language;
+    when False it decides a locally admissible superset, so counts and
+    partition sums computed from it are upper bounds only.
 
     declared_gap, when set, maps a word length n to the family's declared
     gluing gap bound f(n); gap_mode records whether that bound promises
@@ -75,14 +73,14 @@ class SubshiftSpec:
     families ignore it.
     """
 
-    __slots__ = ("alphabet_size", "family", "exactness", "label", "root_walker", "params",
+    __slots__ = ("alphabet_size", "family", "exact", "label", "root_walker", "params",
                  "declared_gap", "gap_mode", "gap_reach")
 
-    def __init__(self, alphabet_size: int, family: str, exactness: Exactness, label: str,
+    def __init__(self, alphabet_size: int, family: str, exact: bool, label: str,
                  root_walker: Callable[..., object], params: dict | None = None,
                  declared_gap: Callable[[int], int] | None = None, gap_mode: str | None = None,
                  gap_reach: int | None = None):
-        self.alphabet_size, self.family, self.exactness = alphabet_size, family, exactness
+        self.alphabet_size, self.family, self.exact = alphabet_size, family, exact
         self.label, self.root_walker = label, root_walker
         self.params = {} if params is None else params
         self.declared_gap, self.gap_mode, self.gap_reach = declared_gap, gap_mode, gap_reach
@@ -353,7 +351,7 @@ def make_full_shift(alphabet_size: int) -> SubshiftSpec:
     return SubshiftSpec(
         alphabet_size=alphabet_size,
         family="full",
-        exactness=Exactness.EXACT_LANGUAGE,
+        exact=True,
         label=f"full shift on {alphabet_size} symbols",
         root_walker=lambda window=None: _FullWalker.root(None, alphabet_size, ()),
         params={},
@@ -429,7 +427,7 @@ def make_sft(
     return SubshiftSpec(
         alphabet_size=alphabet_size,
         family="sft",
-        exactness=Exactness.EXACT_LANGUAGE,
+        exact=True,
         label=f"SFT on {alphabet_size} symbols avoiding "
         + ",".join(format_word(f) for f in sorted(forb)),
         root_walker=lambda window=None: _SftWalker.root(tables, alphabet_size, ()),
@@ -548,7 +546,7 @@ def make_bounded_density(k: int, h: Sequence[int]) -> SubshiftSpec:
     return SubshiftSpec(
         alphabet_size=k + 1,
         family="bounded_density",
-        exactness=Exactness.EXACT_LANGUAGE,
+        exact=True,
         label=f"bounded density shift, k={k}, alpha={alpha}",
         root_walker=root,
         params={"density": params},
@@ -568,9 +566,6 @@ class SturmianFactorSet(NamedTuple):
     slope: Fraction
     k_max: int
     factors: dict[int, frozenset]
-
-    def count(self, k: int) -> int:
-        return len(self.factors[k])
 
 
 def make_sturmian_factors(p: int, q: int, k_max: int) -> SturmianFactorSet:
@@ -659,7 +654,7 @@ def make_sparse_sturmian(fs: SturmianFactorSet, n_seq: Sequence[int]) -> Subshif
     return SubshiftSpec(
         alphabet_size=2,
         family="sparse_sturmian",
-        exactness=Exactness.LOCAL_SUPERSET,
+        exact=False,
         label=f"sparse Sturmian shift, slope {fs.slope}, n_seq={tuple(ns)}",
         root_walker=lambda window=None: _SparseWalker.root(tables, 2, root_key),
         params={"factor_set": fs, "n_seq": tuple(ns)},
@@ -678,18 +673,12 @@ def _product_root(a: SubshiftSpec, b: SubshiftSpec, window: int | None):
 def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
     """Product subshift; symbol i*|B|+j encodes the pair (i, j).
 
-    Exactness is the weaker of the factors'. The declared gap is the
+    It is exact when both factors are. The declared gap is the
     pointwise max of the factors' bounds when both are specification-mode
     (a shared padding length works for both coordinates); transitivity
     bounds do not combine this way, so anything else declares nothing.
     """
     b_size = b.alphabet_size
-    exact = (
-        Exactness.EXACT_LANGUAGE
-        if a.exactness is Exactness.EXACT_LANGUAGE
-        and b.exactness is Exactness.EXACT_LANGUAGE
-        else Exactness.LOCAL_SUPERSET
-    )
     f_decl = mode = reach = None
     if (
         a.declared_gap is not None
@@ -704,7 +693,7 @@ def product_subshift(a: SubshiftSpec, b: SubshiftSpec) -> SubshiftSpec:
     return SubshiftSpec(
         alphabet_size=a.alphabet_size * b_size,
         family="product",
-        exactness=exact,
+        exact=a.exact and b.exact,
         label=f"product of ({a.label}) and ({b.label})",
         root_walker=lambda window=None: _product_root(a, b, window),
         params={"a": a, "b": b},

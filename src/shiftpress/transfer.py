@@ -36,7 +36,7 @@ import math
 
 from .errors import ConvergenceError, IdentityCheckError, InputError, ReducibleGraphError
 from .potentials import LocallyConstantPotential, Potential, ZeroPotential
-from .subshifts import DEFAULT_NODE_BUDGET, Exactness, SubshiftSpec, Tally, forward
+from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, forward
 from .words import Word
 
 # markov_equilibrium's bounds on |h + integral - ln lambda| and on the l1 gap of pi P - pi
@@ -175,7 +175,7 @@ def build_transfer(
     potential, and exactly one cyclic component. The closure pass is
     charged a_size nodes per class.
     """
-    if spec.exactness is not Exactness.EXACT_LANGUAGE:
+    if not spec.exact:
         raise InputError("transfer models need an exact language oracle")
     if not isinstance(pot, (ZeroPotential, LocallyConstantPotential)):
         raise InputError(

@@ -36,7 +36,8 @@ from .config import (
 )
 from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language, states_built, walk,
+    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language,
+    states_built, walk,
 )
 from .words import Word, format_word
 
@@ -62,6 +63,15 @@ class BoundReport:
 
     def min_margin(self) -> float:
         return min((m for _, m in self.margins), default=math.inf)
+
+
+def _report(check: str, margins: list[tuple[int, float]], tol: float,
+            extra: dict) -> BoundReport:
+    """The one verdict rule: a margin below -tol is a violation, and any
+    violation fails the check."""
+    bad = [n for n, m in margins if m < -tol]
+    return BoundReport(check, FAIL if bad else PASS, tuple(margins),
+                       {"violations": bad} if bad else {}, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,7 @@ def verify_sparse_glue(
     strategy: str = "exhaustive",
     f: Callable[[int], int] | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
-    pair_budget: int = 150_000,
+    pair_budget: int = PAIR_BUDGET,
     seed: int = 0,
     work: gluing.GlueWork | None = None,
 ) -> BoundReport:
@@ -288,22 +298,12 @@ def verify_partition_upper_spec(
 ) -> BoundReport:
     ns = list(n_range) if n_range is not None else list(range(1, table.horizon + 1))
     margins = []
-    bad = []
     for n in ns:
         row = table.row(n)
         fn = f(n)
         rhs = (n + fn) * pressure - fn * inf_phi + g(n)
-        margin = rhs - row.lnz_hi
-        margins.append((n, margin))
-        if margin < -tol:
-            bad.append(n)
-    return BoundReport(
-        check=CHECK_PARTITION_SPEC,
-        verdict=PASS if not bad else FAIL,
-        margins=tuple(margins),
-        witnesses={"violations": bad} if bad else {},
-        extra={"pressure": pressure, "inf_phi": inf_phi},
-    )
+        margins.append((n, rhs - row.lnz_hi))
+    return _report(CHECK_PARTITION_SPEC, margins, tol, {"pressure": pressure, "inf_phi": inf_phi})
 
 
 def verify_partition_upper_anchor(
@@ -382,31 +382,21 @@ def verify_partition_upper_trans(
     exponent = pressure + 2.0 + abs(inf_phi - 1.0)
     ln_d = big_c * exponent * math.log(9.0)
     margins = []
-    bad = []
     least_ep = 0.0
     for n in ns:
         if n < onset:
             raise InputError(f"n={n} below onset {onset}")
         row = table.row(n)
-        margin = ln_d + n * pressure + big_c * exponent * math.log(n) - row.lnz_hi
-        margins.append((n, margin))
-        if margin < -tol:
-            bad.append(n)
+        margins.append((n, ln_d + n * pressure + big_c * exponent * math.log(n) - row.lnz_hi))
         needed = (row.lnz_hi - n * pressure) / (big_c * (math.log(9.0) + math.log(n)))
         least_ep = max(least_ep, needed)
-    return BoundReport(
-        check=CHECK_PARTITION_TRANS,
-        verdict=PASS if not bad else FAIL,
-        margins=tuple(margins),
-        witnesses={"violations": bad} if bad else {},
-        extra={
-            "pressure": pressure,
-            "C": big_c,
-            "exponent": exponent,
-            "ln_prefactor": ln_d,
-            "least_exponent_multiplier": least_ep,
-        },
-    )
+    return _report(CHECK_PARTITION_TRANS, margins, tol, {
+        "pressure": pressure,
+        "C": big_c,
+        "exponent": exponent,
+        "ln_prefactor": ln_d,
+        "least_exponent_multiplier": least_ep,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +443,6 @@ def verify_measure_lower(
         rows, _nodes, _states = pressure_mod._sweep(model.spec, model.pot, top, budget, prefix)
         lhs_of.update((r.n, r.lnz_hi) for r in rows)
     margins = []
-    bad = []
     for n in ns:
         lhs = lhs_of[n]
         row = table.row(n)
@@ -463,18 +452,6 @@ def verify_measure_lower(
             - g(n)
             - math.log(2.0) / mu
         )
-        margin = lhs - rhs
-        margins.append((n, margin))
-        if margin < -tol:
-            bad.append(n)
-    return BoundReport(
-        check=CHECK_MEASURE_LOWER,
-        verdict=PASS if not bad else FAIL,
-        margins=tuple(margins),
-        witnesses={"violations": bad} if bad else {},
-        extra={
-            "cylinder": format_word(cyl),
-            "measure": mu,
-            "pressure": pressure,
-        },
-    )
+        margins.append((n, lhs - rhs))
+    return _report(CHECK_MEASURE_LOWER, margins, tol,
+                   {"cylinder": format_word(cyl), "measure": mu, "pressure": pressure})

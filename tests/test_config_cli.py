@@ -305,7 +305,12 @@ def test_build_subshift_families():
         {"family": "bounded_density", "k": 1,
          "height": {"form": "table", "values": [math.ceil(n / 2) for n in range(1, 9)]}}
     )
+    bd_linear = build_subshift(
+        {"family": "bounded_density", "k": 1,
+         "height": {"form": "linear", "a": 1, "b": 1, "n_max": 8}}
+    )
     assert bd_frac.params["density"].h == bd_table.params["density"].h
+    assert bd_linear.params["density"].h == (0, *range(2, 10))  # h(n) = n + 1
     sparse = build_subshift(
         {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n_seq": [4, 12]}
     )
@@ -337,6 +342,10 @@ def test_build_potential_kinds():
         {"kind": "reciprocal_run", "height": {"form": "power", "p": 2}}, spec
     )
     assert not rr_pow.sum_diverges
+    rr_table = build_potential(
+        {"kind": "reciprocal_run", "height": {"form": "table", "values": [1, 2, 4]}}, spec
+    )
+    assert (rr_table.k_cap, rr_table.h_table) == (2, [1.0, 2.0, 4.0])
     rl = build_potential({"kind": "run_levels", "levels": [2.0, 1.0], "limit": 0.5}, spec)
     assert rl.eval((0, 1), 0).lo == 2.0
 
@@ -627,6 +636,10 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
      "partition_upper_trans.C"),
     ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": "x"}},
      "partition_upper_trans.onset"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"onset": 5}},
+     "partition_upper_trans.C"),  # C not given
+    ("verify measure_lower", {"measure_lower": {"n_range": [2, 4]}},
+     "measure_lower.cylinder"),  # cylinder not given
     ("anchors", {"anchors": {"epsilons": ["a"]}}, "anchors.epsilons"),
     ("gap-profile", {"gap_profile": {"n_range": [2.9, 3]}}, "gap_profile.n_range"),
     ("verify density_glue", {"density_glue": {"slack": True}}, "density_glue.slack"),
@@ -646,7 +659,7 @@ def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, comm
     out = tmp_path / "out"
     assert main([*command.split(), "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"checks.{key}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_crossed_bracket_exits_4(tmp_path):
@@ -717,6 +730,18 @@ def test_gap_profile_success(tmp_path):
     _, _, rows = read_csv_payload(out / "gap_profile.csv")
     assert all(r[1] == "1" for r in rows)  # f_declared
     assert all(r[2] == "1" for r in rows)  # f_empirical
+
+
+def test_gap_profile_under_the_empirical_gap_exits_5(tmp_path, capsys):
+    # the golden mean needs a 0 between two 1s, so a declared gap of 0 fails
+    doc = golden_doc(subshift={"family": "sft", "forbidden": ["11"], "declared_gap": 0},
+                     mode="specification", horizons={"n_max": 5, "m_max": 3},
+                     checks={"gap_profile": {"n_range": [2, 3]}})
+    out = tmp_path / "out"
+    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 5
+    assert "declared bound violated at n=[2, 3]" in capsys.readouterr().err
+    _, _, rows = read_csv_payload(out / "gap_profile.csv")
+    assert [(r[1], r[2]) for r in rows] == [("0", "1"), ("0", "1")]  # f_declared, f_empirical
 
 
 def test_specification_horizon_below_the_declared_gap_exits_2(tmp_path, capsys):

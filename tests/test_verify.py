@@ -429,6 +429,16 @@ def test_measure_lower_is_linear_in_g():
         assert m1 == pytest.approx(m0 + 10.0, abs=1e-9)
 
 
+def test_measure_lower_fails_when_g_is_too_negative():
+    mm = full_shift_measure()
+    t = partition_table(make_full_shift(2), ZeroPotential(), 8)
+    rep = verify_measure_lower(mm, (0,), [4, 8], t, lambda n: -100.0)
+    assert rep.verdict == FAIL
+    assert rep.witnesses == {"violations": [4, 8]}
+    for _, m in rep.margins:
+        assert m == pytest.approx(LN2 - 100.0, abs=1e-9)
+
+
 def test_measure_lower_on_the_golden_equilibrium():
     model = build_transfer(make_golden_mean(), ZeroPotential(), 2)
     mm = markov_equilibrium(model)
