@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +44,7 @@ from .errors import (
     InputError,
     ReducibleGraphError,
 )
-from .potentials import Potential, variation_profile
+from .potentials import Potential, VarProfile, variation_profile
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
 from .words import parse_word
 
@@ -63,7 +64,9 @@ VERDICT_EXIT = {
 
 
 class _Run:
-    """Shared per-invocation state: config, output dir, manifest."""
+    """Shared per-invocation state: config, output dir, manifest, and the
+    partition table, variation profile, pressure bracket and transfer model,
+    each computed on first read."""
 
     def __init__(self, args):
         self.cfg: ExperimentConfig = load_config(args.config)
@@ -84,12 +87,60 @@ class _Run:
         self.glue: gluing.GlueWork | None = None
         self.started = time.monotonic()
 
-    def dest(self, name: str) -> Path:
-        """Path of an output file. The output directory is made with the
-        first one, so a run that fails before its first payload writes
-        nothing."""
+    def write(self, name: str, writer, *args, **kwargs) -> None:
+        """Write payload name with a reports writer and record its hash. The
+        output directory is made with the first payload, so a run that fails
+        before it writes nothing."""
         self.out.mkdir(parents=True, exist_ok=True)
-        return self.out / name
+        self.manifest.record(writer(self.out / name, *args, **kwargs))
+
+    @cached_property
+    def table(self) -> pressure.PartitionTable:
+        return pressure.partition_table(self.spec, self.pot, self.cfg.horizons.n_max, self.budget)
+
+    @cached_property
+    def g(self) -> VarProfile:
+        """The variation profile to horizons.var_horizon, which must bound
+        g(n) at every length up to n_max, the lengths commands read."""
+        horizon = self.cfg.horizons.var_horizon
+        n_max = self.cfg.horizons.n_max
+        if horizon is None:
+            horizon = (n_max + 1) // 2
+        profile = variation_profile(self.pot, self.spec, horizon, self.budget)
+        if len(profile.g) <= n_max:
+            raise InputError(
+                f"horizons.var_horizon: {horizon} bounds g(n) only for n <= "
+                f"{len(profile.g) - 1}, short of horizons.n_max = {n_max}; "
+                f"set it to at least {n_max // 2}"
+            )
+        return profile
+
+    @cached_property
+    def bracket(self) -> pressure.PressureBracket:
+        return pressure.pressure_bracket(
+            self.spec, self.pot, self.table, g=self.g, tol=self.cfg.tolerances.margin
+        )
+
+    def transfer(self, needed_by: str):
+        """The transfer model at horizons.n_state, which needed_by requires,
+        and its Perron data; the work goes to status.transfer in the manifest."""
+        if self.cfg.horizons.n_state is None:
+            raise InputError(f"{needed_by} needs horizons.n_state")
+        return self._transfer
+
+    @cached_property
+    def _transfer(self):
+        n_state = self.cfg.horizons.n_state
+        model = transfer.build_transfer(self.spec, self.pot, n_state, self.budget)
+        pd = transfer.perron(model, tol=self.cfg.tolerances.perron)
+        self.manifest.status["transfer"] = {
+            "n_state": n_state, "explored": model.explored,
+            "states": model.state_count, "edges": len(model.edges()),
+            "nodes": model.nodes, "budget": self.budget,
+            "iterations": pd.iterations, "residual": pd.residual,
+            "ln_lambda": math.log(pd.lam),
+        }
+        return model, pd
 
     def glue_work(self) -> gluing.GlueWork:
         """Counters for this run's glue search; they go to status.glue."""
@@ -109,55 +160,18 @@ class _Run:
         answers."""
         reach = self.spec.gap_reach
         return pressure.anchor_sequence(
-            self.gap_callable(), self.variation_callable(),
+            self.gap_callable(), self.g.g_at,
             horizon if reach is None else min(horizon, reach), epsilons,
         )
 
-    def variation_callable(self) -> Callable[[int], float]:
-        return self._bracket_g().g_at
-
-    def pressure_value(self, params: dict, table) -> float:
+    def pressure_value(self, params: dict) -> float:
         n_state = self.cfg.horizons.n_state
         source = params.get("pressure", "transfer" if n_state is not None else "bracket")
         if isinstance(source, float):
             return source
         if source == "transfer":
             return math.log(self.transfer("pressure source 'transfer'")[1].lam)
-        bracket = pressure.pressure_bracket(
-            self.spec, self.pot, table, g=self._bracket_g(), tol=self.cfg.tolerances.margin
-        )
-        return bracket.best_hi
-
-    def transfer(self, needed_by: str):
-        """The transfer model at horizons.n_state, which needed_by requires,
-        and its Perron data; the work goes to status.transfer in the manifest."""
-        n_state = self.cfg.horizons.n_state
-        if n_state is None:
-            raise InputError(f"{needed_by} needs horizons.n_state")
-        model = transfer.build_transfer(self.spec, self.pot, n_state, self.budget)
-        pd = transfer.perron(model, tol=self.cfg.tolerances.perron)
-        self.manifest.status["transfer"] = {
-            "n_state": n_state, "explored": model.explored,
-            "states": model.state_count, "edges": len(model.edges()),
-            "nodes": model.nodes, "budget": self.budget,
-            "iterations": pd.iterations, "residual": pd.residual,
-            "ln_lambda": math.log(pd.lam),
-        }
-        return model, pd
-
-    def _bracket_g(self):
-        horizon = self.cfg.horizons.var_horizon
-        n_max = self.cfg.horizons.n_max
-        if horizon is None:
-            horizon = (n_max + 1) // 2
-        profile = variation_profile(self.pot, self.spec, horizon, self.budget)
-        if len(profile.g) <= n_max:  # commands read g at lengths up to n_max
-            raise InputError(
-                f"horizons.var_horizon: {horizon} bounds g(n) only for n <= "
-                f"{len(profile.g) - 1}, short of horizons.n_max = {n_max}; "
-                f"set it to at least {n_max // 2}"
-            )
-        return profile
+        return self.bracket.best_hi
 
     def finish(self, extra_status: dict | None = None) -> None:
         if extra_status:
@@ -177,14 +191,10 @@ def cmd_enumerate(run: _Run) -> int:
     # one count over walker states fills the tally, then the words stream out
     n = run.cfg.horizons.n_max
     tally = Tally()
-    path = reports.write_words(
-        run.dest(f"language_n{n}.txt"),
-        iter_language(run.spec, n, run.budget, text=True, tally=tally),
-    )
-    run.manifest.record(path)
+    run.write(f"language_n{n}.txt", reports.write_words,
+              iter_language(run.spec, n, run.budget, text=True, tally=tally))
     counts = list(enumerate(tally.counts))[1:]
-    path = reports.write_csv(run.dest("counts.csv"), ("n", "count"), counts, run.digest)
-    run.manifest.record(path)
+    run.write("counts.csv", reports.write_csv, ("n", "count"), counts, run.digest)
     status = {"n_max": n, "count": tally.counts[n], "nodes": tally.nodes,
               "budget": run.budget, "states": tally.states}
     run.finish({"enumerate": status})
@@ -193,40 +203,22 @@ def cmd_enumerate(run: _Run) -> int:
 
 
 def cmd_pressure(run: _Run) -> int:
-    cfg = run.cfg
-    table = pressure.partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
-    bracket = pressure.pressure_bracket(
-        run.spec, run.pot, table, g=run._bracket_g(), tol=cfg.tolerances.margin
+    table, bracket = run.table, run.bracket
+    run.write(
+        "partition.csv", reports.write_csv, reports.PARTITION_HEADER,
+        reports.partition_rows(table), run.digest,
+        flags={"upper_bound_only": table.upper_bound_only},
     )
-    path = reports.write_csv(
-        run.dest("partition.csv"), reports.PARTITION_HEADER, reports.partition_rows(table),
-        run.digest, flags={"upper_bound_only": table.upper_bound_only},
-    )
-    run.manifest.record(path)
-    path = reports.write_csv(
-        run.dest("bracket.csv"), reports.BRACKET_HEADER, reports.bracket_rows(bracket),
-        run.digest,
-        flags={
-            "best_lo": bracket.best_lo,
-            "best_hi": bracket.best_hi,
-            "upper_bound_only": bracket.upper_bound_only,
-        },
-    )
-    run.manifest.record(path)
+    bounds = {"best_lo": bracket.best_lo, "best_hi": bracket.best_hi,
+              "upper_bound_only": bracket.upper_bound_only}
+    run.write("bracket.csv", reports.write_csv, reports.BRACKET_HEADER,
+              reports.bracket_rows(bracket), run.digest, flags=bounds)
     status = {
-        "bracket": {
-            "best_lo": bracket.best_lo,
-            "best_hi": bracket.best_hi,
-            "width": bracket.width,
-            "upper_bound_only": bracket.upper_bound_only,
-        },
-        "partition": {
-            "nodes": table.nodes,
-            "budget": run.budget,
-            "max_states": table.max_states,
-        },
+        "bracket": {**bounds, "width": bracket.width},
+        "partition": {"nodes": table.nodes, "budget": run.budget,
+                      "max_states": table.max_states},
     }
-    if cfg.horizons.n_state is not None:
+    if run.cfg.horizons.n_state is not None:
         model, pd = run.transfer("pressure")
         payload = {
             "n_state": model.n_state,
@@ -236,8 +228,7 @@ def cmd_pressure(run: _Run) -> int:
             "residual": pd.residual,
             "iterations": pd.iterations,
         }
-        path = reports.write_json(run.dest("transfer.json"), payload, run.digest)
-        run.manifest.record(path)
+        run.write("transfer.json", reports.write_json, payload, run.digest)
     run.finish(status)
     if bracket.upper_bound_only:
         print(f"{run.spec.label}: pressure <= {bracket.best_hi:.9f} (upper bound only)")
@@ -261,11 +252,10 @@ def cmd_gap_profile(run: _Run) -> int:
         )
         for n in ns
     ]
-    path = reports.write_csv(
-        run.dest("gap_profile.csv"), reports.GAP_HEADER, reports.gap_profile_rows(rows),
+    run.write(
+        "gap_profile.csv", reports.write_csv, reports.GAP_HEADER, reports.gap_profile_rows(rows),
         run.digest, flags={"mode": cfg.mode, "strategy": cfg.strategy},
     )
-    run.manifest.record(path)
     exhausted = [r.n for r in rows if r.status == HORIZON_EXHAUSTED]
     counterexamples = [r.n for r in rows if r.counterexample is not None]
     run.finish(
@@ -318,18 +308,18 @@ def _run_check(run: _Run, tag: str):
             seed=cfg.seed,
             work=run.glue_work(),
         )
-    table = pressure.partition_table(run.spec, run.pot, cfg.horizons.n_max, run.budget)
     if tag == CHECK_PARTITION_SPEC:
         return verify.verify_partition_upper_spec(
-            table,
-            run.pressure_value(params, table),
+            run.table,
+            run.pressure_value(params),
             _check_f(params) or run.gap_callable(),
-            run.variation_callable(),
+            run.g.g_at,
             run.pot.bounds.lo,
-            params.get("n_range", list(range(1, table.horizon + 1))),
+            params.get("n_range", list(range(1, run.table.horizon + 1))),
             tol,
         )
     if tag == CHECK_PARTITION_ANCHOR:
+        table = run.table
         epsilon = params.get("epsilon", 0.5)
         anchors = params.get("anchors")
         if anchors is None:
@@ -342,18 +332,18 @@ def _run_check(run: _Run, tag: str):
                     else "below the horizon; raise horizons.n_max or the epsilons"))
             anchors = list(seq.indices)
         return verify.verify_partition_upper_anchor(
-            table, run.pressure_value(params, table), anchors, epsilon, tol
+            table, run.pressure_value(params), anchors, epsilon, tol
         )
     if tag == CHECK_PARTITION_TRANS:
         if "C" not in params:
             raise InputError("partition_upper_trans needs checks.partition_upper_trans.C")
         return verify.verify_partition_upper_trans(
-            table,
-            run.pressure_value(params, table),
+            run.table,
+            run.pressure_value(params),
             params["C"],
             params.get("onset", 3),
             _check_f(params) or run.gap_callable(),
-            run.variation_callable(),
+            run.g.g_at,
             run.pot.bounds.lo,
             params.get("n_range"),
             tol,
@@ -365,9 +355,9 @@ def _run_check(run: _Run, tag: str):
     return verify.verify_measure_lower(
         mm,
         parse_word(params["cylinder"]),
-        params.get("n_range", list(range(1, table.horizon + 1))),
-        table,
-        run.variation_callable(),
+        params.get("n_range", list(range(1, run.table.horizon + 1))),
+        run.table,
+        run.g.g_at,
         tol,
         run.budget,
     )
@@ -376,8 +366,7 @@ def _run_check(run: _Run, tag: str):
 def cmd_verify(run: _Run, tag: str) -> int:
     rep = _run_check(run, tag)
     payload = reports.bound_report_payload(rep)
-    path = reports.write_json(run.dest(f"report_{tag}.json"), payload, run.digest)
-    run.manifest.record(path)
+    run.write(f"report_{tag}.json", reports.write_json, payload, run.digest)
     run.finish({"verify": {"check": tag, "verdict": rep.verdict}})
     worst = rep.min_margin()
     print(f"{tag}: {rep.verdict}" + ("" if math.isinf(worst) else f" (min margin {worst:.3g})"))
@@ -387,9 +376,8 @@ def cmd_verify(run: _Run, tag: str) -> int:
 def cmd_equilibrium(run: _Run) -> int:
     model, pd = run.transfer("equilibrium")
     mm = transfer.markov_equilibrium(model, pd)
-    payload = reports.equilibrium_payload(mm, pd)
-    path = reports.write_json(run.dest("equilibrium.json"), payload, run.digest)
-    run.manifest.record(path)
+    run.write("equilibrium.json", reports.write_json, reports.equilibrium_payload(mm, pd),
+              run.digest)
     run.finish(
         {
             "equilibrium": {
@@ -414,11 +402,8 @@ def cmd_anchors(run: _Run) -> int:
         (k + 1, eps, n, score)
         for k, (eps, n, score) in enumerate(zip(seq.epsilons, seq.indices, seq.scores))
     ]
-    path = reports.write_csv(
-        run.dest("anchors.csv"), reports.ANCHOR_HEADER, rows, run.digest,
-        flags={"complete": seq.complete},
-    )
-    run.manifest.record(path)
+    run.write("anchors.csv", reports.write_csv, reports.ANCHOR_HEADER, rows, run.digest,
+              flags={"complete": seq.complete})
     run.finish({"anchors": {"complete": seq.complete, "found": len(seq.indices)}})
     print(f"{run.spec.label}: anchors {list(seq.indices)} (complete: {seq.complete})")
     if not seq.complete:

@@ -42,7 +42,6 @@ import hashlib
 import json
 import math
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -364,7 +363,7 @@ def _height_table(decl: dict, ctx: str) -> list[int]:
     ns = range(1, _require(decl, "n_max", ctx) + 1)
     if decl["form"] == "ceil_frac":
         num, den = _require(decl, "num", ctx), _require(decl, "den", ctx)
-        return [math.ceil(Fraction(num * n, den)) for n in ns]
+        return [-(-num * n // den) for n in ns]  # exact ceiling; the reader keeps den >= 1
     a, b = _require(decl, "a", ctx), decl.get("b", 0)
     return [a * n + b for n in ns]
 

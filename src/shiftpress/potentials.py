@@ -56,6 +56,15 @@ def _add_up(a: float, b: float) -> float:
     return s
 
 
+def _finite(value, name: str) -> float:
+    """value as a float; a NaN or infinite parameter fails at construction,
+    not at the first eval that reaches it."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ConstructionError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 class Interval:
     """Closed interval [lo, hi] of floats."""
 
@@ -174,7 +183,7 @@ class LocallyConstantPotential(Potential):
             raise ConstructionError("alphabet_size must be >= 1")
         self.radius = radius
         self.alphabet_size = alphabet_size
-        self.default = default
+        self.default = None if default is None else _finite(default, "default")
         width = 2 * radius + 1
         table: dict[Word, float] = {}
         for key, v in values.items():
@@ -184,7 +193,7 @@ class LocallyConstantPotential(Potential):
                     f"table key {key} must have length {width} for radius {radius}"
                 )
             check_symbols(key, alphabet_size)
-            table[key] = float(v)
+            table[key] = _finite(v, f"value of table key {key}")
         if default is None and len(table) < alphabet_size ** width:
             raise ConstructionError(
                 "table is not total and no default value was given"
@@ -192,7 +201,7 @@ class LocallyConstantPotential(Potential):
         self.values = table
         pool = list(table.values())
         if default is not None and (not pool or len(table) < alphabet_size ** width):
-            pool.append(float(default))
+            pool.append(self.default)
         if not pool:
             raise ConstructionError("potential has no values")
         self.bounds = Interval(min(pool), max(pool))
@@ -202,7 +211,7 @@ class LocallyConstantPotential(Potential):
         if v is None:
             if self.default is None:
                 raise InputError(f"no table entry for block {key}")
-            return float(self.default)
+            return self.default
         return v
 
     def eval(self, w: Word, center: int) -> Interval:
@@ -227,7 +236,7 @@ class LocallyConstantPotential(Potential):
                 hi = max(hi, v)
         total = self.alphabet_size ** (pad_left + pad_right)
         if matched < total:
-            d = float(self.default)  # totality was enforced otherwise
+            d = self.default  # totality was enforced otherwise
             lo = min(lo, d)
             hi = max(hi, d)
         return Interval(lo, hi)
@@ -456,11 +465,11 @@ class RunLevelPotential(_RunPotential):
     kind = "run_levels"
 
     def __init__(self, a: Sequence[float], a_inf: float):
-        vals = [float(v) for v in a]
+        vals = [_finite(v, f"level a_{k}") for k, v in enumerate(a)]
         if not vals:
             raise ConstructionError("level table must be non-empty")
         self.a = vals
-        self.a_inf = float(a_inf)
+        self.a_inf = _finite(a_inf, "limit a_inf")
         self.bounds = self._hull(0, None)
 
     def _hull(self, lo: int, hi: int | None) -> Interval:

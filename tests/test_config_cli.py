@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,12 @@ def test_build_subshift_families():
          "height": {"form": "linear", "a": 1, "b": 1, "n_max": 8}}
     )
     assert bd_frac.params["density"].h == bd_table.params["density"].h
+    for den in range(1, 10):  # ceil_frac is the exact ceiling of num n / den
+        for num in range(1, 2 * den + 2):
+            height = {"form": "ceil_frac", "num": num, "den": den, "n_max": 12}
+            h = build_subshift({"family": "bounded_density", "k": 1, "height": height})
+            want = [math.ceil(Fraction(num * n, den)) for n in range(1, 13)]
+            assert h.params["density"].h == (0, *want), (num, den)
     assert bd_linear.params["density"].h == (0, *range(2, 10))  # h(n) = n + 1
     sparse = build_subshift(
         {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n_seq": [4, 12]}
@@ -655,11 +662,37 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
      "partition_upper_anchor.epsilon"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
+    # a budget of 5 nodes runs out at length 2 of any sweep, so every check
+    # must read its parameters before it searches to name the bad one
     cfg_path = write_yaml(tmp_path, golden_doc(checks=params))
     out = tmp_path / "out"
-    assert main([*command.split(), "--config", str(cfg_path), "--out", str(out)]) == 2
+    argv = [*command.split(), "--config", str(cfg_path), "--out", str(out), "--budget", "5"]
+    assert main(argv) == 2
     assert f"checks.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["bounded_density", "full_shift_run"])
+def test_spec_check_computes_each_run_value_once(tmp_path, monkeypatch, name):
+    # both configs take the pressure from the bracket, which reads the table
+    # and g that the check itself reads again
+    calls = []
+
+    def counted(module, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn.__name__, wrapper)
+
+    counted(cli, cli.variation_profile)
+    counted(cli.pressure, cli.pressure.partition_table)
+    counted(cli.pressure, cli.pressure.pressure_bracket)
+    out = tmp_path / "out"
+    argv = ["verify", "partition_upper_spec", "--config", str(CONFIG_DIR / f"{name}.yaml"),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(calls) == ["partition_table", "pressure_bracket", "variation_profile"]
 
 
 def test_crossed_bracket_exits_4(tmp_path):

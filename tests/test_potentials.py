@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -141,6 +142,20 @@ def test_locally_constant_total_table_required_without_default():
         LocallyConstantPotential(0, {(0,): 1.0}, 2, default=None)
     pot = LocallyConstantPotential(0, {(0,): 1.0, (1,): 2.0}, 2, default=None)
     assert pot.bounds.lo == 1.0 and pot.bounds.hi == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: make_run_levels([1.0], v), "limit a_inf"),
+    (lambda v: make_run_levels([1.0, v], 0.0), "level a_1"),
+    (lambda v: LocallyConstantPotential(0, {(0,): 1.0}, 2, default=v), "default"),
+    (lambda v: LocallyConstantPotential(0, {(0,): 1.0, (1,): v}, 2), "table key (1,)"),
+])
+def test_non_finite_potential_parameters_fail_at_construction(build, name, bad):
+    # built, a NaN limit or default would read as bounds [1.0, 1.0], and a
+    # NaN level would fail only at an eval that reaches it, naming nothing
+    with pytest.raises(ConstructionError, match=re.escape(name)):
+        build(bad)
 
 
 def test_zero_potential_flag():
