@@ -204,6 +204,8 @@ def cmd_enumerate(run: _Run) -> int:
 
 def cmd_pressure(run: _Run) -> int:
     table, bracket = run.table, run.bracket
+    # the transfer model is built before the first write: a failed one writes nothing
+    transfer_data = run.transfer("pressure") if run.cfg.horizons.n_state is not None else None
     run.write(
         "partition.csv", reports.write_csv, reports.PARTITION_HEADER,
         reports.partition_rows(table), run.digest,
@@ -218,8 +220,8 @@ def cmd_pressure(run: _Run) -> int:
         "partition": {"nodes": table.nodes, "budget": run.budget,
                       "max_states": table.max_states},
     }
-    if run.cfg.horizons.n_state is not None:
-        model, pd = run.transfer("pressure")
+    if transfer_data is not None:
+        model, pd = transfer_data
         payload = {
             "n_state": model.n_state,
             "state_count": model.state_count,
@@ -284,6 +286,17 @@ def _check_f(params: dict) -> Callable[[int], int] | None:
     return None if c is None else lambda n: c
 
 
+def _declared_gap(run: _Run, *reads) -> Callable[[int], int]:
+    """The declared gap bound, once every (lengths, key) read is within its
+    reach; the error names the key of the first that is not."""
+    reach = run.spec.gap_reach
+    for lengths, key in reads:
+        if reach is not None and max(lengths, default=0) > reach:
+            raise InputError(f"{key}: n={max(lengths)} is beyond n={reach}, the reach of "
+                             "the declared gap bound")
+    return run.gap_callable()
+
+
 def _run_check(run: _Run, tag: str):
     cfg = run.cfg
     params = cfg.checks.get(tag, {})  # read by config.CHECK_TABLES
@@ -308,15 +321,13 @@ def _run_check(run: _Run, tag: str):
             seed=cfg.seed,
             work=run.glue_work(),
         )
+    n_max, ns = cfg.horizons.n_max, params.get("n_range")
     if tag == CHECK_PARTITION_SPEC:
+        key = "horizons.n_max" if ns is None else f"checks.{tag}.n_range"
+        ns = list(range(1, n_max + 1)) if ns is None else ns
+        f = _check_f(params) or _declared_gap(run, (ns, key))
         return verify.verify_partition_upper_spec(
-            run.table,
-            run.pressure_value(params),
-            _check_f(params) or run.gap_callable(),
-            run.g.g_at,
-            run.pot.bounds.lo,
-            params.get("n_range", list(range(1, run.table.horizon + 1))),
-            tol,
+            run.table, run.pressure_value(params), f, run.g.g_at, run.pot.bounds.lo, ns, tol
         )
     if tag == CHECK_PARTITION_ANCHOR:
         table = run.table
@@ -337,16 +348,13 @@ def _run_check(run: _Run, tag: str):
     if tag == CHECK_PARTITION_TRANS:
         if "C" not in params:
             raise InputError("partition_upper_trans needs checks.partition_upper_trans.C")
+        onset = params.get("onset", 3)
+        # the precondition reads f from the onset to the horizon
+        f = _check_f(params) or _declared_gap(
+            run, (ns or (), f"checks.{tag}.n_range"), (range(onset, n_max + 1), "horizons.n_max"))
         return verify.verify_partition_upper_trans(
-            run.table,
-            run.pressure_value(params),
-            params["C"],
-            params.get("onset", 3),
-            _check_f(params) or run.gap_callable(),
-            run.g.g_at,
-            run.pot.bounds.lo,
-            params.get("n_range"),
-            tol,
+            run.table, run.pressure_value(params), params["C"], onset, f, run.g.g_at,
+            run.pot.bounds.lo, ns, tol,
         )
     # CHECK_MEASURE_LOWER, the last of ALL_CHECKS (the verify command's choices)
     if "cylinder" not in params:

@@ -20,40 +20,46 @@ read so far decide it; partition sums run on scanners instead of
 evaluating every site of every word. Variation profiles use closed forms
 per kind.
 
-Interval arithmetic rounds outward only when a float operation is inexact
-(detected with an error-free transformation), so sums of exactly
-representable values keep zero width.
+This module is the one home of directed rounding: the `decimal` contexts
+_LO and _HI (toward -inf and +inf) of the partition lanes, _EXACT for sums
+of floats, and _outer_float, a Decimal's float on its outer side. Partial
+sums and the gap table g are summed exactly and rounded once, so each is
+the tightest float enclosure of its exact value.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConstructionError, IdentityCheckError, InputError
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, iter_language, walk
 from .words import Word, check_symbols
 
 _INF = math.inf
+# directed rounding: lower and upper lanes of one libmpdec word of digits,
+# and _EXACT, for adds and integer multiples only, which it never rounds
+_LO = Context(prec=19, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_HI = Context(prec=19, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _add_down(a: float, b: float) -> float:
-    s = a + b
-    t = s - a
-    err = (a - (s - t)) + (b - t)
-    if err < 0.0:
-        return math.nextafter(s, -_INF)
-    return s
+def _outer_float(v: Decimal, up: bool) -> float:
+    """The nearest float on v's outer side: float() rounds to nearest, so
+    step once if it landed inside."""
+    f = float(v)
+    if up:
+        return f if Decimal(f) >= v else math.nextafter(f, _INF)
+    return f if Decimal(f) <= v else math.nextafter(f, -_INF)
 
 
-def _add_up(a: float, b: float) -> float:
-    s = a + b
-    t = s - a
-    err = (a - (s - t)) + (b - t)
-    if err > 0.0:
-        return math.nextafter(s, _INF)
-    return s
+def _exact_sum(values: Iterable[float]) -> Decimal:
+    acc = Decimal(0)
+    for v in values:
+        acc = _EXACT.add(acc, Decimal(v))
+    return acc
 
 
 def _finite(value, name: str) -> float:
@@ -91,14 +97,15 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
-
-    def encloses(self, other: "Interval", slack: float = 0.0) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
 
 ZERO_INTERVAL = Interval(0.0, 0.0)
+
+
+def interval_sum(ivs: Sequence[Interval]) -> Interval:
+    """The tightest float interval enclosing the exact sum of ivs: each
+    side is summed exactly and rounded outward once."""
+    return Interval(_outer_float(_exact_sum(iv.lo for iv in ivs), False),
+                    _outer_float(_exact_sum(iv.hi for iv in ivs), True))
 
 
 class Potential:
@@ -499,10 +506,7 @@ def partial_sum(pot: Potential, w: Word) -> Interval:
     w = tuple(w)
     if not w:
         raise InputError("partial sum needs a non-empty word")
-    acc = ZERO_INTERVAL
-    for i in range(len(w)):
-        acc = acc + pot.eval(w, i)
-    return acc
+    return interval_sum([pot.eval(w, i) for i in range(len(w))])
 
 
 class VarProfile(NamedTuple):
@@ -523,12 +527,11 @@ class VarProfile(NamedTuple):
 
 
 def variation_sum_bounds(var: Sequence[float]) -> tuple[float, ...]:
-    """g(n) = 2 * sum of var(i) for i <= n//2, for n < 2*len(var)."""
-    var = list(var)
-    out = []
-    for n in range(2 * len(var)):
-        out.append(2.0 * math.fsum(var[: n // 2 + 1]))
-    return tuple(out)
+    """g(n) = 2 * sum of var(i) for i <= n//2, for n < 2*len(var), summed
+    exactly and rounded up once."""
+    g = [_outer_float(_EXACT.multiply(2, _exact_sum(var[: k + 1])), True)
+         for k in range(len(var))]
+    return tuple(g[n // 2] for n in range(2 * len(g)))
 
 
 def variation_profile(

@@ -13,7 +13,8 @@ words, and closing the frontier after each length gives that length's
 row. Weights, and the factors e^s a step multiplies in, are 19-digit
 `decimal` numbers whose exponent range no partition sum leaves. Every
 operation runs in one of two contexts, rounding toward -inf for the lower
-lane and toward +inf for the upper. Site values enter exactly, counts
+lane and toward +inf for the upper, from the one directed-rounding home
+beside `Interval` in `potentials`. Site values enter exactly, counts
 below 10^19 stay exact, exp and ln (correctly rounded half-even) step one
 unit outward, and each row's ln becomes the float on its outer side. So
 [lnz_lo, lnz_hi] encloses the exact value, and a zero-potential row is at
@@ -32,29 +33,16 @@ decide a locally admissible superset.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import Decimal
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InconsistentBracketError, InputError
-from .potentials import Interval, Potential, VarProfile
+from .potentials import _HI, _LO, Interval, Potential, VarProfile, _outer_float
 from .subshifts import DEFAULT_NODE_BUDGET, MODE_SPECIFICATION, SubshiftSpec, Tally, forward
 from .words import Word, check_symbols
 
 _INF = math.inf
-# the lower and upper lanes: one libmpdec word of digits, and an exponent
-# range no partition sum leaves
-_LO = Context(prec=19, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_HI = Context(prec=19, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _ONE = Decimal(1)
-
-
-def _outer_float(v: Decimal, up: bool) -> float:
-    """The nearest float on v's outer side: float() rounds to nearest, so
-    step once if it landed inside."""
-    f = float(v)
-    if up:
-        return f if Decimal(f) >= v else math.nextafter(f, _INF)
-    return f if Decimal(f) <= v else math.nextafter(f, -_INF)
 
 
 def _factors(ivs: tuple[Interval, ...]) -> tuple[Decimal, Decimal]:

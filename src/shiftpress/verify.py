@@ -418,8 +418,9 @@ def verify_measure_lower(
     LHS(n) is the log partition sum over length-n words extending the
     cylinder word (sup endpoints: the separated set may pick the best
     point in each cylinder). RHS(n) = nP/mu + ((mu-1)/mu) lnZ(n) - g(n)
-    - ln(2)/mu, evaluated with the Z endpoint that minimizes it, so a
-    negative margin is a genuine violation.
+    - ln(2)/mu, with the Z endpoint that minimizes it. LHS(n), lnZ(n) and
+    g(n) are enclosures, but P = ln(lambda) and mu are float points and
+    RHS(n) rounds to nearest: a negative margin is not a certified violation.
     """
     cyl = tuple(cyl)
     model = mm.model

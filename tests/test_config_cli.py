@@ -427,6 +427,9 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # counters of the glue commands (all but `states`, which counts a
 # search's walker states and moved when density_glue stopped listing L_n)
 # were recorded before pair scans were summarised per end key.
+# `full_shift_run:pressure` gained payload hashes when g(n) began to be
+# summed exactly and rounded up: its bracket lower sides at n = 4, 5 and 8
+# dropped one ulp, and its partition rows and best_lo did not move.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
 GLUE_COMMANDS = ("gap-profile", "verify density_glue", "verify sparse_glue")
@@ -626,6 +629,9 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
     assert not out.exists()
 
 
+SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n_seq": [4, 12]}
+
+
 @pytest.mark.parametrize("command, params, key", [
     ("gap-profile", {"gap_profile": {"n_range": 5}}, "gap_profile.n_range"),
     ("gap-profile", {"gap_profile": {"n_range": []}}, "gap_profile.n_range"),
@@ -660,11 +666,20 @@ def test_non_positive_budget_exits_2(tmp_path, capsys, budget):
      "partition_upper_anchor.epsilons"),
     ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilon": -0.1}},
      "partition_upper_anchor.epsilon"),
+    # the shipped sparse shift's declared gap bound answers only up to n = 12
+    ("verify partition_upper_spec", {"partition_upper_spec": {"n_range": [4, 13]},
+                                     "subshift": SPARSE_STURMIAN},
+     "partition_upper_spec.n_range"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 4.0, "n_range": [13]},
+                                      "subshift": SPARSE_STURMIAN},
+     "partition_upper_trans.n_range"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check
     # must read its parameters before it searches to name the bad one
-    cfg_path = write_yaml(tmp_path, golden_doc(checks=params))
+    params = dict(params)
+    subshift = params.pop("subshift", {"family": "golden_mean"})
+    cfg_path = write_yaml(tmp_path, golden_doc(subshift=subshift, checks=params))
     out = tmp_path / "out"
     argv = [*command.split(), "--config", str(cfg_path), "--out", str(out), "--budget", "5"]
     assert main(argv) == 2
@@ -702,6 +717,31 @@ def test_crossed_bracket_exits_4(tmp_path):
     )
     cfg_path = write_yaml(tmp_path, doc)
     assert main(["pressure", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_failed_transfer_model_exits_4_and_writes_nothing(tmp_path, capsys):
+    # the SFT avoiding 10 (language 0*1*) has two cyclic components, which
+    # the transfer model refuses after the partition rows are known
+    doc = golden_doc(subshift={"family": "sft", "forbidden": ["10"]})
+    out = tmp_path / "out"
+    assert main(["pressure", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 4
+    assert "inconsistency: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag, checks", [
+    ("partition_upper_spec", {}),
+    ("partition_upper_trans", {"C": 4.0}),  # its precondition reads f up to n_max
+])
+def test_default_lengths_beyond_the_gap_reach_exit_2_naming_n_max(tmp_path, capsys, tag, checks):
+    # n_max 14 against the sparse shift's reach of 12, found before any sweep
+    doc = golden_doc(subshift=SPARSE_STURMIAN, horizons={"n_max": 14}, checks={tag: checks})
+    out = tmp_path / "out"
+    argv = ["verify", tag, "--config", str(write_yaml(tmp_path, doc)), "--out", str(out),
+            "--budget", "5"]
+    assert main(argv) == 2
+    assert "horizons.n_max: n=14 is beyond n=12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_fail_exits_5(tmp_path):

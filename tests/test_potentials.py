@@ -14,6 +14,7 @@ from shiftpress.potentials import (
     Interval,
     LocallyConstantPotential,
     ZeroPotential,
+    interval_sum,
     make_reciprocal_run,
     make_run_levels,
     partial_sum,
@@ -36,7 +37,7 @@ from shiftpress.subshifts import (
 def test_interval_add_exact_stays_tight():
     a = Interval(0.5, 0.5)
     b = Interval(0.25, 0.75)
-    s = a + b
+    s = interval_sum([a, b])
     assert (s.lo, s.hi) == (0.75, 1.25)
 
 
@@ -46,11 +47,38 @@ def test_interval_add_exact_stays_tight():
     )
 )
 def test_interval_sum_encloses_exact_rational_sum(xs):
-    total = Interval(0.0, 0.0)
-    for x in xs:
-        total = total + Interval(x, x)
+    total = interval_sum([Interval(x, x) for x in xs])
     exact = sum(Fraction(x) for x in xs)
     assert Fraction(total.lo) <= exact <= Fraction(total.hi)
+
+
+def _is_tightest_enclosure(iv, exact):
+    # each side is on its outer side of exact, and the next float inward is not
+    return (Fraction(iv.lo) <= exact < Fraction(math.nextafter(iv.lo, math.inf))
+            and Fraction(math.nextafter(iv.hi, -math.inf)) < exact <= Fraction(iv.hi))
+
+
+def _sum_over_sites(xs):
+    # site i of the word 0 1 ... reads xs[i] from a radius-0 table
+    pot = LocallyConstantPotential(0, {(i,): x for i, x in enumerate(xs)}, len(xs))
+    return partial_sum(pot, tuple(range(len(xs))))
+
+
+def test_partial_sum_of_exactly_representable_sum_has_zero_width():
+    # 1e16 + 1 + 1 is a float, though 1e16 + 1 is not
+    iv = _sum_over_sites([1e16, 1.0, 1.0])
+    assert (iv.lo, iv.hi) == (1.0000000000000002e16, 1.0000000000000002e16)
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                  st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)),
+        min_size=1, max_size=30,
+    )
+)
+def test_partial_sum_is_the_tightest_float_enclosure(xs):
+    assert _is_tightest_enclosure(_sum_over_sites(xs), sum(Fraction(x) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +141,15 @@ def test_variation_sum_table():
     assert prof.g_at(4) == pytest.approx(2 * (1 + 1 / 2 + 1 / 3), abs=1e-15)
     assert prof.g_at(0) == 2.0
     assert variation_sum_bounds([1.0, 0.5])[3] == 3.0
+
+
+def test_gap_table_bounds_the_exact_variation_sum_with_zero_slack():
+    # 2 * (1 + 1/2 + 1/3 + ...) rounded to nearest fell below the exact sum
+    prof = variation_profile(make_reciprocal_run(h_lin), make_full_shift(2), 12)
+    for n in range(len(prof.g)):
+        exact = 2 * sum(Fraction(v) for v in prof.var[: n // 2 + 1])
+        assert Fraction(prof.g_at(n)) >= exact, n
+        assert Fraction(math.nextafter(prof.g_at(n), -math.inf)) < exact, n
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,19 @@ def test_only_the_filler_levels_list_candidates():
     assert callers == {("gluing.py", "FillerLevels")}
 
 
+def test_one_module_makes_the_rounding_contexts():
+    # directed rounding has one home, beside Interval, that every certified
+    # sum and partition lane shares
+    makers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "Context" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert makers == {"potentials.py"}
+
+
 def test_every_exported_name_resolves():
     assert len(set(shiftpress.__all__)) == len(shiftpress.__all__)
     assert [name for name in shiftpress.__all__ if not hasattr(shiftpress, name)] == []
