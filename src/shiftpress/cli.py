@@ -147,22 +147,40 @@ class _Run:
         self.glue = gluing.GlueWork()
         return self.glue
 
-    def gap_callable(self) -> Callable[[int], int]:
+    def lengths(self, key: str, ns, lo: int = 1, hi: int | None = None) -> list[int]:
+        """ns, the lengths a check reads, once they are non-empty and within
+        lo..hi (hi = horizons.n_max where the check reads the partition
+        table). Every check calls it before any sweep, so a range that would
+        check nothing, or only part of what it names, fails naming key."""
+        if not ns:  # only a default range can be empty: the config's n_ranges are not
+            raise InputError(f"{key}: no length to check in {ns.start}..{ns.stop - 1}")
+        ns, span = list(ns), f"{lo}..{'' if hi is None else hi}"
+        for n in ns:
+            if n < lo or hi is not None and n > hi:
+                raise InputError(f"{key}: n={n} is outside {span}, the lengths this check reads")
+        return ns
+
+    def gap(self, params: dict, *reads) -> Callable[[int], int]:
+        """The gap bound a check reads: its f_const, or the declared bound
+        once every (lengths, key) in reads lies within the bound's reach;
+        the error names the key of the first that does not."""
+        if params.get("f_const") is not None:
+            return lambda n, c=params["f_const"]: c
         if self.spec.declared_gap is None:
-            raise InputError(
-                f"{self.spec.family} declares no gap bound; set one in the config"
-            )
+            raise InputError(f"{self.spec.family} declares no gap bound; set one in the config")
+        reach = self.spec.gap_reach
+        for ns, key in reads:
+            if reach is not None and max(ns) > reach:
+                raise InputError(f"{key}: n={max(ns)} is beyond n={reach}, the reach of the "
+                                 "declared gap bound")
         return self.spec.declared_gap
 
-    def anchor_sequence(self, horizon: int, epsilons) -> pressure.AnchorSequence:
+    def anchor_sequence(self, epsilons) -> pressure.AnchorSequence:
         """The anchors for the epsilons from the declared gap bound and the
-        variation, searched up to horizon cut to the largest n the bound
-        answers."""
-        reach = self.spec.gap_reach
-        return pressure.anchor_sequence(
-            self.gap_callable(), self.g.g_at,
-            horizon if reach is None else min(horizon, reach), epsilons,
-        )
+        variation, searched over 3..horizons.n_max cut to the bound's reach."""
+        n_max, reach = self.cfg.horizons.n_max, self.spec.gap_reach
+        ns = self.lengths("horizons.n_max", range(3, min(n_max, reach or n_max) + 1), 3, n_max)
+        return pressure.anchor_sequence(self.gap({}), self.g.g_at, ns[-1], epsilons)
 
     def pressure_value(self, params: dict) -> float:
         n_state = self.cfg.horizons.n_state
@@ -280,78 +298,51 @@ def cmd_gap_profile(run: _Run) -> int:
     return EXIT_OK
 
 
-def _check_f(params: dict) -> Callable[[int], int] | None:
-    """Optional constant gap-bound override for inversion experiments."""
-    c = params.get("f_const")
-    return None if c is None else lambda n: c
-
-
-def _declared_gap(run: _Run, *reads) -> Callable[[int], int]:
-    """The declared gap bound, once every (lengths, key) read is within its
-    reach; the error names the key of the first that is not."""
-    reach = run.spec.gap_reach
-    for lengths, key in reads:
-        if reach is not None and max(lengths, default=0) > reach:
-            raise InputError(f"{key}: n={max(lengths)} is beyond n={reach}, the reach of "
-                             "the declared gap bound")
-    return run.gap_callable()
-
-
 def _run_check(run: _Run, tag: str):
+    """The check's report; its lengths and gap bound are read through run
+    before any sweep."""
     cfg = run.cfg
     params = cfg.checks.get(tag, {})  # read by config.CHECK_TABLES
-    tol = cfg.tolerances.margin
-    small_default = list(range(2, min(cfg.horizons.n_max, 8) + 1))
-    if tag == CHECK_DENSITY_GLUE:
-        return verify.verify_density_glue(
-            run.spec, params.get("n_range", small_default),
-            slack=params.get("slack", 4),
-            f=_check_f(params),
-            budget=run.budget,
-            seed=cfg.seed,
-            work=run.glue_work(),
-        )
-    if tag == CHECK_SPARSE_GLUE:
-        return verify.verify_sparse_glue(
-            run.spec, params.get("n_range", small_default),
-            strategy=params.get("strategy", cfg.strategy),
-            f=_check_f(params),
-            budget=run.budget,
-            pair_budget=cfg.pair_budget,
-            seed=cfg.seed,
-            work=run.glue_work(),
-        )
-    n_max, ns = cfg.horizons.n_max, params.get("n_range")
+    tol, n_max = cfg.tolerances.margin, cfg.horizons.n_max
+    key = f"checks.{tag}.n_range" if "n_range" in params else "horizons.n_max"
+    if tag in (CHECK_DENSITY_GLUE, CHECK_SPARSE_GLUE):
+        ns = run.lengths(key, params.get("n_range", range(2, min(n_max, 8) + 1)))
+        glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "seed": cfg.seed,
+                "work": run.glue_work()}
+        if tag == CHECK_DENSITY_GLUE:
+            return verify.verify_density_glue(run.spec, ns, slack=params.get("slack", 4), **glue)
+        return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget,
+                                         strategy=params.get("strategy", cfg.strategy), **glue)
     if tag == CHECK_PARTITION_SPEC:
-        key = "horizons.n_max" if ns is None else f"checks.{tag}.n_range"
-        ns = list(range(1, n_max + 1)) if ns is None else ns
-        f = _check_f(params) or _declared_gap(run, (ns, key))
+        ns = run.lengths(key, params.get("n_range", range(1, n_max + 1)), 1, n_max)
+        f = run.gap(params, (ns, key))
         return verify.verify_partition_upper_spec(
             run.table, run.pressure_value(params), f, run.g.g_at, run.pot.bounds.lo, ns, tol
         )
     if tag == CHECK_PARTITION_ANCHOR:
-        table = run.table
         epsilon = params.get("epsilon", 0.5)
-        anchors = params.get("anchors")
-        if anchors is None:
-            seq = run.anchor_sequence(table.horizon, params.get("epsilons", [epsilon]))
+        if "anchors" in params:
+            anchors = run.lengths(f"checks.{tag}.anchors", params["anchors"], 1, n_max)
+        else:
+            seq = run.anchor_sequence(params.get("epsilons", [epsilon]))
             if not seq.indices:
                 reach = run.spec.gap_reach
                 raise InputError("no anchor lengths found " + (
                     f"up to n={reach}, the reach of the declared gap bound; raise the epsilons"
-                    if reach is not None and reach < table.horizon
+                    if reach is not None and reach < n_max
                     else "below the horizon; raise horizons.n_max or the epsilons"))
             anchors = list(seq.indices)
         return verify.verify_partition_upper_anchor(
-            table, run.pressure_value(params), anchors, epsilon, tol
+            run.table, run.pressure_value(params), anchors, epsilon, tol
         )
     if tag == CHECK_PARTITION_TRANS:
         if "C" not in params:
             raise InputError("partition_upper_trans needs checks.partition_upper_trans.C")
         onset = params.get("onset", 3)
         # the precondition reads f from the onset to the horizon
-        f = _check_f(params) or _declared_gap(
-            run, (ns or (), f"checks.{tag}.n_range"), (range(onset, n_max + 1), "horizons.n_max"))
+        pre = run.lengths(f"checks.{tag}.onset", range(onset, n_max + 1))
+        ns = run.lengths(key, params.get("n_range", pre), onset, n_max)
+        f = run.gap(params, (ns, key), (pre, "horizons.n_max"))
         return verify.verify_partition_upper_trans(
             run.table, run.pressure_value(params), params["C"], onset, f, run.g.g_at,
             run.pot.bounds.lo, ns, tol,
@@ -359,15 +350,10 @@ def _run_check(run: _Run, tag: str):
     # CHECK_MEASURE_LOWER, the last of ALL_CHECKS (the verify command's choices)
     if "cylinder" not in params:
         raise InputError("measure_lower needs checks.measure_lower.cylinder")
+    ns = run.lengths(key, params.get("n_range", range(1, n_max + 1)), 1, n_max)
     mm = transfer.markov_equilibrium(*run.transfer("measure_lower"))
     return verify.verify_measure_lower(
-        mm,
-        parse_word(params["cylinder"]),
-        params.get("n_range", list(range(1, run.table.horizon + 1))),
-        run.table,
-        run.g.g_at,
-        tol,
-        run.budget,
+        mm, parse_word(params["cylinder"]), ns, run.table, run.g.g_at, tol, run.budget
     )
 
 
@@ -405,7 +391,7 @@ def cmd_equilibrium(run: _Run) -> int:
 
 def cmd_anchors(run: _Run) -> int:
     params = run.cfg.checks.get("anchors", {})
-    seq = run.anchor_sequence(run.cfg.horizons.n_max, params.get("epsilons", [0.5, 0.4, 0.3]))
+    seq = run.anchor_sequence(params.get("epsilons", [0.5, 0.4, 0.3]))
     rows = [
         (k + 1, eps, n, score)
         for k, (eps, n, score) in enumerate(zip(seq.epsilons, seq.indices, seq.scores))

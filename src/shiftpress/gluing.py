@@ -7,13 +7,13 @@ Two questions are asked of a pair of admissible words (v, w):
 * specification: does every m in a stated range admit a filler?
 
 min_gap_profile answers them over all pairs at a length (or a documented
-deterministic sample once the pair count passes a budget), recording the
-worst pair as a witness. A gap is the least m at which any filler glues;
-the filler strategy picks only the witness filler there: the least one
-for `exhaustive` and `zero_glue` (0^m, the least word of length m,
-whenever it glues), and for `factor_glue` a concatenation of two Sturmian
-factors first (the sparse family's own gap construction), if one glues.
-FillerLevels.least is the only glue search.
+deterministic sample once a full scan's decisions pass a budget),
+recording the worst pair as a witness. A gap is the least m at which any
+filler glues; the filler strategy picks only the witness filler there:
+the least one for `exhaustive` and `zero_glue` (0^m, the least word of
+length m, whenever it glues), and for `factor_glue` a concatenation of
+two Sturmian factors first (the sparse family's own gap construction), if
+one glues. FillerLevels.least is the only glue search.
 
 Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, and the fillers of length m
@@ -136,18 +136,22 @@ class FillerLevels:
     def scan(self, n: int, gaps: Iterable[int], strategy: str, pair_budget: int, seed: int,
              work: GlueWork):
         """Each pair's least gap at length n, by glue_pairs over least on
-        pair_rows of L_n. Returns (words, rows, coverage, the first pair with
-        no gap, the first of largest gap), a pair as (v, w, (m, u)) or None."""
+        pair_rows of L_n, each word walked once to its end walker. Returns
+        ((walkers, words, rows), glue_pairs's first three arguments for
+        another scan of the same pairs; coverage; the first pair with no gap;
+        the first of largest gap), a pair as (v, w, (m, u)) or None."""
         words = list(iter_language(self.spec, n, self.budget))
         if not words:
             raise InputError(f"language empty at length {n}")
-        rows, n_pairs, coverage = pair_rows(words, pair_budget, seed)
+        starts = [walk(self.root, v) for v in words]
+        keys = len({s.key() for s in starts})
+        rows, n_pairs, coverage = pair_rows(words, keys, pair_budget, seed)
         work.words += len(words)
         work.pairs += n_pairs
         missed, worst = glue_pairs(
-            self.root, words, rows, lambda start, w: self.least(start, w, gaps, strategy), work
+            starts, words, rows, lambda start, w: self.least(start, w, gaps, strategy), work
         )
-        return words, rows, coverage, missed, worst
+        return (starts, words, rows), coverage, missed, worst
 
 
 class GlueWork:
@@ -164,22 +168,21 @@ class GlueWork:
 
 
 def glue_pairs(
-    root, words: Sequence[Word], rows: Iterable[tuple[int, Sequence[int]]], probe: Callable,
-    work: GlueWork, stops: Callable = not_,
+    starts: Sequence, words: Sequence[Word], rows: Iterable[tuple[int, Sequence[int]]],
+    probe: Callable, work: GlueWork, stops: Callable = not_,
 ) -> tuple[tuple[Word, Word, object] | None, tuple[Word, Word, object] | None]:
-    """Scan pairs (i, j) row by row, in order, for got = probe(walker after
-    words[i] from root, words[j]), a tuple or None, up to the first pair
-    with stops(got), by default the first None. A row (i, js) holds the
-    pairs (i, j), j in js, in scan order. Returns (v, w, got) of
-    that pair (None if none stops the scan) and of the first pair before it
-    of largest got[0] (None if none).
+    """Scan pairs (i, j) row by row, in order, for got = probe(starts[i],
+    words[j]), a tuple or None, up to the first pair with stops(got), by
+    default the first None; starts[i] is the walker after words[i] from one
+    root. A row (i, js) holds the pairs (i, j), j in js, in scan order.
+    Returns (v, w, got) of that pair (None if none stops the scan) and of
+    the first pair before it of largest got[0] (None if none).
 
     The words must be admissible and the probe may see the walker only
     through what it admits. A row is summarised once per (end key of
     words[i], js), and a key's rows share their answers per j: each pair
     reached is probed once per (key, j).
     """
-    starts = [walk(root, v) for v in words]
     answers: dict = {}  # end key -> {j: got}
     summaries: dict = {}  # (end key, js) -> (first stopping (j, got), first largest (j, got))
     best = None
@@ -245,13 +248,15 @@ def sample_pairs(
 
 
 def pair_rows(
-    words: Sequence[Word], pair_budget: int, seed: int
+    words: Sequence[Word], keys: int, pair_budget: int, seed: int
 ) -> tuple[list[tuple[int, Sequence[int]]], int, float]:
     """The pairs a search scans, as glue_pairs rows: all of them, each row
-    every index, if they fit the budget, else sample_pairs's sample.
-    Returns (rows, pair count, coverage fraction)."""
+    every index, if the scan's decisions fit the budget, else sample_pairs's
+    sample. A full scan decides each (end key of v, w) once, so it makes at
+    most keys * len(words) decisions, keys being the number of distinct end
+    keys of the words. Returns (rows, pair count, coverage fraction)."""
     n = len(words)
-    if n * n <= pair_budget:
+    if keys * n <= pair_budget:
         return [(i, range(n)) for i in range(n)], n * n, 1.0
     pairs, coverage = sample_pairs(words, pair_budget, seed)
     rows = [(i, tuple(map(itemgetter(1), g))) for i, g in itertools.groupby(pairs, itemgetter(0))]
@@ -293,14 +298,17 @@ def min_gap_profile(
 ) -> GapRow:
     """Measure gluing gaps at length n.
 
-    In specification mode every m from f_declared (or the measured
-    minimum) up to m_max must glue; an m at which no filler glues yields
-    a counterexample, whatever the strategy. Specification mode needs
+    f_declared is the declared gap bound at n, or None if the family
+    declares none or n is past its reach (spec.gap_reach). In specification
+    mode every m from f_declared (or, without it, the measured minimum) up
+    to m_max must glue; an m at which no filler glues yields a
+    counterexample, whatever the strategy. Specification mode needs
     m_max >= f_declared. work, when given, gets the search's counters added.
     """
     if mode not in (MODE_TRANSITIVITY, MODE_SPECIFICATION):
         raise InputError(f"unknown mode {mode!r}")
-    f_declared = None if spec.declared_gap is None else spec.declared_gap(n)
+    reach = math.inf if spec.gap_reach is None else spec.gap_reach
+    f_declared = None if spec.declared_gap is None or n > reach else spec.declared_gap(n)
     if m_max is None:
         m_max = (f_declared if f_declared is not None else n) + 2 * min(n, 8)
     if mode == MODE_SPECIFICATION and f_declared is not None and m_max < f_declared:
@@ -310,7 +318,7 @@ def min_gap_profile(
         )
     fillers = FillerLevels(spec, budget)
     work = GlueWork() if work is None else work
-    words, rows, coverage, missed, worst = fillers.scan(
+    cut, coverage, missed, worst = fillers.scan(
         n, range(m_max + 1), strategy, pair_budget, seed, work
     )
     status = "ok" if missed is None else HORIZON_EXHAUSTED
@@ -324,7 +332,7 @@ def min_gap_profile(
         def first_miss(start, w):
             return next(((m,) for m in checked if fillers.filler(start, w, m) is None), None)
 
-        miss, _ = glue_pairs(fillers.root, words, rows, first_miss, work, stops=truth)
+        miss, _ = glue_pairs(*cut, first_miss, work, stops=truth)
         counterexample = None if miss is None else (*miss[:2], *miss[2])
     work.states += states_built(fillers.root)
 

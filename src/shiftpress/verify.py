@@ -146,21 +146,21 @@ def verify_density_glue(
     root = spec.root_walker()
     work = gluing.GlueWork() if work is None else work
     f_at = f if f is not None else spec.declared_gap
+    fns = []  # each length's need is checked against the height table before the pass
+    for n in n_range:
+        if n < 1:
+            raise InputError("lengths must be >= 1")
+        fns.append(f_at(n))
+        need = 2 * n + fns[-1] + slack
+        if need > params.n_max:
+            raise InputError(f"height table covers lengths <= {params.n_max}, need {need} "
+                             f"for n={n}")
     n_top = max(n_range, default=0)
     counts, heavy, heaviest = zip(*_heaviest(root, spec.alphabet_size, n_top, budget))
     margins = []
     witnesses: dict = {}
     verdict = PASS
-    for n in n_range:
-        if n < 1:
-            raise InputError("lengths must be >= 1")
-        fn = f_at(n)
-        need = 2 * n + fn + slack
-        if need > params.n_max:
-            raise InputError(
-                f"height table covers lengths <= {params.n_max}, need {need} "
-                f"for n={n}"
-            )
+    for n, fn in zip(n_range, fns):
         work.words += counts[n]
         work.pairs += counts[n] ** 2
         gaps = range(fn, fn + slack + 1)
@@ -178,7 +178,8 @@ def verify_density_glue(
                 return next(((m,) for m in gaps if walk(start, (0,) * m + w) is None), None)
 
             every = ((i, range(len(words))) for i in range(len(words)))
-            (v, w, (m,)), _ = gluing.glue_pairs(root, words, every, miss, work, stops=truth)
+            starts = [walk(root, v) for v in words]
+            (v, w, (m,)), _ = gluing.glue_pairs(starts, words, every, miss, work, stops=truth)
             witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
             continue
         v0, w0 = (0,) * (n - a0) + heaviest[a0], heaviest[b0] + (0,) * (n - b0)
@@ -243,12 +244,13 @@ def verify_sparse_glue(
 ) -> BoundReport:
     """Certificate that some filler of length <= f(n) joins every pair.
 
-    Above the pair budget a deterministic stratified sample is used (all
-    pairs touching the lexicographic extremes and a maximal-density word,
-    plus a seeded fill); the coverage fraction is reported. A pair's gap
-    is the least at which any filler glues, so a pair with none up to f(n)
-    is a genuine counterexample whatever the strategy, which picks only
-    the witness filler. work, when given, gets the search's counters added.
+    Past the pair budget (gluing.pair_rows) a deterministic stratified
+    sample is used (all pairs touching the lexicographic extremes and a
+    maximal-density word, plus a seeded fill); the coverage fraction is
+    reported. A pair's gap is the least at which any filler glues, so a
+    pair with none up to f(n) is a genuine counterexample whatever the
+    strategy, which picks only the witness filler. work, when given, gets
+    the search's counters added.
     """
     f_at = f if f is not None else spec.declared_gap
     if f_at is None:
@@ -261,7 +263,7 @@ def verify_sparse_glue(
     coverages = {}
     for n in n_range:
         fn = f_at(n)
-        _, _, coverages[n], failed, worst = fillers.scan(
+        _, coverages[n], failed, worst = fillers.scan(
             n, range(fn + 1), strategy, pair_budget, seed, work
         )
         if failed is not None:

@@ -673,17 +673,39 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
     ("verify partition_upper_trans", {"partition_upper_trans": {"C": 4.0, "n_range": [13]},
                                       "subshift": SPARSE_STURMIAN},
      "partition_upper_trans.n_range"),
+    # lengths a check would skip or read past the partition rows (n_max 10)
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "onset": 30}},
+     "partition_upper_trans.onset"),  # the onset leaves no length to check
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "n_range": [2]}},
+     "partition_upper_trans.n_range"),  # below the onset 3
+    ("verify partition_upper_spec", {"partition_upper_spec": {"n_range": [40]}},
+     "partition_upper_spec.n_range"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0, "n_range": [40]}},
+     "partition_upper_trans.n_range"),
+    ("verify measure_lower", {"measure_lower": {"cylinder": "0", "n_range": [40]}},
+     "measure_lower.n_range"),
+    ("verify partition_upper_anchor", {"partition_upper_anchor": {"anchors": [400]}},
+     "partition_upper_anchor.anchors"),
+    # the anchor search starts at n = 3
+    ("anchors", {"horizons": {"n_max": 2}}, "horizons.n_max"),
+    ("verify partition_upper_anchor", {"horizons": {"n_max": 2}}, "horizons.n_max"),
+    ("verify sparse_glue", {"sparse_glue": {"n_range": [4, 13]}, "subshift": SPARSE_STURMIAN},
+     "sparse_glue.n_range"),  # past the declared bound's reach
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check
-    # must read its parameters before it searches to name the bad one
+    # must read its parameters and lengths before it searches to name the
+    # bad one; horizons.* keys name the horizon, the others checks.<key>
     params = dict(params)
     subshift = params.pop("subshift", {"family": "golden_mean"})
-    cfg_path = write_yaml(tmp_path, golden_doc(subshift=subshift, checks=params))
+    horizons = params.pop("horizons", {"n_max": 10, "n_state": 2})
+    cfg_path = write_yaml(tmp_path, golden_doc(subshift=subshift, horizons=horizons,
+                                               checks=params))
     out = tmp_path / "out"
     argv = [*command.split(), "--config", str(cfg_path), "--out", str(out), "--budget", "5"]
     assert main(argv) == 2
-    assert f"checks.{key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (key if key.startswith("horizons.") else f"checks.{key}") in err
     assert not out.exists()
 
 
@@ -742,6 +764,37 @@ def test_default_lengths_beyond_the_gap_reach_exit_2_naming_n_max(tmp_path, caps
     assert main(argv) == 2
     assert "horizons.n_max: n=14 is beyond n=12" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_density_glue_checks_its_height_table_before_its_pass(tmp_path, capsys):
+    # n = 60 needs h up to 2 * 60 + f(60) + 4 = 126 > 64; a budget of 50
+    # nodes would run out at length 14 of the pass, so the need is read first
+    doc = read_yaml((CONFIG_DIR / "bounded_density.yaml").read_text())
+    doc["checks"]["density_glue"]["n_range"] = [2, 60]
+    out = tmp_path / "out"
+    argv = ["verify", "density_glue", "--config", str(write_yaml(tmp_path, doc)),
+            "--out", str(out), "--budget", "50"]
+    assert main(argv) == 2
+    assert "need 126 for n=60" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gap_profile_past_the_declared_reach_leaves_f_declared_blank(tmp_path):
+    # the shipped sparse shift's bound answers up to n = 12; transitivity
+    # mode with m_max set reads no bound, so 13 and 14 are measured alone
+    doc = read_yaml((CONFIG_DIR / "sparse_sturmian.yaml").read_text())
+    rows = {}
+    for ns in ([12], [12, 13, 14]):
+        doc["checks"]["gap_profile"]["n_range"] = ns
+        out = tmp_path / f"out{len(ns)}"
+        argv = ["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 0
+        rows[len(ns)] = read_csv_payload(out / "gap_profile.csv")[1:]
+    header, data = rows[3]
+    assert data[0] == rows[1][1][0]  # the row at n = 12 is unchanged
+    f_declared = header.index("f_declared")
+    assert [(r[0], r[f_declared]) for r in data] == [("12", "4"), ("13", ""), ("14", "")]
+    assert all(r[header.index("status")] == "ok" for r in data)
 
 
 def test_verify_fail_exits_5(tmp_path):

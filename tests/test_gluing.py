@@ -134,7 +134,7 @@ def test_sample_pairs_small_sets_are_exhaustive():
     # list of pair tuples; sample_pairs draws samples only
     words = list(iter_language(make_golden_mean(), 3))
     n = len(words)
-    rows, count, coverage = pair_rows(words, 10_000, seed=7)
+    rows, count, coverage = pair_rows(words, len(words), 10_000, seed=7)
     assert coverage == 1.0 and count == n ** 2
     assert [(i, list(js)) for i, js in rows] == [(i, list(range(n))) for i in range(n)]
     with pytest.raises(InputError, match="fit the pair budget"):
@@ -144,9 +144,37 @@ def test_sample_pairs_small_sets_are_exhaustive():
 def test_pair_rows_group_a_sample_by_first_word():
     words = list(iter_language(make_golden_mean(), 6))
     pairs, coverage = sample_pairs(words, 120, seed=3)
-    rows, count, got = pair_rows(words, 120, seed=3)
+    rows, count, got = pair_rows(words, len(words), 120, seed=3)
     assert (count, got) == (len(pairs), coverage)
     assert [(i, j) for i, js in rows for j in js] == pairs
+
+
+def test_pair_rows_are_full_once_the_decisions_fit_the_budget():
+    # a full scan decides each (end key of v, w) once: on the golden mean
+    # at n = 6 that is 3 keys x 21 words = 63 decisions for 441 pairs
+    gm = make_golden_mean()
+    words = list(iter_language(gm, 6))
+    root = gm.root_walker()
+    keys = len({walk(root, v).key() for v in words})
+    assert (keys, len(words)) == (3, 21)
+    rows, count, coverage = pair_rows(words, keys, 63, seed=3)
+    assert (count, coverage) == (441, 1.0)
+    assert [(i, list(js)) for i, js in rows] == [(i, list(range(21))) for i in range(21)]
+    sampled = pair_rows(words, 21, 63, seed=3)  # the old rule, one key per word
+    assert sampled == pair_rows(words, keys, 62, seed=3)
+    assert 0 < sampled[2] < 1.0
+    assert min_gap_profile(gm, 6, m_max=4, pair_budget=63).coverage == 1.0
+    assert min_gap_profile(gm, 6, m_max=4, pair_budget=62).coverage == sampled[2]
+
+
+@pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
+@pytest.mark.parametrize("n", [14, 16])
+def test_golden_profiles_past_the_pair_budget_scan_every_pair(mode, n):
+    # |L_16|^2 = 6,677,056 pairs, but 3 end keys x 2584 words fit the budget
+    work = GlueWork()
+    row = min_gap_profile(make_golden_mean(), n, mode, m_max=4, work=work)
+    assert (row.coverage, row.f_empirical, row.status) == (1.0, 1, "ok")
+    assert work.pairs == len(list(iter_language(make_golden_mean(), n))) ** 2
 
 
 def test_sample_pairs_budgeted_sample_is_deterministic_and_marked():
@@ -377,10 +405,11 @@ def test_factor_glue_miss_falls_back_to_exhaustive(n):
 
 
 @pytest.mark.parametrize("forbidden, declared, n, mode, m_max, pair_budget, status, counter", [
-    ([(1, 1)], None, 6, MODE_TRANSITIVITY, 4, 120, "ok", False),
-    ([(1, 1)], None, 6, MODE_SPECIFICATION, 4, 120, "ok", False),
-    ([(1, 1)], None, 5, MODE_TRANSITIVITY, 0, 60, "horizon_exhausted", True),
-    ([(1, 1)], 0, 5, MODE_SPECIFICATION, 4, 80, "ok", True),  # under-declared
+    # the golden mean has 3 end keys, so its budgets sit below 3 |L_n|
+    ([(1, 1)], None, 6, MODE_TRANSITIVITY, 4, 60, "ok", False),
+    ([(1, 1)], None, 6, MODE_SPECIFICATION, 4, 60, "ok", False),
+    ([(1, 1)], None, 5, MODE_TRANSITIVITY, 0, 36, "horizon_exhausted", True),
+    ([(1, 1)], 0, 5, MODE_SPECIFICATION, 4, 36, "ok", True),  # under-declared
     ([(0, 0, 0), (1, 1, 1)], None, 7, MODE_SPECIFICATION, 4, 50, "ok", True),
     ([(0, 1, 1), (1, 0, 1)], None, 7, MODE_TRANSITIVITY, 4, 50, "horizon_exhausted", True),
 ])
