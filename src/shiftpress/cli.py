@@ -239,16 +239,8 @@ def cmd_pressure(run: _Run) -> int:
                       "max_states": table.max_states},
     }
     if transfer_data is not None:
-        model, pd = transfer_data
-        payload = {
-            "n_state": model.n_state,
-            "state_count": model.state_count,
-            "lambda": pd.lam,
-            "ln_lambda": math.log(pd.lam),
-            "residual": pd.residual,
-            "iterations": pd.iterations,
-        }
-        run.write("transfer.json", reports.write_json, payload, run.digest)
+        run.write("transfer.json", reports.write_json, reports.transfer_payload(*transfer_data),
+                  run.digest)
     run.finish(status)
     if bracket.upper_bound_only:
         print(f"{run.spec.label}: pressure <= {bracket.best_hi:.9f} (upper bound only)")
@@ -310,7 +302,13 @@ def _run_check(run: _Run, tag: str):
         glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "seed": cfg.seed,
                 "work": run.glue_work()}
         if tag == CHECK_DENSITY_GLUE:
-            return verify.verify_density_glue(run.spec, ns, slack=params.get("slack", 4), **glue)
+            try:
+                return verify.verify_density_glue(run.spec, ns, slack=params.get("slack", 4),
+                                                  **glue)
+            except InputError as exc:  # on its family, lengths past the height table
+                if run.spec.family != "bounded_density":
+                    raise
+                raise InputError(f"{key}: {exc}") from None
         return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget,
                                          strategy=params.get("strategy", cfg.strategy), **glue)
     if tag == CHECK_PARTITION_SPEC:

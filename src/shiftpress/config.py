@@ -298,20 +298,29 @@ CHECK_PARTITION_SPEC = "partition_upper_spec"
 CHECK_PARTITION_ANCHOR = "partition_upper_anchor"
 CHECK_PARTITION_TRANS = "partition_upper_trans"
 CHECK_MEASURE_LOWER = "measure_lower"
-_N_RANGE, _EPSILONS = _list_of(_positive, 1), _list_of(_float_from(0, strict=True))
+_N_RANGE = _list_of(_positive, 1)
+
+
+def _epsilons(value, path) -> list[float]:  # anchor_sequence's targets, tightest last
+    eps = _list_of(_float_from(0, strict=True))(value, path)
+    if sorted(eps, reverse=True) != eps:
+        raise ValueError(f"expected non-increasing epsilons, got {value!r}")
+    return eps
+
+
 _VERIFY_TABLES = {
     CHECK_DENSITY_GLUE: {"n_range": _N_RANGE, "slack": _natural, "f_const": _natural},
     CHECK_SPARSE_GLUE: {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
                         "f_const": _natural},
     CHECK_PARTITION_SPEC: {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
     CHECK_PARTITION_ANCHOR: {"pressure": _pressure, "epsilon": _float_from(0),
-                             "epsilons": _EPSILONS, "anchors": _N_RANGE},
+                             "epsilons": _epsilons, "anchors": _N_RANGE},
     CHECK_PARTITION_TRANS: {"pressure": _pressure, "C": _float, "onset": _int_from(3),
                             "f_const": _natural, "n_range": _N_RANGE},
     CHECK_MEASURE_LOWER: {"cylinder": _word, "n_range": _N_RANGE},
 }
 ALL_CHECKS = tuple(_VERIFY_TABLES)
-CHECK_TABLES = {"gap_profile": {"n_range": _N_RANGE}, "anchors": {"epsilons": _EPSILONS},
+CHECK_TABLES = {"gap_profile": {"n_range": _N_RANGE}, "anchors": {"epsilons": _epsilons},
                 **_VERIFY_TABLES}
 CONFIG_TABLE = {
     "label": _str, "subshift": _read_subshift, "potential": _read_potential,

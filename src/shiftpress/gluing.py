@@ -6,14 +6,15 @@ Two questions are asked of a pair of admissible words (v, w):
   length m makes v u w admissible?
 * specification: does every m in a stated range admit a filler?
 
-min_gap_profile answers them over all pairs at a length (or a documented
-deterministic sample once a full scan's decisions pass a budget),
-recording the worst pair as a witness. A gap is the least m at which any
-filler glues; the filler strategy picks only the witness filler there:
-the least one for `exhaustive` and `zero_glue` (0^m, the least word of
-length m, whenever it glues), and for `factor_glue` a concatenation of
-two Sturmian factors first (the sparse family's own gap construction), if
-one glues. FillerLevels.least is the only glue search.
+min_gap_profile answers them over all pairs at a length (or, once a full
+scan's decisions pass a budget, every first word against a seeded sample
+of second words), recording the worst pair as a witness. A gap is the
+least m at which any filler glues; the filler strategy picks only the
+witness filler there: the least one for `exhaustive` and `zero_glue`
+(0^m, the least word of length m, whenever it glues), and for
+`factor_glue` a concatenation of two Sturmian factors first (the sparse
+family's own gap construction), if one glues. FillerLevels.least is the
+only glue search.
 
 Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, and the fillers of length m
@@ -21,20 +22,20 @@ from that key collapse to their own end keys: FillerLevels keeps, per
 start key and m, each key some filler reaches with the least such
 filler, one forward pass per start key grown only as far as a search
 asks. An exhaustive search at gap m asks which of those keys admit w,
-once per (key, w). Pairs are scanned in rows, one per first word v: a
-row is summarised once per end key of v (its first stopping pair, and its
-first pair of largest gap before that), so first words that share a key
-share the summary, and a pair is probed once per (key of v, w). All walks
-of one search start from one root walker, so they share its states.
+once per (key, w). A scan pairs every first word v with one set of
+second words w (the columns), in rows, one per v: a row is summarised once
+per end key of v (its first stopping pair, and its first pair of largest
+gap before that), so first words that share a key share the summary, and
+a pair is probed once per (key of v, w). All walks of one search start
+from one root walker, so they share its states.
 GlueWork counts the work for the run manifest.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from operator import itemgetter, not_, truth
+from operator import not_, truth
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HORIZON_EXHAUSTED, InputError
@@ -136,27 +137,28 @@ class FillerLevels:
     def scan(self, n: int, gaps: Iterable[int], strategy: str, pair_budget: int, seed: int,
              work: GlueWork):
         """Each pair's least gap at length n, by glue_pairs over least on
-        pair_rows of L_n, each word walked once to its end walker. Returns
-        ((walkers, words, rows), glue_pairs's first three arguments for
-        another scan of the same pairs; coverage; the first pair with no gap;
-        the first of largest gap), a pair as (v, w, (m, u)) or None."""
+        every word of L_n against pair_rows's columns, each word walked once
+        to its end walker. Returns ((walkers, words, columns), glue_pairs's
+        first three arguments for another scan of the same pairs; coverage;
+        the first pair with no gap; the first of largest gap), a pair as
+        (v, w, (m, u)) or None."""
         words = list(iter_language(self.spec, n, self.budget))
         if not words:
             raise InputError(f"language empty at length {n}")
         starts = [walk(self.root, v) for v in words]
         keys = len({s.key() for s in starts})
-        rows, n_pairs, coverage = pair_rows(words, keys, pair_budget, seed)
+        columns, coverage = pair_rows(words, keys, pair_budget, seed)
         work.words += len(words)
-        work.pairs += n_pairs
+        work.pairs += len(words) * len(columns)
         missed, worst = glue_pairs(
-            starts, words, rows, lambda start, w: self.least(start, w, gaps, strategy), work
+            starts, words, columns, lambda start, w: self.least(start, w, gaps, strategy), work
         )
-        return (starts, words, rows), coverage, missed, worst
+        return (starts, words, columns), coverage, missed, worst
 
 
 class GlueWork:
     """Work of glue searches, summed over lengths: words read, (v, w) pairs
-    sampled, probe calls made, pairs answered by an earlier probe for the
+    scanned, probe calls made, pairs answered by an earlier probe for the
     same end key of v and the same w instead, and the states built by the
     walks from each root walker. A scan answers each pair it reaches by a
     probe or a hit, whether it reads the answer alone or in a row summary."""
@@ -168,45 +170,37 @@ class GlueWork:
 
 
 def glue_pairs(
-    starts: Sequence, words: Sequence[Word], rows: Iterable[tuple[int, Sequence[int]]],
+    starts: Sequence, words: Sequence[Word], columns: Sequence[int],
     probe: Callable, work: GlueWork, stops: Callable = not_,
 ) -> tuple[tuple[Word, Word, object] | None, tuple[Word, Word, object] | None]:
-    """Scan pairs (i, j) row by row, in order, for got = probe(starts[i],
-    words[j]), a tuple or None, up to the first pair with stops(got), by
-    default the first None; starts[i] is the walker after words[i] from one
-    root. A row (i, js) holds the pairs (i, j), j in js, in scan order.
-    Returns (v, w, got) of that pair (None if none stops the scan) and of
-    the first pair before it of largest got[0] (None if none).
+    """Scan every first word against the second words in columns, pairs
+    (i, j) in order, for got = probe(starts[i], words[j]), a tuple or None,
+    up to the first pair with stops(got), by default the first None;
+    starts[i] is the walker after words[i] from one root. Returns (v, w,
+    got) of that pair (None if none stops the scan) and of the first pair
+    before it of largest got[0] (None if none).
 
     The words must be admissible and the probe may see the walker only
-    through what it admits. A row is summarised once per (end key of
-    words[i], js), and a key's rows share their answers per j: each pair
-    reached is probed once per (key, j).
+    through what it admits: a row is summarised once per end key of
+    words[i], and a later row with that key counts its pairs as memo hits.
     """
-    answers: dict = {}  # end key -> {j: got}
-    summaries: dict = {}  # (end key, js) -> (first stopping (j, got), first largest (j, got))
+    summaries: dict = {}  # end key -> (first stopping (j, got), first largest (j, got))
     best = None
-    for i, row in rows:
-        k = starts[i].key()
-        summary = summaries.get((k, row))
+    for i, start in enumerate(starts):
+        summary = summaries.get(start.key())
         if summary is None:
-            seen = answers.setdefault(k, {})
             stop = top = None
-            for j in row:
-                got = seen.get(j, seen)
-                if got is seen:
-                    work.probes += 1
-                    got = seen[j] = probe(starts[i], words[j])
-                else:
-                    work.memo_hits += 1
+            for j in columns:
+                work.probes += 1
+                got = probe(start, words[j])
                 if stops(got):
                     stop = j, got
                     break
                 if got is not None and (top is None or got[0] > top[1][0]):
                     top = j, got
-            summary = summaries[k, row] = stop, top
-        else:  # a repeat row: the first one with its summary did not stop
-            work.memo_hits += len(row)
+            summary = summaries[start.key()] = stop, top
+        else:  # a repeat key: its first row did not stop
+            work.memo_hits += len(columns)
         stop, top = summary
         if top is not None and (best is None or top[1][0] > best[2][0]):
             best = words[i], words[top[0]], top[1]
@@ -224,43 +218,33 @@ def find_glue(spec: SubshiftSpec, v: Word, w: Word, m: int, strategy: str) -> Wo
     return None if got is None else got[1]
 
 
-def sample_pairs(
-    words: Sequence[Word], pair_budget: int, seed: int
-) -> tuple[list[tuple[int, int]], float]:
-    """A deterministic sample of the index pairs, which must not all fit
-    the budget.
-
-    The sample always contains every pair involving the lexicographic
-    extremes and a maximal-sum word (the adversarial candidates), plus a
-    seeded pseudorandom fill. Returns (pairs, coverage fraction).
-    """
-    n = len(words)
-    total = n * n
-    if total <= pair_budget:
-        raise InputError(f"all {total} pairs fit the pair budget {pair_budget}; none is sampled")
-    marked = {0, n - 1, max(range(n), key=lambda i: (sum(words[i]), i))}
-    chosen = {p for i in marked for j in range(n) for p in ((i, j), (j, i))}
-    rng = random.Random(seed)
-    while len(chosen) < pair_budget:
-        chosen.add((rng.randrange(n), rng.randrange(n)))
-    pairs = sorted(chosen)
-    return pairs, len(pairs) / total
-
-
-def pair_rows(
-    words: Sequence[Word], keys: int, pair_budget: int, seed: int
-) -> tuple[list[tuple[int, Sequence[int]]], int, float]:
-    """The pairs a search scans, as glue_pairs rows: all of them, each row
-    every index, if the scan's decisions fit the budget, else sample_pairs's
-    sample. A full scan decides each (end key of v, w) once, so it makes at
-    most keys * len(words) decisions, keys being the number of distinct end
-    keys of the words. Returns (rows, pair count, coverage fraction)."""
+def sample_pairs(words: Sequence[Word], keys: int, pair_budget: int,
+                 seed: int) -> tuple[list[int], float]:
+    """Columns for a scan whose keys * len(words) decisions pass the budget:
+    the lexicographic extremes and a maximal-sum word (the adversarial
+    candidates) and a seeded fill, pair_budget // keys in all but never
+    fewer than those, so a scan decides at most max(pair_budget, 3 * keys)
+    pairs. Returns (sorted column indices, coverage fraction)."""
     n = len(words)
     if keys * n <= pair_budget:
-        return [(i, range(n)) for i in range(n)], n * n, 1.0
-    pairs, coverage = sample_pairs(words, pair_budget, seed)
-    rows = [(i, tuple(map(itemgetter(1), g))) for i, g in itertools.groupby(pairs, itemgetter(0))]
-    return rows, len(pairs), coverage
+        raise InputError(f"all {keys} x {n} decisions fit the pair budget {pair_budget}; "
+                         "none is sampled")
+    marked = {0, n - 1, max(range(n), key=lambda i: (sum(words[i]), i))}
+    rest = [j for j in range(n) if j not in marked]
+    fill = random.Random(seed).sample(rest, max(0, pair_budget // keys - len(marked)))
+    columns = sorted(marked.union(fill))
+    return columns, len(columns) / n
+
+
+def pair_rows(words: Sequence[Word], keys: int, pair_budget: int,
+              seed: int) -> tuple[Sequence[int], float]:
+    """The columns every first word is scanned against: every index when a
+    full scan's decisions, one per (end key of v, w) and so keys *
+    len(words) for keys distinct end keys, fit the budget, else
+    sample_pairs's. Returns (columns, coverage fraction)."""
+    if keys * len(words) <= pair_budget:
+        return range(len(words)), 1.0
+    return sample_pairs(words, keys, pair_budget, seed)
 
 
 class GapRow(NamedTuple):

@@ -132,19 +132,27 @@ def bound_report_payload(rep: verify.BoundReport) -> dict:
     }
 
 
-def equilibrium_payload(mm: transfer.MarkovMeasure, pd: transfer.PerronData) -> dict:
-    model = mm.model
-    payload = {
+def transfer_payload(model: transfer.TransferModel, pd: transfer.PerronData) -> dict:
+    """The transfer model's size and its Perron root, as `pressure` writes
+    them to transfer.json and `equilibrium` to equilibrium.json."""
+    return {
         "n_state": model.n_state,
         "state_count": model.state_count,
-        "lambda": mm.lam,
-        "ln_lambda": math.log(mm.lam),
+        "lambda": pd.lam,
+        "ln_lambda": math.log(pd.lam),
+        "residual": pd.residual,
+        "iterations": pd.iterations,
+    }
+
+
+def equilibrium_payload(mm: transfer.MarkovMeasure, pd: transfer.PerronData) -> dict:
+    model = mm.model
+    return {
+        **transfer_payload(model, pd),
         "entropy": mm.entropy,
         "phi_integral": mm.phi_integral,
         "identity_gap": mm.identity_gap,
         "stationarity_gap": mm.stationarity_gap,
-        "residual": pd.residual,
-        "iterations": pd.iterations,
         "stationary": {
             format_word(label): p for label, p in zip(model.labels, mm.pi)
         },
@@ -153,7 +161,6 @@ def equilibrium_payload(mm: transfer.MarkovMeasure, pd: transfer.PerronData) -> 
             for s in range(model.spec.alphabet_size)
         },
     }
-    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,10 @@ def verify_density_glue(
             def miss(start, w):
                 return next(((m,) for m in gaps if walk(start, (0,) * m + w) is None), None)
 
-            every = ((i, range(len(words))) for i in range(len(words)))
             starts = [walk(root, v) for v in words]
-            (v, w, (m,)), _ = gluing.glue_pairs(starts, words, every, miss, work, stops=truth)
+            (v, w, (m,)), _ = gluing.glue_pairs(
+                starts, words, range(len(words)), miss, work, stops=truth
+            )
             witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
             continue
         v0, w0 = (0,) * (n - a0) + heaviest[a0], heaviest[b0] + (0,) * (n - b0)
@@ -244,8 +245,8 @@ def verify_sparse_glue(
 ) -> BoundReport:
     """Certificate that some filler of length <= f(n) joins every pair.
 
-    Past the pair budget (gluing.pair_rows) a deterministic stratified
-    sample is used (all pairs touching the lexicographic extremes and a
+    Past the pair budget (gluing.pair_rows) every first word is checked
+    against sampled second words (the lexicographic extremes and a
     maximal-density word, plus a seeded fill); the coverage fraction is
     reported. A pair's gap is the least at which any filler glues, so a
     pair with none up to f(n) is a genuine counterexample whatever the

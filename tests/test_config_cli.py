@@ -691,6 +691,10 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
     ("verify partition_upper_anchor", {"horizons": {"n_max": 2}}, "horizons.n_max"),
     ("verify sparse_glue", {"sparse_glue": {"n_range": [4, 13]}, "subshift": SPARSE_STURMIAN},
      "sparse_glue.n_range"),  # past the declared bound's reach
+    # anchor_sequence needs the epsilons tightest last
+    ("anchors", {"anchors": {"epsilons": [0.4, 0.5]}}, "anchors.epsilons"),
+    ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilons": [0.4, 0.5]}},
+     "partition_upper_anchor.epsilons"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check
@@ -775,7 +779,8 @@ def test_density_glue_checks_its_height_table_before_its_pass(tmp_path, capsys):
     argv = ["verify", "density_glue", "--config", str(write_yaml(tmp_path, doc)),
             "--out", str(out), "--budget", "50"]
     assert main(argv) == 2
-    assert "need 126 for n=60" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checks.density_glue.n_range" in err and "need 126 for n=60" in err
     assert not out.exists()
 
 

@@ -129,24 +129,24 @@ def test_exhaustive_tries_match_the_lexicographic_oracle(case):
 # ---------------------------------------------------------------------------
 
 
+def end_keys(spec, words):
+    root = spec.root_walker()
+    return len({walk(root, v).key() for v in words})
+
+
 def test_sample_pairs_small_sets_are_exhaustive():
-    # a set that fits the budget reaches the scan as full rows, not as a
-    # list of pair tuples; sample_pairs draws samples only
+    # a set that fits the budget reaches the scan as every column, not as a
+    # sample; sample_pairs draws samples only
     words = list(iter_language(make_golden_mean(), 3))
     n = len(words)
-    rows, count, coverage = pair_rows(words, len(words), 10_000, seed=7)
-    assert coverage == 1.0 and count == n ** 2
-    assert [(i, list(js)) for i, js in rows] == [(i, list(range(n))) for i in range(n)]
+    assert pair_rows(words, n, 10_000, seed=7) == (range(n), 1.0)
     with pytest.raises(InputError, match="fit the pair budget"):
-        sample_pairs(words, n ** 2, seed=7)
+        sample_pairs(words, n, n ** 2, seed=7)
 
 
-def test_pair_rows_group_a_sample_by_first_word():
+def test_pair_rows_pass_a_sample_as_columns():
     words = list(iter_language(make_golden_mean(), 6))
-    pairs, coverage = sample_pairs(words, 120, seed=3)
-    rows, count, got = pair_rows(words, len(words), 120, seed=3)
-    assert (count, got) == (len(pairs), coverage)
-    assert [(i, j) for i, js in rows for j in js] == pairs
+    assert pair_rows(words, 3, 60, seed=3) == sample_pairs(words, 3, 60, seed=3)
 
 
 def test_pair_rows_are_full_once_the_decisions_fit_the_budget():
@@ -154,17 +154,15 @@ def test_pair_rows_are_full_once_the_decisions_fit_the_budget():
     # at n = 6 that is 3 keys x 21 words = 63 decisions for 441 pairs
     gm = make_golden_mean()
     words = list(iter_language(gm, 6))
-    root = gm.root_walker()
-    keys = len({walk(root, v).key() for v in words})
+    keys = end_keys(gm, words)
     assert (keys, len(words)) == (3, 21)
-    rows, count, coverage = pair_rows(words, keys, 63, seed=3)
-    assert (count, coverage) == (441, 1.0)
-    assert [(i, list(js)) for i, js in rows] == [(i, list(range(21))) for i in range(21)]
-    sampled = pair_rows(words, 21, 63, seed=3)  # the old rule, one key per word
-    assert sampled == pair_rows(words, keys, 62, seed=3)
-    assert 0 < sampled[2] < 1.0
+    assert pair_rows(words, keys, 63, seed=3) == (range(21), 1.0)
+    columns, coverage = pair_rows(words, keys, 62, seed=3)  # 62 // 3 columns
+    assert (len(columns), coverage) == (20, 20 / 21)
+    # the old rule, one key per word, leaves only the three marked columns
+    assert len(pair_rows(words, 21, 63, seed=3)[0]) == 3
     assert min_gap_profile(gm, 6, m_max=4, pair_budget=63).coverage == 1.0
-    assert min_gap_profile(gm, 6, m_max=4, pair_budget=62).coverage == sampled[2]
+    assert min_gap_profile(gm, 6, m_max=4, pair_budget=62).coverage == coverage
 
 
 @pytest.mark.parametrize("mode", [MODE_TRANSITIVITY, MODE_SPECIFICATION])
@@ -177,27 +175,41 @@ def test_golden_profiles_past_the_pair_budget_scan_every_pair(mode, n):
     assert work.pairs == len(list(iter_language(make_golden_mean(), n))) ** 2
 
 
+def test_sampled_scans_keep_their_probes_within_the_pair_budget():
+    # golden mean at n = 16: 3 end keys x 2584 words, full from 7752 on
+    gm = make_golden_mean()
+    words = list(iter_language(gm, 16))
+    assert (end_keys(gm, words), len(words)) == (3, 2584)
+    coverages = []
+    for pair_budget in (100, 600, 6000, 7751, 7752):
+        work = GlueWork()
+        row = min_gap_profile(gm, 16, m_max=4, pair_budget=pair_budget, work=work)
+        assert (row.f_empirical, row.status) == (1, "ok")
+        assert work.probes <= pair_budget
+        assert work.pairs == len(words) * round(row.coverage * len(words))
+        coverages.append(row.coverage)
+    assert coverages == sorted(coverages)
+    assert coverages[0] == 33 / 2584 and coverages[-2] >= 0.999 and coverages[-1] == 1.0
+
+
 def test_sample_pairs_budgeted_sample_is_deterministic_and_marked():
-    words = list(iter_language(make_golden_mean(), 6))  # 21 words
-    pairs, coverage = sample_pairs(words, 120, seed=3)
-    again, coverage2 = sample_pairs(words, 120, seed=3)
-    assert pairs == again and coverage == coverage2
-    assert coverage == pytest.approx(len(pairs) / 441)
-    assert len(pairs) >= 120
+    words = list(iter_language(make_golden_mean(), 6))  # 21 words, 3 end keys
+    columns, coverage = sample_pairs(words, 3, 45, seed=3)
+    assert (columns, coverage) == sample_pairs(words, 3, 45, seed=3)
+    assert len(columns) == 15 and coverage == 15 / 21
     n = len(words)
     heavy = max(range(n), key=lambda i: (sum(words[i]), i))
-    got = set(pairs)
-    for j in range(n):
-        for i in (0, n - 1, heavy):
-            assert (i, j) in got and (j, i) in got
-    assert pairs == sorted(pairs)
+    assert {0, n - 1, heavy} <= set(columns)
+    assert columns == sorted(set(columns))
+    # never fewer columns than the marked words, whatever the budget
+    assert sample_pairs(words, 3, 2, seed=3)[0] == sorted({0, n - 1, heavy})
 
 
 def test_sample_pairs_different_seeds_differ():
-    words = list(iter_language(make_golden_mean(), 6))
-    a, _ = sample_pairs(words, 120, seed=0)
-    b, _ = sample_pairs(words, 120, seed=1)
-    assert a != b
+    words = list(iter_language(make_golden_mean(), 16))
+    a, _ = sample_pairs(words, 3, 600, seed=0)
+    b, _ = sample_pairs(words, 3, 600, seed=1)
+    assert a != b and len(a) == len(b) == 200
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +432,9 @@ def test_sampled_profile_matches_oracle_replay(
     spec = make_sft(2, forbidden, declared_gap=declared)
     ok = oracles.sft_admissible(2, forbidden)
     words = [w for w in oracles.all_words(2, n) if ok(w)]
-    pairs, coverage = sample_pairs(words, pair_budget, seed)
+    columns, coverage = sample_pairs(words, end_keys(spec, words), pair_budget, seed)
     assert coverage < 1.0
+    pairs = [(i, j) for i in range(len(words)) for j in columns]
     work = GlueWork()
     row = min_gap_profile(spec, n, mode, m_max, pair_budget=pair_budget, seed=seed, work=work)
     want = oracles.gap_row(

@@ -17,6 +17,7 @@ from shiftpress.subshifts import (
     make_sft,
     make_sparse_sturmian,
     make_sturmian_factors,
+    walk,
 )
 from shiftpress.transfer import build_transfer, markov_equilibrium
 from shiftpress.verify import (
@@ -257,13 +258,18 @@ def test_sampled_sparse_glue_matches_oracle_replay(slope, n_seq, f, pair_budget,
     factors = {k: oracles.mechanical_factors(p, q, k) for k in (1, 2)}
     ns = [5, 6, 7]
     words_by_n = {n: oracles.sparse_language(p, q, n_seq, n) for n in ns}
-    sampled = {n: sample_pairs(words, pair_budget, seed) for n, words in words_by_n.items()}
+    root = sp.root_walker()
+    sampled = {
+        n: sample_pairs(words, len({walk(root, v).key() for v in words}), pair_budget, seed)
+        for n, words in words_by_n.items()
+    }
     rep = verify_sparse_glue(sp, ns, strategy="factor_glue", f=f,
                              pair_budget=pair_budget, seed=seed)
     margins, witnesses = oracles.sparse_glue(
         words_by_n, oracles.sparse_admissible(p, q, n_seq),
         lambda m, s: oracles.fillers(m, s, 2, factors), f or sp.declared_gap, "factor_glue",
-        {n: pairs for n, (pairs, _) in sampled.items()},
+        {n: [(i, j) for i in range(len(words_by_n[n])) for j in columns]
+         for n, (columns, _) in sampled.items()},
     )
     assert rep.margins == margins
     assert rep.witnesses == witnesses
