@@ -299,8 +299,7 @@ def _run_check(run: _Run, tag: str):
     key = f"checks.{tag}.n_range" if "n_range" in params else "horizons.n_max"
     if tag in (CHECK_DENSITY_GLUE, CHECK_SPARSE_GLUE):
         ns = run.lengths(key, params.get("n_range", range(2, min(n_max, 8) + 1)))
-        glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "seed": cfg.seed,
-                "work": run.glue_work()}
+        glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "work": run.glue_work()}
         if tag == CHECK_DENSITY_GLUE:
             try:
                 return verify.verify_density_glue(run.spec, ns, slack=params.get("slack", 4),
@@ -308,8 +307,9 @@ def _run_check(run: _Run, tag: str):
             except InputError as exc:  # on its family, lengths past the height table
                 if run.spec.family != "bounded_density":
                     raise
-                raise InputError(f"{key}: {exc}") from None
-        return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget,
+                keys = f"{key}, checks.{tag}.slack" if "slack" in params else key
+                raise InputError(f"{keys}: {exc}") from None
+        return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget, seed=cfg.seed,
                                          strategy=params.get("strategy", cfg.strategy), **glue)
     if tag == CHECK_PARTITION_SPEC:
         ns = run.lengths(key, params.get("n_range", range(1, n_max + 1)), 1, n_max)

@@ -5,7 +5,10 @@ BoundReport: a verdict, per-length margins (bound side minus measured
 side, so negative means violated), and witnesses for failures. Checks:
 
 * density_glue - bounded density shifts glue any two admissible words
-  with an all-zero filler at every gap >= the declared bound;
+  with an all-zero filler at every gap >= the declared bound, and any
+  three at the corner gaps m wherever 3n + 2m fits the height table; the
+  heaviest-word profile decides every pair and triple, so status.glue
+  probes and memo_hits count only the failure-path pair witness scan;
 * sparse_glue - sparse Sturmian pairs admit some filler of length at
   most the declared transitivity bound;
 * partition_upper_spec - lnZ(n) <= (n+f(n))P - f(n) inf(phi) + g(n);
@@ -24,8 +27,6 @@ Verdicts: pass, fail, precondition_fail (errors.py).
 from __future__ import annotations
 
 import math
-import random
-from itertools import islice
 from operator import truth
 from typing import Callable, Sequence
 
@@ -36,13 +37,10 @@ from .config import (
 )
 from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, _walk, forward, iter_language,
+    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, forward, iter_language,
     states_built, walk,
 )
 from .words import Word, format_word
-
-# triples (va, vb, vc) verify_density_glue spot-checks at each length
-TRIPLE_SAMPLE = 200
 
 
 class BoundReport:
@@ -108,10 +106,10 @@ def verify_density_glue(
     slack: int = 4,
     f: Callable[[int], int] | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
-    seed: int = 0,
     work: gluing.GlueWork | None = None,
 ) -> BoundReport:
-    """Certificate that v 0^m w stays admissible for all m >= f(n).
+    """Certificate that v 0^m w and v 0^m w 0^m u stay admissible for all
+    m >= f(n).
 
     Gaps m = f(n) .. f(n)+slack are checked for every pair of length-n
     words. Admissibility of v 0^m w is decided by its gap-crossing window
@@ -130,13 +128,17 @@ def verify_density_glue(
     all-zero filler rules out every other filler of the same length, so
     failures are genuine.
 
-    Triples v 0^m1 w 0^m2 u are spot-checked on a deterministic sample at
-    the corner gaps, drawn from the first six words of L_n and its least
-    word of largest sum. The walker after v 0^m is read once per v, and
-    whether the walker after v 0^m w 0^m reads u once per (walker, u).
-    work, when given, gets the counters added: every pair counts as
-    sampled, each triple checked and witness scan call as a probe, a
-    triple reusing the walker after v 0^m w 0^m as a memo hit, and the
+    Every triple v 0^m w 0^m u is decided by the same profile at the
+    corner gaps m = f(n) and f(n)+slack, wherever 3n + 2m fits the height
+    table. Once every pair glues, only a window crossing both gaps can
+    fail, and it holds all of w, so the least slack over all triples is
+    h(a+2m+n+b) - M(a) - M(n) - M(b). Each bound is reached by the words
+    0^(n-a) H(a), then H(n) for a triple, then H(b) 0^(n-b), H(j) the
+    least word of L_j of sum M(j); they are glued and walked once, and
+    IdentityCheckError is raised if the walker disagrees with the
+    profile. A failing triple is its own witness. work, when given, gets
+    the counters added: every pair counts as sampled, each pair the
+    failure-path witness scan reads as a probe or memo hit, and the
     pass's states as built.
     """
     if spec.family != "bounded_density":
@@ -157,6 +159,24 @@ def verify_density_glue(
                              f"for n={n}")
     n_top = max(n_range, default=0)
     counts, heavy, heaviest = zip(*_heaviest(root, spec.alphabet_size, n_top, budget))
+
+    def crossing(n: int, gaps, whole: int) -> tuple[int, int, list[Word]]:
+        """The least slack of a window that takes the last a symbols of one
+        word, whole entire words, and the first b symbols of the next, all
+        joined by m zeros, h(a+b+m+whole(n+m)) - M(a) - M(b) - whole M(n)
+        over (m, a, b); its m, and the words that reach it, checked on the
+        walker."""
+        worst, (m, a, b) = min(
+            (h[a + b + m + whole * (n + m)] - heavy[a] - heavy[b] - whole * heavy[n], (m, a, b))
+            for m in gaps for a in range(1, n + 1) for b in range(1, n + 1)
+        )
+        words = [(0,) * (n - a) + heaviest[a], *[heaviest[n]] * whole,
+                 heaviest[b] + (0,) * (n - b)]
+        if (walk(root, sum(((0,) * m + w for w in words[1:]), words[0])) is None) != (worst < 0):
+            raise IdentityCheckError(f"n={n}: the profile's least slack is {worst} at m={m}, "
+                                     f"but the walker disagrees on {words}")
+        return worst, m, words
+
     margins = []
     witnesses: dict = {}
     verdict = PASS
@@ -164,10 +184,7 @@ def verify_density_glue(
         work.words += counts[n]
         work.pairs += counts[n] ** 2
         gaps = range(fn, fn + slack + 1)
-        worst, (m0, a0, b0) = min(
-            (h[a + m + b] - heavy[a] - heavy[b], (m, a, b))
-            for m in gaps for a in range(1, n + 1) for b in range(1, n + 1)
-        )
+        worst, _, _ = crossing(n, gaps, 0)
         margins.append((n, float(worst)))
         if worst < 0:
             verdict = FAIL
@@ -183,40 +200,12 @@ def verify_density_glue(
             )
             witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
             continue
-        v0, w0 = (0,) * (n - a0) + heaviest[a0], heaviest[b0] + (0,) * (n - b0)
-        if walk(root, v0 + (0,) * m0 + w0) is None:
-            raise IdentityCheckError(f"n={n}: profile check passed but {(v0, m0, w0)} is forbidden")
-        # triple spot check at the corner gaps
-        rng = random.Random(seed)
-        base = [*islice(_walk(root, spec.alphabet_size, (), n), 6), heaviest[n]]
-        triples = [(a, b, c) for a in base for b in base for c in base]
-        if len(triples) > TRIPLE_SAMPLE:
-            triples = [triples[rng.randrange(len(triples))] for _ in range(TRIPLE_SAMPLE)]
-        for m in (fn, fn + slack):
-            if 3 * n + 2 * m > params.n_max:
-                continue
-            zeros, leads = (0,) * m, {}  # va -> walker after va 0^m
-            heads: dict = {}  # walker after va 0^m vb 0^m
-            reads: dict = {}  # (that walker, vc) -> whether it reads vc
-            for va, vb, vc in triples:
-                work.probes += 1
-                if (va, vb) not in heads:
-                    if va not in leads:
-                        leads[va] = walk(root, va + zeros)
-                    lead = leads[va]
-                    heads[va, vb] = None if lead is None else walk(lead, vb + zeros)
-                else:
-                    work.memo_hits += 1
-                head = heads[va, vb]
-                ok = head is not None and reads.get((head, vc))
-                if ok is None:
-                    ok = reads[head, vc] = walk(head, vc) is not None
-                if not ok:
-                    verdict = FAIL
-                    witnesses[n] = {"triple": [format_word(x) for x in (va, vb, vc)], "m": m}
-                    break
-            if n in witnesses:
-                break
+        corners = [m for m in (fn, fn + slack) if 3 * n + 2 * m <= params.n_max]
+        if corners:
+            worst, m, triple = crossing(n, corners, 1)
+            if worst < 0:
+                verdict = FAIL
+                witnesses[n] = {"triple": [format_word(x) for x in triple], "m": m}
     work.states += states_built(root)
     return BoundReport(
         check=CHECK_DENSITY_GLUE,

@@ -459,7 +459,10 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
         work = status["glue"]
         assert sorted(work) == ["memo_hits", "pairs", "probes", "states", "words"]
         assert work["words"] >= 1 and work["pairs"] >= 1 and work["states"] >= 1
-        assert work["probes"] >= 1 and work["memo_hits"] >= 0
+        if command == "verify density_glue":  # a passing certificate makes no probes
+            assert work["probes"] == work["memo_hits"] == 0
+        else:
+            assert work["probes"] >= 1 and work["memo_hits"] >= 0
         assert {k: work[k] for k in GLUE_PINNED} == want["glue"]
     n_state = load_config(config).horizons.n_state
     if command in TRANSFER_COMMANDS and n_state is not None:
@@ -695,6 +698,10 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
     ("anchors", {"anchors": {"epsilons": [0.4, 0.5]}}, "anchors.epsilons"),
     ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilons": [0.4, 0.5]}},
      "partition_upper_anchor.epsilons"),
+    # n = 2 needs h up to 2 * 2 + f(2) + 60 = 66 > 64: the slack overruns the table
+    ("verify density_glue", {"density_glue": {"slack": 60},
+                             "subshift": _bd(height={**BD_HEIGHT, "n_max": 64})},
+     "density_glue.slack"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check

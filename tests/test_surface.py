@@ -92,3 +92,13 @@ def test_one_module_makes_the_rounding_contexts():
 def test_every_exported_name_resolves():
     assert len(set(shiftpress.__all__)) == len(shiftpress.__all__)
     assert [name for name in shiftpress.__all__ if not hasattr(shiftpress, name)] == []
+
+
+def test_the_oracles_use_no_package_code():
+    # tests/oracles.py is the independent reference the package is checked
+    # against, so it imports nothing from shiftpress, at any depth
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and [name for name in imported if name.split(".")[0] == "shiftpress"] == []

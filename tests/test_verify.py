@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -165,8 +166,8 @@ def test_density_glue_margins_come_without_listing_the_language(monkeypatch):
 
 def test_density_glue_triple_witnesses_are_genuine():
     # h(L) = min(L, 2 + L // 2) at gap 2 joins every pair but not every
-    # triple at n = 3; the counters count every triple checked, however
-    # many walks the walker memos save
+    # triple at n = 3; the profile decides the triples, so the counters
+    # count only the pair witness scans at n = 4, 5 and 6
     h = [min(L, 2 + L // 2) for L in range(1, 41)]
     work = GlueWork()
     rep = verify_density_glue(make_bounded_density(1, h), range(2, 7), slack=0,
@@ -180,7 +181,63 @@ def test_density_glue_triple_witnesses_are_genuine():
         v, w = (tuple(map(int, got[k])) for k in "vw")
         assert ok(v) and ok(w) and not ok(v + (0,) * got["m"] + w)
     assert not ok((1, 1, 1, 0, 0) * 2 + (1, 1, 1))
-    assert (work.probes, work.memo_hits) == (714, 663)
+    assert (work.probes, work.memo_hits) == (418, 432)
+
+
+def _density_glue_failures(k, h, n, gaps):
+    """Brute force over L_n: whether some pair fails at a gap in gaps or,
+    every pair gluing, some triple v 0^m w 0^m u fails at a corner gap m
+    with 3n + 2m within the table."""
+    words = oracles.bd_language(k, h, n)
+    ok = oracles.bd_admissible(h)
+    if any(not ok(v + (0,) * m + w) for m in gaps for v in words for w in words):
+        return True
+    corners = [m for m in (gaps[0], gaps[-1]) if 3 * n + 2 * m <= len(h) - 1]
+    return any(not ok(v + (0,) * m + w + (0,) * m + u)
+               for m in corners for v in words for w in words for u in words)
+
+
+def _check_against_brute_force(k, heights, n_range, f, slack):
+    rep = verify_density_glue(make_bounded_density(k, heights), n_range, slack=slack, f=f)
+    h = [0, *heights]
+    failing = [n for n in n_range if _density_glue_failures(k, h, n, range(f(n), f(n) + slack + 1))]
+    assert sorted(rep.witnesses) == failing
+    assert rep.verdict == (FAIL if failing else PASS)
+    ok = oracles.bd_admissible(h)
+    for got in rep.witnesses.values():
+        if "triple" in got:
+            v, w, u = (tuple(map(int, x)) for x in got["triple"])
+            z = (0,) * got["m"]
+            assert ok(v) and ok(w) and ok(u) and len(v) == len(w) == len(u)
+            assert not ok(v + z + w + z + u)
+    return rep
+
+
+def test_density_glue_refutes_a_triple_no_pair_refutes():
+    # every pair glues at gap 2, but 12 00 012 00 12 sums to 9 > h(11) = 8
+    heights = [2, 3, 3, 4, 5, 6, 6, 6, 8, 8, 8, 9, 9]
+    rep = _check_against_brute_force(2, heights, [3], lambda n: 2, 0)
+    assert rep.margins == ((3, 0.0),)
+    assert rep.witnesses == {3: {"triple": ["012", "012", "120"], "m": 2}}
+
+
+def test_density_glue_verdicts_match_brute_force_over_pairs_and_triples():
+    # seeded positive, non-decreasing, subadditive tables, some too short
+    # for the triples at the far corner gap
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(40):
+        k = rng.choice((1, 2))
+        n_top = rng.choice((2, 3)) if k == 2 else rng.choice((2, 3, 4))
+        gap, slack = rng.randrange(3), rng.randrange(2)
+        n_max = rng.randrange(2 * n_top + gap + slack, 3 * n_top + 2 * (gap + slack) + 2)
+        h = [0, rng.randint(1, k)]
+        for j in range(2, n_max + 1):
+            cap = min(h[i] + h[j - i] for i in range(1, j))
+            h.append(min(cap, h[-1] + rng.randrange(3)))
+        rep = _check_against_brute_force(k, h[1:], range(1, n_top + 1), lambda n: gap, slack)
+        verdicts.append(rep.verdict)
+    assert {PASS, FAIL} <= set(verdicts)
 
 
 def test_density_glue_input_guards():
