@@ -302,13 +302,11 @@ def _run_check(run: _Run, tag: str):
         glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "work": run.glue_work()}
         if tag == CHECK_DENSITY_GLUE:
             try:
-                return verify.verify_density_glue(run.spec, ns, slack=params.get("slack", 4),
-                                                  **glue)
+                return verify.verify_density_glue(run.spec, ns, **glue)
             except InputError as exc:  # on its family, lengths past the height table
                 if run.spec.family != "bounded_density":
                     raise
-                keys = f"{key}, checks.{tag}.slack" if "slack" in params else key
-                raise InputError(f"{keys}: {exc}") from None
+                raise InputError(f"{key}: {exc}") from None
         return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget, seed=cfg.seed,
                                          strategy=params.get("strategy", cfg.strategy), **glue)
     if tag == CHECK_PARTITION_SPEC:

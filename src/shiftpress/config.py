@@ -29,7 +29,7 @@ Schema sketch, with the keys each family, form and kind allows::
     seed: 0
     pair_budget: 200000
     checks:                # CHECK_TABLES lists each check's keys
-      density_glue: {n_range: [2, 3, 4], slack: 4}
+      density_glue: {n_range: [2, 3, 4]}
     output_dir: out
 
 Documents are read by read_yaml, a strict reader of the YAML subset
@@ -309,6 +309,7 @@ def _epsilons(value, path) -> list[float]:  # anchor_sequence's targets, tightes
 
 
 _VERIFY_TABLES = {
+    # density_glue's slack is accepted and read by nothing: gap f(n) decides every longer gap
     CHECK_DENSITY_GLUE: {"n_range": _N_RANGE, "slack": _natural, "f_const": _natural},
     CHECK_SPARSE_GLUE: {"n_range": _N_RANGE, "strategy": _one_of(*STRATEGIES),
                         "f_const": _natural},

@@ -4,11 +4,10 @@ Each verifier measures an inequality on concrete data and returns a
 BoundReport: a verdict, per-length margins (bound side minus measured
 side, so negative means violated), and witnesses for failures. Checks:
 
-* density_glue - bounded density shifts glue any two admissible words
-  with an all-zero filler at every gap >= the declared bound, and any
-  three at the corner gaps m wherever 3n + 2m fits the height table; the
-  heaviest-word profile decides every pair and triple, so status.glue
-  probes and memo_hits count only the failure-path pair witness scan;
+* density_glue - bounded density shifts glue every finite list of
+  admissible words with all-zero fillers at every gap >= the declared
+  bound; the heaviest-word profile decides every list at once, so no
+  word is listed and status.glue probes and memo_hits stay 0;
 * sparse_glue - sparse Sturmian pairs admit some filler of length at
   most the declared transitivity bound;
 * partition_upper_spec - lnZ(n) <= (n+f(n))P - f(n) inf(phi) + g(n);
@@ -27,7 +26,6 @@ Verdicts: pass, fail, precondition_fail (errors.py).
 from __future__ import annotations
 
 import math
-from operator import truth
 from typing import Callable, Sequence
 
 from . import gluing, pressure as pressure_mod, transfer  # run by the checks that use them
@@ -37,8 +35,7 @@ from .config import (
 )
 from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, forward, iter_language,
-    states_built, walk,
+    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, forward, states_built, walk,
 )
 from .words import Word, format_word
 
@@ -103,48 +100,45 @@ def verify_density_glue(
     spec: SubshiftSpec,
     n_range: Sequence[int],
     *,
-    slack: int = 4,
     f: Callable[[int], int] | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
     work: gluing.GlueWork | None = None,
 ) -> BoundReport:
-    """Certificate that v 0^m w and v 0^m w 0^m u stay admissible for all
-    m >= f(n).
+    """Certificate that every list v 0^m w 0^m ... 0^m u of words of L_n
+    stays admissible for all m >= f(n).
 
-    Gaps m = f(n) .. f(n)+slack are checked for every pair of length-n
-    words. Admissibility of v 0^m w is decided by its gap-crossing window
-    sums (windows inside v, inside w, or ending in the zero run are
-    covered by admissibility of v and w and monotonicity of h). A window
-    taking the last a symbols of v and the first b of w has slack
-    h(a+m+b) - suf_v(a) - pre_w(b), whose v part and w part are
-    independent, so its least value over all pairs is
-    h(a+m+b) - M(a) - M(b), and the least of those over (m, a, b) decides
-    every pair at once. Here M(a), the largest sum over L_a, is both
-    max_v suf_v(a) and max_w pre_w(a): 0^(n-a) u and u 0^(n-a) are in L_n
-    for every u in L_a, since h is non-decreasing. One forward pass over
-    walker keys (_heaviest) gives M and |L_n| without listing L_n; on
-    failure L_n is listed and the lexicographically least violating pair
-    recovered by a direct scan. Since 0 is the minimal symbol, a failing
-    all-zero filler rules out every other filler of the same length, so
-    failures are genuine.
+    The walker caps windows of length up to the height table's n_max, so a
+    list glues iff every such window across a gap fits. Windows inside a
+    word are covered by its admissibility, and a window that starts or
+    ends in a zero run by a shorter one, as h is non-decreasing; the rest
+    take the last a symbols of one word, whole entire words and the first
+    b symbols of another, joined by m zeros. Such a window has slack
+    h(a+b+m+whole(n+m)) - suf(a) - (the whole words' sums) - pre(b), whose
+    parts are independent, so its least value over all lists is
+    h(a+b+m+whole(n+m)) - M(a) - M(b) - whole M(n). Here M(a), the largest
+    sum over L_a, is both the largest suffix and the largest prefix sum of
+    L_n: 0^(n-a) u and u 0^(n-a) are in L_n for every u in L_a. Longer gaps
+    only lengthen windows, so m = f(n) decides every gap >= f(n). A
+    length's margin is the least slack over whole = 0 (pairs), 1
+    (triples), ..., up to the most entire words a window within the table
+    holds, and over the (a, b) whose window fits. One forward pass over
+    walker keys (_heaviest) gives M, the heaviest words H(a) and |L_n|
+    without listing L_n.
 
-    Every triple v 0^m w 0^m u is decided by the same profile at the
-    corner gaps m = f(n) and f(n)+slack, wherever 3n + 2m fits the height
-    table. Once every pair glues, only a window crossing both gaps can
-    fail, and it holds all of w, so the least slack over all triples is
-    h(a+2m+n+b) - M(a) - M(n) - M(b). Each bound is reached by the words
-    0^(n-a) H(a), then H(n) for a triple, then H(b) 0^(n-b), H(j) the
-    least word of L_j of sum M(j); they are glued and walked once, and
-    IdentityCheckError is raised if the walker disagrees with the
-    profile. A failing triple is its own witness. work, when given, gets
-    the counters added: every pair counts as sampled, each pair the
-    failure-path witness scan reads as a probe or memo hit, and the
-    pass's states as built.
+    Each whole's least slack is reached by the list 0^(n-a) H(a), H(n)
+    whole times, H(b) 0^(n-b). Its window core H(a) 0^m [H(n) 0^m]^whole
+    H(b), at most n_max long, is walked up to the least failing whole, and
+    IdentityCheckError is raised if the walker disagrees with the profile.
+    That list is the failing length's witness. Since 0 is the minimal
+    symbol, a failing all-zero filler rules out every other filler of the
+    same length, so failures are genuine. work, when given, gets the
+    counters added: every pair counts as sampled, nothing is probed, and
+    the pass's and walks' states count as built.
     """
     if spec.family != "bounded_density":
         raise InputError("density_glue runs on bounded density instances")
     params = spec.params["density"]
-    h = params.h
+    h, n_max = params.h, params.n_max
     root = spec.root_walker()
     work = gluing.GlueWork() if work is None else work
     f_at = f if f is not None else spec.declared_gap
@@ -153,66 +147,43 @@ def verify_density_glue(
         if n < 1:
             raise InputError("lengths must be >= 1")
         fns.append(f_at(n))
-        need = 2 * n + fns[-1] + slack
-        if need > params.n_max:
-            raise InputError(f"height table covers lengths <= {params.n_max}, need {need} "
-                             f"for n={n}")
+        if 2 * n + fns[-1] > n_max:
+            raise InputError(f"height table covers lengths <= {n_max}, "
+                             f"need {2 * n + fns[-1]} for n={n}")
     n_top = max(n_range, default=0)
     counts, heavy, heaviest = zip(*_heaviest(root, spec.alphabet_size, n_top, budget))
-
-    def crossing(n: int, gaps, whole: int) -> tuple[int, int, list[Word]]:
-        """The least slack of a window that takes the last a symbols of one
-        word, whole entire words, and the first b symbols of the next, all
-        joined by m zeros, h(a+b+m+whole(n+m)) - M(a) - M(b) - whole M(n)
-        over (m, a, b); its m, and the words that reach it, checked on the
-        walker."""
-        worst, (m, a, b) = min(
-            (h[a + b + m + whole * (n + m)] - heavy[a] - heavy[b] - whole * heavy[n], (m, a, b))
-            for m in gaps for a in range(1, n + 1) for b in range(1, n + 1)
-        )
-        words = [(0,) * (n - a) + heaviest[a], *[heaviest[n]] * whole,
-                 heaviest[b] + (0,) * (n - b)]
-        if (walk(root, sum(((0,) * m + w for w in words[1:]), words[0])) is None) != (worst < 0):
-            raise IdentityCheckError(f"n={n}: the profile's least slack is {worst} at m={m}, "
-                                     f"but the walker disagrees on {words}")
-        return worst, m, words
-
     margins = []
     witnesses: dict = {}
-    verdict = PASS
-    for n, fn in zip(n_range, fns):
+    for n, m in zip(n_range, fns):
         work.words += counts[n]
         work.pairs += counts[n] ** 2
-        gaps = range(fn, fn + slack + 1)
-        worst, _, _ = crossing(n, gaps, 0)
-        margins.append((n, float(worst)))
-        if worst < 0:
-            verdict = FAIL
-            # lexicographically least violating pair and least gap
-            words = list(iter_language(spec, n, budget))
-
-            def miss(start, w):
-                return next(((m,) for m in gaps if walk(start, (0,) * m + w) is None), None)
-
-            starts = [walk(root, v) for v in words]
-            (v, w, (m,)), _ = gluing.glue_pairs(
-                starts, words, range(len(words)), miss, work, stops=truth
+        least = math.inf
+        for whole in range((n_max - 2 - m) // (n + m) + 1):
+            span = m + whole * (n + m)  # the window's gaps and entire words
+            worst, a, b = min(
+                (h[a + b + span] - heavy[a] - heavy[b] - whole * heavy[n], a, b)
+                for a in range(1, n + 1) for b in range(1, min(n, n_max - span - a) + 1)
             )
-            witnesses[n] = {"v": format_word(v), "w": format_word(w), "m": m}
-            continue
-        corners = [m for m in (fn, fn + slack) if 3 * n + 2 * m <= params.n_max]
-        if corners:
-            worst, m, triple = crossing(n, corners, 1)
+            least = min(least, worst)
+            if n in witnesses:
+                continue
+            middle = [heaviest[n]] * whole
+            core = sum(((0,) * m + w for w in [*middle, heaviest[b]]), heaviest[a])
+            if (walk(root, core) is None) != (worst < 0):
+                raise IdentityCheckError(f"n={n}: the profile's least slack is {worst} for "
+                                         f"whole={whole}, but the walker disagrees on "
+                                         f"{format_word(core)}")
             if worst < 0:
-                verdict = FAIL
-                witnesses[n] = {"triple": [format_word(x) for x in triple], "m": m}
+                words = [(0,) * (n - a) + heaviest[a], *middle, heaviest[b] + (0,) * (n - b)]
+                witnesses[n] = {"words": [format_word(w) for w in words], "m": m}
+        margins.append((n, float(least)))
     work.states += states_built(root)
     return BoundReport(
         check=CHECK_DENSITY_GLUE,
-        verdict=verdict,
+        verdict=FAIL if witnesses else PASS,
         margins=tuple(margins),
         witnesses=witnesses,
-        extra={"slack": slack, "e_monotone": params.e_monotone},
+        extra={"e_monotone": params.e_monotone},
     )
 
 

@@ -7,7 +7,8 @@ concrete padded words. Partition references that must hold with zero
 slack are computed in 60-digit decimal arithmetic from the exact values of
 the float inputs. Block graphs come from membership of every joined word,
 with connectivity by boolean closure, and the Perron root and the Markov
-equilibrium from dense numpy eigenvalues and eigenvectors. Slow on purpose; keep instances at desk scale.
+equilibrium from dense numpy eigenvalues and eigenvectors. Slow on
+purpose; keep instances at desk scale.
 """
 
 import itertools

@@ -153,7 +153,7 @@ def test_criterion_05_density_gluing_certificate(tmp_path):
     assert bd.params["density"].alpha == Fraction(1, 2)
     for n in range(1, 13):
         assert bd.declared_gap(n) == 2  # ceil(2 * (1/2) / (1/2))
-    rep = verify_density_glue(bd, range(1, 13), slack=4)
+    rep = verify_density_glue(bd, range(1, 13))
     assert rep.verdict == PASS
     assert rep.min_margin() >= 0.0
 
@@ -166,7 +166,7 @@ def test_criterion_05_density_gluing_certificate(tmp_path):
     assert code == 5
     report = json.loads((out / "report_density_glue.json").read_text())
     assert report["verdict"] == "fail"
-    assert report["witnesses"]["2"] == {"v": "01", "w": "10", "m": 0}
+    assert report["witnesses"]["2"] == {"words": ["01", "10"], "m": 0}
     assert time.monotonic() - t0 < 60.0
 
 

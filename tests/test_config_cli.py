@@ -429,7 +429,10 @@ def test_pressure_outputs_and_determinism(tmp_path):
 # were recorded before pair scans were summarised per end key.
 # `full_shift_run:pressure` gained payload hashes when g(n) began to be
 # summed exactly and rounded up: its bracket lower sides at n = 4, 5 and 8
-# dropped one ulp, and its partition rows and best_lo did not move.
+# dropped one ulp, and its partition rows and best_lo did not move. The
+# `bounded_density` hashes were re-recorded when `slack`, which no check
+# reads, left `configs/bounded_density.yaml`: the config digest in each
+# payload moved, and `report_density_glue.json` lost its `slack` field.
 PINS = json.loads((Path(__file__).resolve().parent / "shipped_cli_pins.json").read_text())
 TRANSFER_COMMANDS = ("pressure", "equilibrium", "verify measure_lower")
 GLUE_COMMANDS = ("gap-profile", "verify density_glue", "verify sparse_glue")
@@ -498,7 +501,8 @@ def test_shipped_config_results_are_pinned(tmp_path, case):
 
 # Payload sha256s and status.glue counters of the benchmark's glue_search
 # ops at two seeds, recorded before pair scans were summarised per end key
-# and density_glue stopped listing L_n.
+# and density_glue stopped listing L_n; the bd.density_glue hashes were
+# re-recorded when its report lost its `slack` field.
 GLUE_SEARCH_PINS = json.loads(
     (Path(__file__).resolve().parent / "glue_search_pins.json").read_text()
 )
@@ -698,10 +702,11 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
     ("anchors", {"anchors": {"epsilons": [0.4, 0.5]}}, "anchors.epsilons"),
     ("verify partition_upper_anchor", {"partition_upper_anchor": {"epsilons": [0.4, 0.5]}},
      "partition_upper_anchor.epsilons"),
-    # n = 2 needs h up to 2 * 2 + f(2) + 60 = 66 > 64: the slack overruns the table
-    ("verify density_glue", {"density_glue": {"slack": 60},
+    # n = 31 needs h up to 2 * 31 + f(31) = 64 and n = 32 needs 66 > 64; the
+    # slack, read by no check, is not blamed
+    ("verify density_glue", {"density_glue": {"slack": 60, "n_range": [31, 32]},
                              "subshift": _bd(height={**BD_HEIGHT, "n_max": 64})},
-     "density_glue.slack"),
+     "density_glue.n_range"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check
@@ -778,7 +783,7 @@ def test_default_lengths_beyond_the_gap_reach_exit_2_naming_n_max(tmp_path, caps
 
 
 def test_density_glue_checks_its_height_table_before_its_pass(tmp_path, capsys):
-    # n = 60 needs h up to 2 * 60 + f(60) + 4 = 126 > 64; a budget of 50
+    # n = 60 needs h up to 2 * 60 + f(60) = 122 > 64; a budget of 50
     # nodes would run out at length 14 of the pass, so the need is read first
     doc = read_yaml((CONFIG_DIR / "bounded_density.yaml").read_text())
     doc["checks"]["density_glue"]["n_range"] = [2, 60]
@@ -787,7 +792,7 @@ def test_density_glue_checks_its_height_table_before_its_pass(tmp_path, capsys):
             "--out", str(out), "--budget", "50"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "checks.density_glue.n_range" in err and "need 126 for n=60" in err
+    assert "checks.density_glue.n_range: height table" in err and "need 122 for n=60" in err
     assert not out.exists()
 
 
@@ -921,7 +926,8 @@ def test_transitivity_reads_the_density_table_only_to_the_least_gap(tmp_path, ca
            "strategy": "exhaustive", "horizons": {"n_max": 4, "m_max": 8},
            "checks": {"gap_profile": {"n_range": [4]}}}
     out = tmp_path / "out"
-    assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == rc
+    argv = ["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]
+    assert main(argv) == rc
     if rc:
         assert "height table only covers lengths <= 8" in capsys.readouterr().err
         assert not out.exists()
@@ -960,6 +966,27 @@ def test_verify_density_glue_via_cli(tmp_path):
     report = json.loads((out / "report_density_glue.json").read_text())
     assert report["verdict"] == "pass"
     assert [n for n, _ in report["margins"]] == [2, 3, 4, 5]
+    assert "slack" not in report["extra"]  # accepted, and read by no check
+
+
+def test_verify_density_glue_reports_a_five_word_witness_via_cli(tmp_path):
+    # h(j) = min(j, 13 + floor(3(j - 13)/4)): at gap 0 every list of four
+    # words of L_3 glues, but 011 111 111 111 111 holds 1^14 > h(14) = 13
+    doc = {
+        "subshift": {"family": "bounded_density", "k": 1, "height": {
+            "form": "table", "values": [min(j, 13 + 3 * (j - 13) // 4) for j in range(1, 41)]}},
+        "horizons": {"n_max": 8},
+        "checks": {"density_glue": {"n_range": [3], "f_const": 0}},
+    }
+    cfg_path = write_yaml(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["verify", "density_glue", "--config", str(cfg_path), "--out", str(out)]) == 5
+    report = json.loads((out / "report_density_glue.json").read_text())
+    assert report["verdict"] == "fail"
+    assert report["margins"] == [[3, -7.0]]
+    assert report["witnesses"]["3"] == {"words": ["011", "111", "111", "111", "111"], "m": 0}
+    status = json.loads((out / "manifest.json").read_text())["status"]["glue"]
+    assert status["probes"] == status["memo_hits"] == 0
 
 
 def test_verify_sparse_glue_via_cli(tmp_path):
@@ -989,7 +1016,8 @@ def test_verify_anchor_via_cli(tmp_path):
     )
     cfg_path = write_yaml(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["verify", "partition_upper_anchor", "--config", str(cfg_path), "--out", str(out)]) == 0
+    argv = ["verify", "partition_upper_anchor", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
     report = json.loads((out / "report_partition_upper_anchor.json").read_text())
     assert report["extra"]["onset_index"] == 1
     assert [n for n, _ in report["margins"]] == [8, 13]

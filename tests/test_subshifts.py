@@ -496,7 +496,8 @@ _FAMILIES = st.one_of(
     _family(st.tuples(st.just("full"), st.integers(1, 3)), (0, 4), 2),
     _family(st.just(("sft", ((1, 1),))), (0, 7), 3),
     _family(
-        st.tuples(st.just("sft"), st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
+        st.tuples(st.just("sft"),
+                  st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
         (0, 7), 3,
     ),
     _family(st.tuples(st.just("bd"), st.just(1), _HEIGHTS), (0, 7), 3),
@@ -540,7 +541,8 @@ def test_equal_keys_admit_the_same_continuations(family):
 # that the brute-force languages stay small
 _COUNTED = st.one_of(
     st.tuples(
-        st.tuples(st.just("sft"), st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
+        st.tuples(st.just("sft"),
+                  st.lists(_BINARY, min_size=1, max_size=3, unique=True).map(tuple)),
         st.integers(0, 10),
     ),
     st.tuples(st.just(("product",)), st.integers(0, 6)),

@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 import oracles
-from shiftpress import verify
+from shiftpress import gluing, subshifts, verify
 from shiftpress.errors import BudgetExceededError, IdentityCheckError, InputError
 from shiftpress.gluing import GlueWork, sample_pairs
 from shiftpress.potentials import ZeroPotential
@@ -68,43 +69,53 @@ def test_density_glue_passes_at_declared_gap():
     rep = verify_density_glue(bd, range(2, 9))
     assert rep.verdict == PASS
     assert rep.min_margin() >= 0.0
-    assert rep.extra["e_monotone"] is False
+    assert rep.extra == {"e_monotone": False}
 
 
-def test_density_glue_underdeclared_gap_yields_lex_least_witness():
+def test_density_glue_underdeclared_gap_yields_the_extremal_pair():
+    # the least slack at n = 2, gap 0 is h(2) - M(1) - M(1) = -1, reached by
+    # 0 H(1) and H(1) 0, H(1) = 1
     bd = half_density()
     rep = verify_density_glue(bd, [2], f=lambda n: 0)
     assert rep.verdict == FAIL
-    assert rep.min_margin() < 0
-    assert rep.witnesses[2] == {"v": "01", "w": "10", "m": 0}
+    assert rep.margins == ((2, -1.0),)
+    assert rep.witnesses[2] == {"words": ["01", "10"], "m": 0}
 
 
 def test_density_glue_raises_when_the_walker_contradicts_the_profiles():
     # profiles read from a looser height table than the walker enforces: the
-    # quotient passes, and replaying its worst pair must raise, not assert
+    # quotient passes, and walking its worst window core must raise, not assert
     strict, loose = half_density(), make_bounded_density(1, list(range(1, 65)))
     strict.params["density"] = loose.params["density"]
     with pytest.raises(IdentityCheckError):
         verify_density_glue(strict, [2], f=lambda n: 0)
 
 
-def _density_glue_reference(k, h, n, gaps):
-    """Brute-force least slack h(a+m+b) - (last a of v) - (first b of w) over
-    every pair (v, w) of length-n words, gap m and window split (a, b), and
-    the lexicographically least pair with a gap whose zero filler fails."""
+def _density_glue_reference(k, h, n, m):
+    """Brute-force least slack of a window across the gaps of a list of
+    length-n words joined by m zeros: h(L) less the largest sum of the last
+    a symbols of a word of L_n, whole times the largest sum of one, and the
+    largest sum of the first b symbols of one, over every whole and split
+    (a, b) whose length L = a + b + m + whole (n + m) is within the table."""
     words = oracles.bd_language(k, h, n)
-    ok = oracles.bd_admissible(h)
-    worst = min(
-        h[a + m + b] - sum(v[n - a:]) - sum(w[:b])
-        for v in words for w in words for m in gaps
-        for a in range(1, n + 1) for b in range(1, n + 1)
-    )
-    witness = next(
-        ({"v": "".join(map(str, v)), "w": "".join(map(str, w)), "m": m}
-         for v in words for w in words for m in gaps if not ok(v + (0,) * m + w)),
-        None,
-    )
-    return float(worst), witness
+    suf = [max(sum(v[n - a:]) for v in words) for a in range(n + 1)]
+    pre = [max(sum(w[:b]) for w in words) for b in range(n + 1)]
+    n_max = len(h) - 1
+    return float(min(
+        h[a + b + m + whole * (n + m)] - suf[a] - whole * suf[n] - pre[b]
+        for whole in range(n_max) for a in range(1, n + 1) for b in range(1, n + 1)
+        if a + b + m + whole * (n + m) <= n_max
+    ))
+
+
+def _genuine(h, n, witness):
+    """Whether a witness lists words of L_n whose join at its gap is
+    forbidden, h as in oracles.bd_admissible; windows past the table are
+    not checked, as the walker does not check them."""
+    ok = oracles.window_admissible(h, len(h) - 1)
+    words = [tuple(map(int, x)) for x in witness["words"]]
+    joined = sum(((0,) * witness["m"] + w for w in words[1:]), words[0])
+    return all(len(w) == n and ok(w) for w in words) and not ok(joined)
 
 
 @pytest.mark.parametrize("k, heights, n_range, f", [
@@ -117,135 +128,155 @@ def test_density_glue_margins_match_brute_force(k, heights, n_range, f):
     f_at = f if f is not None else bd.declared_gap
     rep = verify_density_glue(bd, n_range, f=f)
     h = [0] + heights
-    expect, failing = [], {}
-    for n in n_range:
-        worst, witness = _density_glue_reference(k, h, n, range(f_at(n), f_at(n) + 5))
-        expect.append((n, worst))
-        if witness is not None:
-            failing[n] = witness
-    assert rep.margins == tuple(expect)
-    assert {n: rep.witnesses[n] for n in failing} == failing
-    assert rep.verdict == (FAIL if failing else PASS)
-    assert (min(m for _, m in expect) < 0) == bool(failing)
+    expect = tuple((n, _density_glue_reference(k, h, n, f_at(n))) for n in n_range)
+    assert rep.margins == expect
+    assert sorted(rep.witnesses) == [n for n, m in expect if m < 0]
+    assert all(_genuine(h, n, got) for n, got in rep.witnesses.items())
+    assert rep.verdict == (FAIL if rep.witnesses else PASS)
     if f is not None:
-        assert failing[2] == {"v": "01", "w": "10", "m": 0}
+        assert rep.witnesses[2] == {"words": ["01", "10"], "m": 0}
 
 
-def test_density_glue_margins_come_without_listing_the_language(monkeypatch):
+@pytest.mark.parametrize("gap", [None, 0])
+def test_density_glue_margins_come_without_listing_the_language(monkeypatch, gap):
     # h(j) = ceil(j/2) on {0, 1} is the golden mean, |L_29| = fib(31) =
-    # 1,346,269; the heaviest words are 1010..., so M(a) = ceil(a/2)
+    # 1,346,269; the heaviest words are 1010..., so M(a) = ceil(a/2). The
+    # declared gap passes; gap 0 fails at every length, and neither lists L_n
+    # nor probes a pair
     def refuse(*args, **kwargs):
-        raise AssertionError("L_n listed on a passing run")
+        raise AssertionError("L_n listed or scanned")
 
-    monkeypatch.setattr(verify, "iter_language", refuse)
+    monkeypatch.setattr(subshifts, "iter_language", refuse)
+    monkeypatch.setattr(gluing, "glue_pairs", refuse)
     bd, ns, work = half_density(), range(2, 30), GlueWork()
+    f = bd.declared_gap if gap is None else (lambda n: gap)
     assert oracles.fib(31) == 1_346_269
     tally = Tally()
     language_counts(bd, 29, tally=tally)
     assert tally.nodes <= 2 * 2 * 29  # two keys a level: the last symbol
     with pytest.raises(BudgetExceededError):
-        verify_density_glue(bd, ns, budget=tally.nodes - 1)
-    rep = verify_density_glue(bd, ns, budget=tally.nodes, work=work)
-    assert rep.verdict == PASS
+        verify_density_glue(bd, ns, f=f, budget=tally.nodes - 1)
+    rep = verify_density_glue(bd, ns, f=f, budget=tally.nodes, work=work)
+    assert rep.verdict == (PASS if gap is None else FAIL)
 
     def half(j):  # h(j) and M(j) alike
         return -(-j // 2)
 
     want = []
     for n in ns:
-        f = bd.declared_gap(n)
+        m = f(n)
         want.append((n, float(min(
-            half(a + m + b) - half(a) - half(b)
-            for m in range(f, f + 5) for a in range(1, n + 1) for b in range(1, n + 1)
+            half(a + b + m + whole * (n + m)) - half(a) - half(b) - whole * half(n)
+            for whole in range(64) for a in range(1, n + 1) for b in range(1, n + 1)
+            if a + b + m + whole * (n + m) <= 64
         ))))
     assert rep.margins == tuple(want)
     assert work.words == sum(oracles.fib(n + 2) for n in ns)
     assert work.pairs == sum(oracles.fib(n + 2) ** 2 for n in ns)
-    assert work.states <= 2 * 64 + 1  # the triple walks reach length 64
+    assert work.probes == work.memo_hits == 0
+    assert work.states <= 2 * 64 + 1  # the window cores reach length 64
 
 
 def test_density_glue_triple_witnesses_are_genuine():
     # h(L) = min(L, 2 + L // 2) at gap 2 joins every pair but not every
-    # triple at n = 3; the profile decides the triples, so the counters
-    # count only the pair witness scans at n = 4, 5 and 6
+    # triple at n = 3, and not every pair at n = 4, 5 and 6; the profile
+    # decides them all, so nothing is probed
     h = [min(L, 2 + L // 2) for L in range(1, 41)]
     work = GlueWork()
-    rep = verify_density_glue(make_bounded_density(1, h), range(2, 7), slack=0,
-                              f=lambda n: 2, work=work)
+    rep = verify_density_glue(make_bounded_density(1, h), range(2, 7), f=lambda n: 2,
+                              work=work)
     assert rep.verdict == FAIL
-    assert rep.witnesses[3] == {"triple": ["111", "111", "111"], "m": 2}
-    assert [n for n, got in rep.witnesses.items() if "triple" in got] == [3]
-    ok = oracles.bd_admissible([0, *h])
-    for n in (4, 5, 6):  # pair failures, each genuine
-        got = rep.witnesses[n]
-        v, w = (tuple(map(int, got[k])) for k in "vw")
-        assert ok(v) and ok(w) and not ok(v + (0,) * got["m"] + w)
-    assert not ok((1, 1, 1, 0, 0) * 2 + (1, 1, 1))
-    assert (work.probes, work.memo_hits) == (418, 432)
+    assert rep.margins == ((2, 1.0), (3, -3.0), (4, -6.0), (5, -3.0), (6, -4.0))
+    assert rep.witnesses == {
+        3: {"words": ["111", "111", "111"], "m": 2},
+        4: {"words": ["0111", "1111"], "m": 2},
+        5: {"words": ["00111", "11110"], "m": 2},
+        6: {"words": ["000111", "111100"], "m": 2},
+    }
+    assert all(_genuine([0, *h], n, got) for n, got in rep.witnesses.items())
+    assert not _density_glue_failures(1, [0, *h], 3, 2, most=2)  # n = 3 pairs all glue
+    assert (work.probes, work.memo_hits) == (0, 0)
 
 
-def _density_glue_failures(k, h, n, gaps):
-    """Brute force over L_n: whether some pair fails at a gap in gaps or,
-    every pair gluing, some triple v 0^m w 0^m u fails at a corner gap m
-    with 3n + 2m within the table."""
+def _density_glue_failures(k, h, n, m, most=5):
+    """Brute force: whether some list of up to `most` words of L_n joined by
+    m zeros is forbidden, h as in oracles.bd_admissible; windows past the
+    table are not checked, as the walker does not check them. Lists grow
+    one word at a time from the admissible ones, testing the windows that
+    end in the new word, so the first forbidden list is found."""
     words = oracles.bd_language(k, h, n)
-    ok = oracles.bd_admissible(h)
-    if any(not ok(v + (0,) * m + w) for m in gaps for v in words for w in words):
-        return True
-    corners = [m for m in (gaps[0], gaps[-1]) if 3 * n + 2 * m <= len(h) - 1]
-    return any(not ok(v + (0,) * m + w + (0,) * m + u)
-               for m in corners for v in words for w in words for u in words)
+    n_max = len(h) - 1
+    joins = words
+    for _ in range(most - 1):
+        grown = []
+        for t in joins:
+            for u in words:
+                x = t + (0,) * m + u
+                p = [0, *itertools.accumulate(x)]
+                if any(p[j] - p[i] > h[j - i] for j in range(len(t) + 1, len(x) + 1)
+                       for i in range(max(0, j - n_max), j)):
+                    return True
+                grown.append(x)
+        joins = grown
+    return False
 
 
-def _check_against_brute_force(k, heights, n_range, f, slack):
-    rep = verify_density_glue(make_bounded_density(k, heights), n_range, slack=slack, f=f)
+def _check_against_brute_force(k, heights, n, gap):
+    rep = verify_density_glue(make_bounded_density(k, heights), [n], f=lambda n: gap)
     h = [0, *heights]
-    failing = [n for n in n_range if _density_glue_failures(k, h, n, range(f(n), f(n) + slack + 1))]
-    assert sorted(rep.witnesses) == failing
-    assert rep.verdict == (FAIL if failing else PASS)
-    ok = oracles.bd_admissible(h)
-    for got in rep.witnesses.values():
-        if "triple" in got:
-            v, w, u = (tuple(map(int, x)) for x in got["triple"])
-            z = (0,) * got["m"]
-            assert ok(v) and ok(w) and ok(u) and len(v) == len(w) == len(u)
-            assert not ok(v + z + w + z + u)
+    assert rep.verdict == (FAIL if _density_glue_failures(k, h, n, gap) else PASS)
+    assert sorted(rep.witnesses) == ([n] if rep.verdict == FAIL else [])
+    assert all(_genuine(h, n, got) for got in rep.witnesses.values())
     return rep
 
 
 def test_density_glue_refutes_a_triple_no_pair_refutes():
     # every pair glues at gap 2, but 12 00 012 00 12 sums to 9 > h(11) = 8
     heights = [2, 3, 3, 4, 5, 6, 6, 6, 8, 8, 8, 9, 9]
-    rep = _check_against_brute_force(2, heights, [3], lambda n: 2, 0)
-    assert rep.margins == ((3, 0.0),)
-    assert rep.witnesses == {3: {"triple": ["012", "012", "120"], "m": 2}}
+    rep = _check_against_brute_force(2, heights, 3, 2)
+    assert rep.margins == ((3, -1.0),)
+    assert rep.witnesses == {3: {"words": ["012", "012", "120"], "m": 2}}
+    assert not _density_glue_failures(2, [0, *heights], 3, 2, most=2)
 
 
-def test_density_glue_verdicts_match_brute_force_over_pairs_and_triples():
-    # seeded positive, non-decreasing, subadditive tables, some too short
-    # for the triples at the far corner gap
+def test_density_glue_refutes_a_five_word_list_no_shorter_one_refutes():
+    # h(j) = min(j, 13 + floor(3(j - 13)/4)): 011 111 111 111 111 has the
+    # 14-window 1^14 > h(14) = 13, and every list of four words of L_3 at
+    # gap 0 is at most 12 long; the window 1^40 gives the margin
+    heights = [min(j, 13 + 3 * (j - 13) // 4) for j in range(1, 41)]
+    rep = _check_against_brute_force(1, heights, 3, 0)
+    assert rep.margins == ((3, -7.0),)
+    assert rep.witnesses == {3: {"words": ["011", "111", "111", "111", "111"], "m": 0}}
+    assert not _density_glue_failures(1, [0, *heights], 3, 0, most=4)
+
+
+def test_density_glue_verdicts_match_brute_force_over_lists_of_words():
+    # seeded positive, non-decreasing, subadditive tables too short for a
+    # window across four entire words, so lists of five words decide them
+    # (a window of the table then touches at most five words)
     rng = random.Random(7)
-    verdicts = []
-    for _ in range(40):
+    sizes = set()
+    for _ in range(150):
         k = rng.choice((1, 2))
-        n_top = rng.choice((2, 3)) if k == 2 else rng.choice((2, 3, 4))
-        gap, slack = rng.randrange(3), rng.randrange(2)
-        n_max = rng.randrange(2 * n_top + gap + slack, 3 * n_top + 2 * (gap + slack) + 2)
+        n = rng.choice((1, 2, 3)) if k == 1 else rng.choice((1, 2))
+        gap = rng.randrange(3)
+        n_max = rng.randrange(2 * n + gap, 2 + gap + 4 * (n + gap))
         h = [0, rng.randint(1, k)]
         for j in range(2, n_max + 1):
             cap = min(h[i] + h[j - i] for i in range(1, j))
             h.append(min(cap, h[-1] + rng.randrange(3)))
-        rep = _check_against_brute_force(k, h[1:], range(1, n_top + 1), lambda n: gap, slack)
-        verdicts.append(rep.verdict)
-    assert {PASS, FAIL} <= set(verdicts)
+        rep = _check_against_brute_force(k, h[1:], n, gap)
+        sizes.add(len(rep.witnesses[n]["words"]) if rep.witnesses else 0)
+    assert sizes == {0, 2, 3, 4, 5}  # passes, and witnesses of every size
 
 
 def test_density_glue_input_guards():
     with pytest.raises(InputError):
         verify_density_glue(make_golden_mean(), [2])
     bd = half_density(n_max=10)
+    verify_density_glue(bd, [4])  # 2 * 4 + f(4) = 10 fits
     with pytest.raises(InputError):
-        verify_density_glue(bd, [4])  # needs heights past the table end
+        verify_density_glue(bd, [5])  # needs heights past the table end
 
 
 # ---------------------------------------------------------------------------
