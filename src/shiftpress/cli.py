@@ -46,7 +46,7 @@ from .errors import (
 )
 from .potentials import Potential, VarProfile, variation_profile
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
-from .words import parse_word
+from .words import format_word, parse_word
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -269,7 +269,11 @@ def cmd_gap_profile(run: _Run) -> int:
         run.digest, flags={"mode": cfg.mode, "strategy": cfg.strategy},
     )
     exhausted = [r.n for r in rows if r.status == HORIZON_EXHAUSTED]
-    counterexamples = [r.n for r in rows if r.counterexample is not None]
+    counterexamples = {}
+    for r in rows:
+        if r.counterexample is not None:
+            v, w, m = r.counterexample
+            counterexamples[r.n] = {"v": format_word(v), "w": format_word(w), "m": m}
     run.finish(
         {
             "gap_profile": {
@@ -285,7 +289,9 @@ def cmd_gap_profile(run: _Run) -> int:
         print(f"horizon exhausted at n={exhausted}", file=sys.stderr)
         return EXIT_BUDGET
     if counterexamples:
-        print(f"declared bound violated at n={counterexamples}", file=sys.stderr)
+        n, first = next(iter(counterexamples.items()))
+        print(f"declared bound violated at n={list(counterexamples)}; at n={n} no filler of "
+              f"length {first['m']} joins v={first['v']} and w={first['w']}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 

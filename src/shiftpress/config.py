@@ -316,8 +316,8 @@ _VERIFY_TABLES = {
     CHECK_PARTITION_SPEC: {"pressure": _pressure, "f_const": _natural, "n_range": _N_RANGE},
     CHECK_PARTITION_ANCHOR: {"pressure": _pressure, "epsilon": _float_from(0),
                              "epsilons": _epsilons, "anchors": _N_RANGE},
-    CHECK_PARTITION_TRANS: {"pressure": _pressure, "C": _float, "onset": _int_from(3),
-                            "f_const": _natural, "n_range": _N_RANGE},
+    CHECK_PARTITION_TRANS: {"pressure": _pressure, "C": _float_from(0, strict=True),
+                            "onset": _int_from(3), "f_const": _natural, "n_range": _N_RANGE},
     CHECK_MEASURE_LOWER: {"cylinder": _word, "n_range": _N_RANGE},
 }
 ALL_CHECKS = tuple(_VERIFY_TABLES)
@@ -326,7 +326,7 @@ CHECK_TABLES = {"gap_profile": {"n_range": _N_RANGE}, "anchors": {"epsilons": _e
 CONFIG_TABLE = {
     "label": _str, "subshift": _read_subshift, "potential": _read_potential,
     "horizons": dict.fromkeys(Horizons._fields, _or_none(_natural)) | {"n_max": _positive},
-    "tolerances": dict.fromkeys(Tolerances._fields, _float),
+    "tolerances": {"margin": _float_from(0), "perron": _float_from(0, strict=True)},
     "strategy": _one_of(*STRATEGIES), "mode": _one_of(MODE_TRANSITIVITY, MODE_SPECIFICATION),
     "seed": _int, "pair_budget": _natural, "checks": CHECK_TABLES, "output_dir": _str,
 }

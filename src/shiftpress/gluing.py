@@ -8,13 +8,14 @@ Two questions are asked of a pair of admissible words (v, w):
 
 min_gap_profile answers them over all pairs at a length (or, once a full
 scan's decisions pass a budget, every first word against a seeded sample
-of second words), recording the worst pair as a witness. A gap is the
-least m at which any filler glues; the filler strategy picks only the
-witness filler there: the least one for `exhaustive` and `zero_glue`
-(0^m, the least word of length m, whenever it glues), and for
-`factor_glue` a concatenation of two Sturmian factors first (the sparse
-family's own gap construction), if one glues. FillerLevels.least is the
-only glue search.
+of second words), recording the worst pair as a witness. It is the only
+pair scan: sample_pairs picks its columns, and verify.verify_sparse_glue
+reads its transitivity rows. A gap is the least m at which any filler
+glues; the filler strategy picks only the witness filler there: the
+least one for `exhaustive` and `zero_glue` (0^m, the least word of
+length m, whenever it glues), and for `factor_glue` a concatenation of
+two Sturmian factors first (the sparse family's own gap construction),
+if one glues. FillerLevels.least is the only glue search.
 
 Whether v u w is admissible depends on v only through its walker key, so
 each word is read once to its end walker, and the fillers of length m
@@ -134,27 +135,6 @@ class FillerLevels:
                 return m, u
         return None
 
-    def scan(self, n: int, gaps: Iterable[int], strategy: str, pair_budget: int, seed: int,
-             work: GlueWork):
-        """Each pair's least gap at length n, by glue_pairs over least on
-        every word of L_n against pair_rows's columns, each word walked once
-        to its end walker. Returns ((walkers, words, columns), glue_pairs's
-        first three arguments for another scan of the same pairs; coverage;
-        the first pair with no gap; the first of largest gap), a pair as
-        (v, w, (m, u)) or None."""
-        words = list(iter_language(self.spec, n, self.budget))
-        if not words:
-            raise InputError(f"language empty at length {n}")
-        starts = [walk(self.root, v) for v in words]
-        keys = len({s.key() for s in starts})
-        columns, coverage = pair_rows(words, keys, pair_budget, seed)
-        work.words += len(words)
-        work.pairs += len(words) * len(columns)
-        missed, worst = glue_pairs(
-            starts, words, columns, lambda start, w: self.least(start, w, gaps, strategy), work
-        )
-        return (starts, words, columns), coverage, missed, worst
-
 
 class GlueWork:
     """Work of glue searches, summed over lengths: words read, (v, w) pairs
@@ -219,32 +199,23 @@ def find_glue(spec: SubshiftSpec, v: Word, w: Word, m: int, strategy: str) -> Wo
 
 
 def sample_pairs(words: Sequence[Word], keys: int, pair_budget: int,
-                 seed: int) -> tuple[list[int], float]:
-    """Columns for a scan whose keys * len(words) decisions pass the budget:
-    the lexicographic extremes and a maximal-sum word (the adversarial
-    candidates) and a seeded fill, pair_budget // keys in all but never
-    fewer than those, so a scan decides at most max(pair_budget, 3 * keys)
-    pairs. Returns (sorted column indices, coverage fraction)."""
+                 seed: int) -> tuple[Sequence[int], float]:
+    """The columns every first word is scanned against. A full scan decides
+    each (end key of v, w) once, keys * len(words) decisions for keys
+    distinct end keys; when those fit the budget the columns are every
+    index. Otherwise they are the lexicographic extremes and a maximal-sum
+    word (the adversarial candidates) and a seeded fill, pair_budget // keys
+    in all but never fewer than those, so a scan decides at most
+    max(pair_budget, 3 * keys) pairs. Returns (columns in increasing
+    order, coverage fraction)."""
     n = len(words)
     if keys * n <= pair_budget:
-        raise InputError(f"all {keys} x {n} decisions fit the pair budget {pair_budget}; "
-                         "none is sampled")
+        return range(n), 1.0
     marked = {0, n - 1, max(range(n), key=lambda i: (sum(words[i]), i))}
     rest = [j for j in range(n) if j not in marked]
     fill = random.Random(seed).sample(rest, max(0, pair_budget // keys - len(marked)))
     columns = sorted(marked.union(fill))
     return columns, len(columns) / n
-
-
-def pair_rows(words: Sequence[Word], keys: int, pair_budget: int,
-              seed: int) -> tuple[Sequence[int], float]:
-    """The columns every first word is scanned against: every index when a
-    full scan's decisions, one per (end key of v, w) and so keys *
-    len(words) for keys distinct end keys, fit the budget, else
-    sample_pairs's. Returns (columns, coverage fraction)."""
-    if keys * len(words) <= pair_budget:
-        return range(len(words)), 1.0
-    return sample_pairs(words, keys, pair_budget, seed)
 
 
 class GapRow(NamedTuple):
@@ -302,8 +273,16 @@ def min_gap_profile(
         )
     fillers = FillerLevels(spec, budget)
     work = GlueWork() if work is None else work
-    cut, coverage, missed, worst = fillers.scan(
-        n, range(m_max + 1), strategy, pair_budget, seed, work
+    words = list(iter_language(spec, n, budget))
+    if not words:
+        raise InputError(f"language empty at length {n}")
+    starts = [walk(fillers.root, v) for v in words]
+    columns, coverage = sample_pairs(words, len({s.key() for s in starts}), pair_budget, seed)
+    work.words += len(words)
+    work.pairs += len(words) * len(columns)
+    gaps = range(m_max + 1)
+    missed, worst = glue_pairs(
+        starts, words, columns, lambda start, w: fillers.least(start, w, gaps, strategy), work
     )
     status = "ok" if missed is None else HORIZON_EXHAUSTED
     counterexample = None if missed is None else (*missed[:2], m_max)
@@ -316,7 +295,7 @@ def min_gap_profile(
         def first_miss(start, w):
             return next(((m,) for m in checked if fillers.filler(start, w, m) is None), None)
 
-        miss, _ = glue_pairs(*cut, first_miss, work, stops=truth)
+        miss, _ = glue_pairs(starts, words, columns, first_miss, work, stops=truth)
         counterexample = None if miss is None else (*miss[:2], *miss[2])
     work.states += states_built(fillers.root)
 

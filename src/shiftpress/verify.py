@@ -9,7 +9,7 @@ side, so negative means violated), and witnesses for failures. Checks:
   bound; the heaviest-word profile decides every list at once, so no
   word is listed and status.glue probes and memo_hits stay 0;
 * sparse_glue - sparse Sturmian pairs admit some filler of length at
-  most the declared transitivity bound;
+  most the declared transitivity bound, one gap-profile row per length;
 * partition_upper_spec - lnZ(n) <= (n+f(n))P - f(n) inf(phi) + g(n);
 * partition_upper_anchor - lnZ(i) <= iP + eps ln(n_k) for i up to each
   anchor length n_k, from some onset anchor on;
@@ -35,7 +35,8 @@ from .config import (
 )
 from .errors import FAIL, PASS, PRECONDITION_FAIL, IdentityCheckError, InputError
 from .subshifts import (
-    DEFAULT_NODE_BUDGET, PAIR_BUDGET, SubshiftSpec, Tally, forward, states_built, walk,
+    DEFAULT_NODE_BUDGET, MODE_TRANSITIVITY, PAIR_BUDGET, SubshiftSpec, Tally, forward,
+    states_built, walk,
 )
 from .words import Word, format_word
 
@@ -205,18 +206,16 @@ def verify_sparse_glue(
 ) -> BoundReport:
     """Certificate that some filler of length <= f(n) joins every pair.
 
-    Past the pair budget (gluing.pair_rows) every first word is checked
-    against sampled second words (the lexicographic extremes and a
-    maximal-density word, plus a seeded fill); the coverage fraction is
-    reported. A pair's gap is the least at which any filler glues, so a
-    pair with none up to f(n) is a genuine counterexample whatever the
-    strategy, which picks only the witness filler. work, when given, gets
-    the search's counters added.
+    Each length is a transitivity row of gluing.min_gap_profile at m_max =
+    f(n), its pairs scanned or sampled as there, with its coverage. A
+    pair's gap is the least at which any filler glues, so a pair with none
+    up to f(n) is a genuine counterexample whatever the strategy, which
+    picks only the witness filler. work, when given, gets the search's
+    counters added.
     """
     f_at = f if f is not None else spec.declared_gap
     if f_at is None:
         raise InputError("no gap bound declared or supplied")
-    fillers = gluing.FillerLevels(spec, budget)
     work = gluing.GlueWork() if work is None else work
     margins = []
     witnesses: dict = {}
@@ -224,18 +223,19 @@ def verify_sparse_glue(
     coverages = {}
     for n in n_range:
         fn = f_at(n)
-        _, coverages[n], failed, worst = fillers.scan(
-            n, range(fn + 1), strategy, pair_budget, seed, work
+        row = gluing.min_gap_profile(
+            spec, n, MODE_TRANSITIVITY, fn, strategy,
+            budget=budget, pair_budget=pair_budget, seed=seed, work=work,
         )
-        if failed is not None:
+        coverages[n] = row.coverage
+        if row.counterexample is not None:
             verdict = FAIL
-            witnesses[n] = {"v": format_word(failed[0]), "w": format_word(failed[1]), "m_max": fn}
+            v, w, _ = row.counterexample
+            witnesses[n] = {"v": format_word(v), "w": format_word(w), "m_max": fn}
             margins.append((n, float(-1)))
             continue
-        margins.append((n, float(fn - worst[2][0])))
-        v, w, (_, u) = worst
-        witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, (v, u, w))))
-    work.states += states_built(fillers.root)
+        margins.append((n, float(fn - row.f_empirical)))
+        witnesses.setdefault("worst", {})[n] = dict(zip("vuw", map(format_word, row.witness)))
     return BoundReport(
         check=CHECK_SPARSE_GLUE,
         verdict=verdict,

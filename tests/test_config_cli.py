@@ -13,7 +13,7 @@ import yaml
 
 import cases
 import oracles
-from shiftpress import cli
+from shiftpress import cli, gluing
 from shiftpress.cli import main
 from shiftpress.config import (
     ALL_CHECKS,
@@ -658,6 +658,10 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
      "partition_upper_trans.onset"),
     ("verify partition_upper_trans", {"partition_upper_trans": {"onset": 5}},
      "partition_upper_trans.C"),  # C not given
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 0}},
+     "partition_upper_trans.C"),  # the bound C ln n needs C > 0
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": -1}},
+     "partition_upper_trans.C"),
     ("verify measure_lower", {"measure_lower": {"n_range": [2, 4]}},
      "measure_lower.cylinder"),  # cylinder not given
     ("anchors", {"anchors": {"epsilons": ["a"]}}, "anchors.epsilons"),
@@ -707,21 +711,30 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
     ("verify density_glue", {"density_glue": {"slack": 60, "n_range": [31, 32]},
                              "subshift": _bd(height={**BD_HEIGHT, "n_max": 64})},
      "density_glue.n_range"),
+    # no Perron iteration meets a tolerance of 0, and a negative margin
+    # crosses every bracket
+    ("pressure", {"tolerances": {"perron": 0}}, "tolerances.perron"),
+    ("verify partition_upper_trans", {"partition_upper_trans": {"C": 2.0},
+                                      "tolerances": {"perron": 0}}, "tolerances.perron"),
+    ("pressure", {"tolerances": {"margin": -1}}, "tolerances.margin"),
+    ("verify partition_upper_spec", {"tolerances": {"margin": -1}}, "tolerances.margin"),
 ])
 def test_malformed_check_parameters_exit_2_naming_the_key(tmp_path, capsys, command, params, key):
     # a budget of 5 nodes runs out at length 2 of any sweep, so every check
     # must read its parameters and lengths before it searches to name the
-    # bad one; horizons.* keys name the horizon, the others checks.<key>
+    # bad one; horizons.* and tolerances.* keys name themselves, the others
+    # checks.<key>
     params = dict(params)
     subshift = params.pop("subshift", {"family": "golden_mean"})
     horizons = params.pop("horizons", {"n_max": 10, "n_state": 2})
+    tolerances = params.pop("tolerances", {})
     cfg_path = write_yaml(tmp_path, golden_doc(subshift=subshift, horizons=horizons,
-                                               checks=params))
+                                               tolerances=tolerances, checks=params))
     out = tmp_path / "out"
     argv = [*command.split(), "--config", str(cfg_path), "--out", str(out), "--budget", "5"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert (key if key.startswith("horizons.") else f"checks.{key}") in err
+    assert (key if key.startswith(("horizons.", "tolerances.")) else f"checks.{key}") in err
     assert not out.exists()
 
 
@@ -882,9 +895,42 @@ def test_gap_profile_under_the_empirical_gap_exits_5(tmp_path, capsys):
                      checks={"gap_profile": {"n_range": [2, 3]}})
     out = tmp_path / "out"
     assert main(["gap-profile", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 5
-    assert "declared bound violated at n=[2, 3]" in capsys.readouterr().err
+    # at gap 0, 01 10 and 001 100 hold 11: each length's least (v, w, m)
+    assert ("declared bound violated at n=[2, 3]; at n=2 no filler of length 0 joins v=01 "
+            "and w=10") in capsys.readouterr().err
+    status = json.loads((out / "manifest.json").read_text())["status"]["gap_profile"]
+    assert status["counterexamples"] == {"2": {"v": "01", "w": "10", "m": 0},
+                                         "3": {"v": "001", "w": "100", "m": 0}}
     _, _, rows = read_csv_payload(out / "gap_profile.csv")
     assert [(r[1], r[2]) for r in rows] == [("0", "1"), ("0", "1")]  # f_declared, f_empirical
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("gap-profile", golden_doc(mode="specification",
+                               checks={"gap_profile": {"n_range": [4, 5, 6]}})),
+    ("verify sparse_glue", {"subshift": SPARSE_STURMIAN,
+                            "checks": {"sparse_glue": {"n_range": [4, 6, 8]}}}),
+], ids=["gap-profile", "sparse_glue"])
+@pytest.mark.parametrize("pair_budget", [None, 20])
+def test_every_glue_scan_takes_its_columns_from_sample_pairs(
+    tmp_path, monkeypatch, command, doc, pair_budget
+):
+    # sample_pairs is the one column rule: full scans reach it too, so a
+    # hook on it sees each length scanned once, sampled or not
+    calls, sample_pairs = [], gluing.sample_pairs
+
+    def counted(*args):
+        calls.append(sample_pairs(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(gluing, "sample_pairs", counted)
+    if pair_budget is not None:
+        doc = {**doc, "pair_budget": pair_budget}
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(write_yaml(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3
+    assert all((cov == 1.0) == (pair_budget is None) for _, cov in calls)
 
 
 def test_specification_horizon_below_the_declared_gap_exits_2(tmp_path, capsys):

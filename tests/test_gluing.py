@@ -13,7 +13,6 @@ from shiftpress.gluing import (
     find_glue,
     glue_candidates,
     min_gap_profile,
-    pair_rows,
     sample_pairs,
 )
 from shiftpress.subshifts import (
@@ -136,31 +135,33 @@ def end_keys(spec, words):
 
 def test_sample_pairs_small_sets_are_exhaustive():
     # a set that fits the budget reaches the scan as every column, not as a
-    # sample; sample_pairs draws samples only
+    # sample, up to keys x |L_n| = pair_budget
     words = list(iter_language(make_golden_mean(), 3))
     n = len(words)
-    assert pair_rows(words, n, 10_000, seed=7) == (range(n), 1.0)
-    with pytest.raises(InputError, match="fit the pair budget"):
-        sample_pairs(words, n, n ** 2, seed=7)
+    assert sample_pairs(words, n, 10_000, seed=7) == (range(n), 1.0)
+    assert sample_pairs(words, n, n ** 2, seed=7) == (range(n), 1.0)
 
 
-def test_pair_rows_pass_a_sample_as_columns():
+def test_sample_pairs_pass_a_sample_as_columns():
+    # past the budget the columns are a seeded sample, pair_budget // keys
     words = list(iter_language(make_golden_mean(), 6))
-    assert pair_rows(words, 3, 60, seed=3) == sample_pairs(words, 3, 60, seed=3)
+    columns, coverage = sample_pairs(words, 3, 60, seed=3)
+    assert (columns, coverage) == sample_pairs(words, 3, 60, seed=3)
+    assert isinstance(columns, list) and (len(columns), coverage) == (20, 20 / 21)
 
 
-def test_pair_rows_are_full_once_the_decisions_fit_the_budget():
+def test_sample_pairs_are_full_once_the_decisions_fit_the_budget():
     # a full scan decides each (end key of v, w) once: on the golden mean
     # at n = 6 that is 3 keys x 21 words = 63 decisions for 441 pairs
     gm = make_golden_mean()
     words = list(iter_language(gm, 6))
     keys = end_keys(gm, words)
     assert (keys, len(words)) == (3, 21)
-    assert pair_rows(words, keys, 63, seed=3) == (range(21), 1.0)
-    columns, coverage = pair_rows(words, keys, 62, seed=3)  # 62 // 3 columns
+    assert sample_pairs(words, keys, 63, seed=3) == (range(21), 1.0)
+    columns, coverage = sample_pairs(words, keys, 62, seed=3)  # 62 // 3 columns
     assert (len(columns), coverage) == (20, 20 / 21)
     # the old rule, one key per word, leaves only the three marked columns
-    assert len(pair_rows(words, 21, 63, seed=3)[0]) == 3
+    assert len(sample_pairs(words, 21, 63, seed=3)[0]) == 3
     assert min_gap_profile(gm, 6, m_max=4, pair_budget=63).coverage == 1.0
     assert min_gap_profile(gm, 6, m_max=4, pair_budget=62).coverage == coverage
 
