@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .potentials import Potential, VarProfile, variation_profile
 from .subshifts import DEFAULT_NODE_BUDGET, SubshiftSpec, Tally, iter_language
-from .words import format_word, parse_word
+from .words import check_symbols, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,6 +62,15 @@ VERDICT_EXIT = {
     PRECONDITION_FAIL: EXIT_PRECONDITION,
     HORIZON_EXHAUSTED: EXIT_BUDGET,
 }
+
+
+@contextmanager
+def _blaming(key: str):
+    """An InputError raised inside becomes one that names config key."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{key}: {exc}") from None
 
 
 class _Run:
@@ -78,10 +88,8 @@ class _Run:
         self.pot: Potential = build_potential(self.cfg.potential, self.spec)
         n_state = self.cfg.horizons.n_state
         if n_state is not None:
-            try:  # a density table must reach the transfer model's window
+            with _blaming("horizons.n_state"):  # a density table must reach the model's window
                 self.spec.root_walker(n_state + 1)
-            except InputError as exc:
-                raise InputError(f"horizons.n_state: {exc}") from None
         self.out = Path(args.out) if args.out else Path(self.cfg.output_dir)
         self.manifest = reports.RunManifest(config_digest=self.digest, command=args.command)
         self.glue: gluing.GlueWork | None = None
@@ -135,7 +143,7 @@ class _Run:
         pd = transfer.perron(model, tol=self.cfg.tolerances.perron)
         self.manifest.status["transfer"] = {
             "n_state": n_state, "explored": model.explored,
-            "states": model.state_count, "edges": len(model.edges()),
+            "states": model.state_count, "edges": len(model.edges),
             "nodes": model.nodes, "budget": self.budget,
             "iterations": pd.iterations, "residual": pd.residual,
             "ln_lambda": math.log(pd.lam),
@@ -224,6 +232,13 @@ def cmd_pressure(run: _Run) -> int:
     table, bracket = run.table, run.bracket
     # the transfer model is built before the first write: a failed one writes nothing
     transfer_data = run.transfer("pressure") if run.cfg.horizons.n_state is not None else None
+    # every model presents the subshift or a superset, so ln lambda >= P >= best_lo
+    if transfer_data is not None:
+        ln_lam = math.log(transfer_data[1].lam)
+        if ln_lam < bracket.best_lo - run.cfg.tolerances.margin:
+            raise InconsistentBracketError(
+                f"transfer ln lambda {ln_lam} lies below the lower bound; the declared gap "
+                "bounds are unsound for this instance", bracket.best_lo, bracket.best_hi)
     run.write(
         "partition.csv", reports.write_csv, reports.PARTITION_HEADER,
         reports.partition_rows(table), run.digest,
@@ -256,6 +271,8 @@ def cmd_gap_profile(run: _Run) -> int:
     cfg = run.cfg
     params = cfg.checks.get("gap_profile", {})
     ns = params.get("n_range", list(range(1, min(cfg.horizons.n_max, 8) + 1)))
+    with _blaming("strategy"):  # factor_glue only on a sparse Sturmian shift
+        gluing.lists_candidates(run.spec, cfg.strategy)
     work = run.glue_work()
     rows = [
         gluing.min_gap_profile(
@@ -304,17 +321,19 @@ def _run_check(run: _Run, tag: str):
     tol, n_max = cfg.tolerances.margin, cfg.horizons.n_max
     key = f"checks.{tag}.n_range" if "n_range" in params else "horizons.n_max"
     if tag in (CHECK_DENSITY_GLUE, CHECK_SPARSE_GLUE):
+        if tag == CHECK_DENSITY_GLUE and run.spec.family != "bounded_density":
+            raise InputError("subshift.family: density_glue runs on bounded density instances")
+        strategy = params.get("strategy", cfg.strategy)
+        if tag == CHECK_SPARSE_GLUE:
+            with _blaming(f"checks.{tag}.strategy" if "strategy" in params else "strategy"):
+                gluing.lists_candidates(run.spec, strategy)
         ns = run.lengths(key, params.get("n_range", range(2, min(n_max, 8) + 1)))
         glue = {"f": run.gap(params, (ns, key)), "budget": run.budget, "work": run.glue_work()}
         if tag == CHECK_DENSITY_GLUE:
-            try:
+            with _blaming(key):  # lengths past the height table
                 return verify.verify_density_glue(run.spec, ns, **glue)
-            except InputError as exc:  # on its family, lengths past the height table
-                if run.spec.family != "bounded_density":
-                    raise
-                raise InputError(f"{key}: {exc}") from None
         return verify.verify_sparse_glue(run.spec, ns, pair_budget=cfg.pair_budget, seed=cfg.seed,
-                                         strategy=params.get("strategy", cfg.strategy), **glue)
+                                         strategy=strategy, **glue)
     if tag == CHECK_PARTITION_SPEC:
         ns = run.lengths(key, params.get("n_range", range(1, n_max + 1)), 1, n_max)
         f = run.gap(params, (ns, key))
@@ -352,11 +371,14 @@ def _run_check(run: _Run, tag: str):
     # CHECK_MEASURE_LOWER, the last of ALL_CHECKS (the verify command's choices)
     if "cylinder" not in params:
         raise InputError("measure_lower needs checks.measure_lower.cylinder")
+    cyl_key, cyl = f"checks.{tag}.cylinder", parse_word(params["cylinder"])
+    with _blaming(cyl_key):
+        check_symbols(cyl, run.spec.alphabet_size)
     ns = run.lengths(key, params.get("n_range", range(1, n_max + 1)), 1, n_max)
     mm = transfer.markov_equilibrium(*run.transfer("measure_lower"))
-    return verify.verify_measure_lower(
-        mm, parse_word(params["cylinder"]), ns, run.table, run.g.g_at, tol, run.budget
-    )
+    table, g = run.table, run.g  # read first, so only a measure-0 cylinder is blamed
+    with _blaming(cyl_key):
+        return verify.verify_measure_lower(mm, cyl, ns, table, g.g_at, tol, run.budget)
 
 
 def cmd_verify(run: _Run, tag: str) -> int:

@@ -47,7 +47,7 @@ from .subshifts import (
 from .words import Word, check_symbols
 
 
-def _lists_candidates(spec: SubshiftSpec, strategy: str) -> bool:
+def lists_candidates(spec: SubshiftSpec, strategy: str) -> bool:
     """Whether the strategy lists candidates (factor_glue alone does);
     InputError if it is unknown, or is factor_glue off the sparse family."""
     if strategy not in STRATEGIES:
@@ -65,7 +65,7 @@ def glue_candidates(spec: SubshiftSpec, m: int, strategy: str) -> Iterator[Word]
         raise InputError("filler length must be >= 0")
     if m == 0:
         yield ()
-    elif _lists_candidates(spec, strategy):
+    elif lists_candidates(spec, strategy):
         fs = spec.params["factor_set"]
         seen = set()
         for ka in range(max(0, m - fs.k_max), min(m, fs.k_max) + 1):  # both parts <= k_max
@@ -124,7 +124,7 @@ class FillerLevels:
         """(m, u) for the least m in gaps at which some filler takes start
         on through w, or None if no m does. u is the first of the
         strategy's candidates that does, or else the least filler."""
-        listed = _lists_candidates(self.spec, strategy)
+        listed = lists_candidates(self.spec, strategy)
         for m in gaps:
             for u in glue_candidates(self.spec, m, strategy) if listed else ():
                 mid = walk(start, u)

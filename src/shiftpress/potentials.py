@@ -14,11 +14,11 @@ Kinds provided:
 * run levels - value a_k at run radius k with limit value a_inf on
   constant points.
 
-Every kind also has a scanner (Potential.scanner) that reads a word
-left to right and emits each site's eval interval as soon as the symbols
-read so far decide it; partition sums run on scanners instead of
-evaluating every site of every word. Variation profiles use closed forms
-per kind.
+Every potential is also its own scanner (Potential.start, step, close):
+it reads a word left to right and emits each site's eval interval as
+soon as the symbols read so far decide it; partition sums and the
+transfer model's class graph run on scanner states instead of evaluating
+every site of every word. Variation profiles use closed forms per kind.
 
 This module is the one home of directed rounding: the `decimal` contexts
 _LO and _HI (toward -inf and +inf) of the partition lanes, _EXACT for sums
@@ -109,28 +109,25 @@ def interval_sum(ivs: Sequence[Interval]) -> Interval:
 
 
 class Potential:
-    """Interface: eval(word, center) -> Interval, plus global bounds."""
+    """Interface: eval(word, center) -> Interval, plus global bounds, and
+    the potential as a left-to-right scanner of its site values.
+
+    The scanner's hashable `start` state stands for the empty word;
+    step(state, sym) returns (next state, the intervals of the sites that
+    symbol decides) and close(state) the intervals of the sites still
+    pending when the word ends. Over a whole word the emitted intervals
+    are [self.eval(w, i) for i in range(len(w))] as a multiset, except
+    that sites whose value is exactly 0 may emit nothing. Scanners take
+    their values from eval on a short stand-in word, so eval stays the one
+    definition of each potential; callers memoise per state.
+    """
 
     kind: str = "abstract"
     bounds: Interval = ZERO_INTERVAL
+    start: object
 
     def eval(self, w: Word, center: int) -> Interval:
         raise NotImplementedError
-
-    def scanner(self):
-        """A fresh left-to-right scanner of this potential's site values.
-
-        A scanner has a hashable `start` state (the empty word);
-        step(state, sym) returns (next state, the intervals of the sites
-        that symbol decides) and close(state) the intervals of the sites
-        still pending when the word ends. Over a whole word the emitted
-        intervals are [self.eval(w, i) for i in range(len(w))] as a
-        multiset, except that sites whose value is exactly 0 may emit
-        nothing. Scanners take their values from eval on a short stand-in
-        word, so eval stays the one definition of each potential; callers
-        memoise per state.
-        """
-        raise NotImplementedError(f"{self.kind} potential has no scanner")
 
     def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
         """var(n) for n <= n_max: the largest eval width at the center of
@@ -146,7 +143,7 @@ def _check_center(w: Word, center: int) -> None:
 
 
 class ZeroPotential(Potential):
-    """The constant 0; its own scanner, with one state and no emissions."""
+    """The constant 0: one scanner state and no emissions."""
 
     kind = "zero"
     bounds = ZERO_INTERVAL
@@ -155,9 +152,6 @@ class ZeroPotential(Potential):
     def eval(self, w: Word, center: int) -> Interval:
         _check_center(w, center)
         return ZERO_INTERVAL
-
-    def scanner(self):
-        return self
 
     def step(self, state, sym):
         return (), ()
@@ -173,9 +167,14 @@ class LocallyConstantPotential(Potential):
     default. With default=None the table must be total over the alphabet.
     When fewer than r symbols are visible on a side, the result is the
     hull over all completions of the visible pattern.
+
+    As a scanner its state is the last <= 2r symbols. Reading position j
+    decides site j - r, whose visible window is the state plus the new
+    symbol; at the end the last r sites are pending.
     """
 
     kind = "locally_constant"
+    start = ()
 
     def __init__(
         self,
@@ -248,8 +247,16 @@ class LocallyConstantPotential(Potential):
             hi = max(hi, d)
         return Interval(lo, hi)
 
-    def scanner(self):
-        return _WindowScanner(self)
+    def step(self, state, sym):
+        r = self.radius
+        window = state + (sym,)
+        center = len(window) - 1 - r
+        emitted = (self.eval(window, center),) if center >= 0 else ()
+        return window[max(0, len(window) - 2 * r) :], emitted
+
+    def close(self, state):
+        r = self.radius
+        return tuple(self.eval(state, c) for c in range(max(0, len(state) - r), len(state)))
 
     def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
         # from radius r on, the whole table window is visible at the center
@@ -260,32 +267,6 @@ class LocallyConstantPotential(Potential):
                 worst = max(worst, self.eval(w, n).width)
             var.append(worst)
         return var + [0.0] * (n_max + 1 - len(var))
-
-
-class _WindowScanner:
-    """Scanner for a radius-r table: the state is the last <= 2r symbols.
-
-    Reading position j decides site j - r, whose visible window is the
-    state plus the new symbol; at the end the last r sites are pending.
-    """
-
-    start = ()
-
-    def __init__(self, pot: LocallyConstantPotential):
-        self.pot = pot
-
-    def step(self, state, sym):
-        r = self.pot.radius
-        window = state + (sym,)
-        center = len(window) - 1 - r
-        emitted = (self.pot.eval(window, center),) if center >= 0 else ()
-        return window[max(0, len(window) - 2 * r) :], emitted
-
-    def close(self, state):
-        r = self.pot.radius
-        return tuple(
-            self.pot.eval(state, c) for c in range(max(0, len(state) - r), len(state))
-        )
 
 
 def _visible_break(w: Word, center: int) -> tuple[int, int | None]:
@@ -308,11 +289,19 @@ def _visible_break(w: Word, center: int) -> tuple[int, int | None]:
 
 
 class _RunPotential(Potential):
-    """A value fixed by the run radius of the center; see _RunScanner.
+    """A value fixed by the run radius of the center.
 
     Each kind supplies _hull(lo, hi), the hull of its values at run radii
     lo..hi; hi None covers every radius >= lo and the constant points.
+
+    As a scanner its state is (symbol, run length, whether the run
+    touches the left edge). A run's values are decided when it ends. They
+    depend only on its length and on which word edges it touches, so they
+    are read off a canonical word, the run of 0s with a 1 on each side
+    that has a break, and memoised per (length, edges) in _runs.
     """
+
+    start = None
 
     def eval(self, w: Word, center: int) -> Interval:
         _check_center(w, center)
@@ -321,38 +310,6 @@ class _RunPotential(Potential):
             return self._hull(rv, None)
         # the run radius is between rv and d - 1, a point when d <= rv + 1
         return self._hull(min(rv, d - 1), d - 1)
-
-    def scanner(self):
-        return _RunScanner(self)
-
-    def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
-        # a visible break at distance d <= n decides the center of a
-        # (2n+1)-block, so only admissible constant blocks leave width
-        root = spec.root_walker()
-        return [
-            self._hull(n, None).width
-            if any(walk(root, (s,) * (2 * n + 1)) is not None
-                   for s in range(spec.alphabet_size))
-            else 0.0
-            for n in range(n_max + 1)
-        ]
-
-
-class _RunScanner:
-    """Scanner for run potentials: the state is (symbol, run length,
-    whether the run touches the left edge).
-
-    A run's values are decided when it ends. They depend only on its
-    length and on which word edges it touches, so they are read off a
-    canonical word, the run of 0s with a 1 on each side that has a break,
-    and memoised per (length, edges).
-    """
-
-    start = None
-
-    def __init__(self, pot: _RunPotential):
-        self.pot = pot
-        self._runs: dict = {}
 
     def step(self, state, sym):
         if state is None:
@@ -368,16 +325,30 @@ class _RunScanner:
         _s, length, left = state
         return self._run(length, left, True)
 
+    @cached_property
+    def _runs(self) -> dict:
+        return {}
+
     def _run(self, length: int, left: bool, right: bool) -> tuple[Interval, ...]:
         key = (length, left, right)
         got = self._runs.get(key)
         if got is None:
             pad = int(not left)
             word = (1,) * pad + (0,) * length + (1,) * (not right)
-            got = self._runs[key] = tuple(
-                self.pot.eval(word, pad + i) for i in range(length)
-            )
+            got = self._runs[key] = tuple(self.eval(word, pad + i) for i in range(length))
         return got
+
+    def var_widths(self, spec: SubshiftSpec, n_max: int, budget: int) -> list[float]:
+        # a visible break at distance d <= n decides the center of a
+        # (2n+1)-block, so only admissible constant blocks leave width
+        root = spec.root_walker()
+        return [
+            self._hull(n, None).width
+            if any(walk(root, (s,) * (2 * n + 1)) is not None
+                   for s in range(spec.alphabet_size))
+            else 0.0
+            for n in range(n_max + 1)
+        ]
 
 
 # how far the divergence flag sums 1/h(n) for a callable h (a table: its end)

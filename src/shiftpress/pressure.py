@@ -73,10 +73,9 @@ def _sweep(
     prefix: Word = (),
 ) -> tuple[list[PartitionRow], int, int]:
     """Rows for lengths max(1, len(prefix)) .. n_max of the words
-    extending prefix, from one forward pass whose lane is the scanner
-    state with a word count and the lo and hi weights, plus the walker
-    child calls charged and the largest frontier."""
-    scan = pot.scanner()
+    extending prefix, from one forward pass whose lane is the potential's
+    scanner state with a word count and the lo and hi weights, plus the
+    walker child calls charged and the largest frontier."""
     a_size = spec.alphabet_size
     lo_add, lo_mul, hi_add, hi_mul = _LO.add, _LO.multiply, _HI.add, _HI.multiply
     moves: dict = {}  # scanner state -> per symbol (next state, lo factor, hi factor)
@@ -85,7 +84,7 @@ def _sweep(
     def moves_from(state):
         got = moves[state] = []
         for sym in range(a_size):
-            nxt, ivs = scan.step(state, sym)
+            nxt, ivs = pot.step(state, sym)
             got.append((nxt, *_factors(ivs)))
         return got
 
@@ -98,7 +97,7 @@ def _sweep(
         return old[0] + new[0], lo_add(old[1], new[1]), hi_add(old[2], new[2])
 
     tally = Tally()
-    lane = (scan.start, (1, _ONE, _ONE), step, merge)
+    lane = (pot.start, (1, _ONE, _ONE), step, merge)
     rows = []
     for n, level in enumerate(forward(spec.root_walker(), a_size, prefix, n_max, budget, tally,
                                       lane), len(prefix)):
@@ -108,7 +107,7 @@ def _sweep(
         total = 0
         for _w, state, (count, lo, hi) in level.values():
             c_lo, c_hi = closes.get(state) or closes.setdefault(
-                state, _factors(scan.close(state))
+                state, _factors(pot.close(state))
             )
             z_lo = lo_add(z_lo, lo_mul(lo, c_lo))
             z_hi = hi_add(z_hi, hi_mul(hi, c_hi))

@@ -8,9 +8,9 @@ on (`pressure._sweep`): equal keys admit the same continuations and equal
 scanner states emit the same site values from there on (Lind & Marcus, An
 Introduction to Symbolic Dynamics and Coding, section 3.2). One closure
 pass of `subshifts.forward` finds them, from the root in symbol order
-until a length brings no new class; an edge's weight is e^phi for the
-site values the scanner emits on that step, so any radius works at any
-n_state.
+until a length brings no new class; an edge's phi sums the site values
+the potential, as a scanner, emits on that step, so any radius works at
+any n_state. The model keeps its edges as one list (TransferModel.edges).
 
 The root walker is asked for the window K = n_state + 1. The full shift,
 SFTs and their products ignore it, and their model is exact: the golden
@@ -47,45 +47,40 @@ class TransferModel:
     """Recurrent classes of the class graph.
 
     The edge reading symbol s from state i goes to succ[i][s] (-1: no
-    edge) with weight e^phi(edge) in weights[i][s] and phi(edge) in
-    log_weights[i][s]. labels[i] is the least word from the root to state
-    i. explored counts the classes visited before the transient ones were
-    dropped, nodes what was charged to the budget.
+    edge). edges lists every edge as (i, s, succ[i][s], phi(edge)), row by
+    row in symbol order; its weight is e^phi. labels[i] is the least word
+    from the root to state i. explored counts the classes visited before
+    the transient ones were dropped, nodes what was charged to the budget.
     """
 
-    __slots__ = ("spec", "pot", "n_state", "labels", "succ", "weights", "log_weights",
-                 "explored", "nodes")
+    __slots__ = ("spec", "pot", "n_state", "labels", "succ", "edges", "explored", "nodes")
 
     def __init__(self, spec: SubshiftSpec, pot: Potential, n_state: int,
-                 labels: tuple[Word, ...], succ: list[list[int]], weights: list[list[float]],
-                 log_weights: list[list[float]], explored: int, nodes: int):
+                 labels: tuple[Word, ...], succ: list[list[int]],
+                 edges: list[tuple[int, int, int, float]], explored: int, nodes: int):
         self.spec, self.pot, self.n_state = spec, pot, n_state
-        self.labels, self.succ, self.weights, self.log_weights = labels, succ, weights, log_weights
+        self.labels, self.succ, self.edges = labels, succ, edges
         self.explored, self.nodes = explored, nodes
 
     @property
     def state_count(self) -> int:
         return len(self.labels)
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """(state, symbol, successor) of every edge, row by row in symbol order."""
-        return [(i, s, j) for i, row in enumerate(self.succ) for s, j in enumerate(row) if j >= 0]
-
 
 def _class_graph(spec: SubshiftSpec, pot: Potential, window: int, budget: int):
     """Labels, successors and emitted site values of the classes reached
     from the root walker at window, from one closure pass whose lane is
-    the scanner state with the least word reaching the class; plus the
-    nodes charged. The classes are numbered breadth first in symbol order,
-    so each class is first reached by its least word."""
-    scan, a_size, tally = pot.scanner(), spec.alphabet_size, Tally()
+    the potential's scanner state with the least word reaching the class;
+    plus the nodes charged. The classes are numbered breadth first in
+    symbol order, so each class is first reached by its least word."""
+    a_size, tally = spec.alphabet_size, Tally()
     moves: dict = {}  # (scanner state, symbol) -> (next state, emitted values)
 
     def step(state, word, sym):
-        got = moves[state, sym] = scan.step(state, sym)
+        got = moves[state, sym] = pot.step(state, sym)
         return got[0], word + (sym,)
 
-    lane = (scan.start, (), step, min)
+    lane = (pot.start, (), step, min)
     classes: dict = {}
     root = spec.root_walker(window)
     for level in forward(root, a_size, (), math.inf, budget, tally, lane, True):
@@ -187,19 +182,12 @@ def build_transfer(
     new = {old: i for i, old in enumerate(keep)}
     # an edge out of the component leads to no cycle, and is dropped
     rows = [[new.get(j, -1) for j in succ[old]] for old in keep]
-    logs = [
-        [_edge_phi(emitted[old][s]) if j >= 0 else 0.0 for s, j in enumerate(row)]
-        for old, row in zip(keep, rows)
-    ]
-    weights = [
-        [math.exp(phi) if j >= 0 else 0.0 for phi, j in zip(l_row, row)]
-        for l_row, row in zip(logs, rows)
-    ]
+    edges = [(i, s, j, _edge_phi(emitted[old][s]))
+             for i, (old, row) in enumerate(zip(keep, rows)) for s, j in enumerate(row) if j >= 0]
     return TransferModel(
         spec, pot, n_state,
         labels=tuple(labels[old] for old in keep),
-        succ=rows, weights=weights, log_weights=logs,
-        explored=len(labels), nodes=nodes,
+        succ=rows, edges=edges, explored=len(labels), nodes=nodes,
     )
 
 
@@ -240,24 +228,19 @@ def perron(
     """Dominant eigenvalue and eigenvectors by power iteration, the
     eigenvalue read off both vectors at the end.
 
-    (M v)[i] adds the edges of row i in symbol order, and (v M)[j] adds
-    the edges into j in row order, each from 0.0 left to right.
+    Both products are one pass over the model's edge list: (M v)[i] adds
+    the edges of row i in symbol order, and (v M)[j] adds the edges into j
+    in row order, each from 0.0 left to right.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     n = model.state_count
-    edges = [(i, j, model.weights[i][s]) for i, s, j in model.edges()]
-    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, w in edges:
-        out[i].append((j, w))
+    edges = [(i, j, math.exp(phi)) for i, _s, j, phi in model.edges]
 
     def right_product(v):
-        got = []
-        for row in out:
-            t = 0.0
-            for j, w in row:
-                t += w * v[j]
-            got.append(t)
+        got = [0.0] * n
+        for i, j, w in edges:
+            got[i] += w * v[j]
         return got
 
     def left_product(v):
@@ -285,7 +268,7 @@ def perron(
 class MarkovMeasure:
     """Stationary Markov chain on the model's states built from Perron data.
 
-    p(u, v) = M[u, v] r(v) / (lam r(u)), kept like the weights as
+    p(u, v) = M[u, v] r(v) / (lam r(u)), kept like the successors as
     p[u][s] for the edge reading s (0 where there is none);
     pi(u) = l(u) r(u). entropy and phi_integral satisfy
     entropy + phi_integral = ln(lam) up to rounding, which is checked at
@@ -316,13 +299,13 @@ def markov_equilibrium(
     p = [[0.0] * len(row) for row in model.succ]
     row_sums, flow = [0.0] * n, [0.0] * n
     plogp, phi_terms = [], []
-    for i, s, j in model.edges():
-        q = p[i][s] = model.weights[i][s] * r[j] / (lam * r[i])
+    for i, s, j, phi in model.edges:
+        q = p[i][s] = math.exp(phi) * r[j] / (lam * r[i])
         row_sums[i] += q
         flow[j] += q * pi[i]
         if q > 0.0:
             plogp.append(pi[i] * q * math.log(q))
-        phi_terms.append(pi[i] * q * model.log_weights[i][s])
+        phi_terms.append(pi[i] * q * phi)
     if max(abs(x - 1.0) for x in row_sums) > 1e-9:
         raise IdentityCheckError("transition rows do not sum to 1")
     stat_gap = math.fsum(abs(x - y) for x, y in zip(flow, pi))

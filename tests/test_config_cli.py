@@ -695,6 +695,9 @@ SPARSE_STURMIAN = {"family": "sparse_sturmian", "slope": [8, 21], "k_max": 2, "n
      "partition_upper_trans.n_range"),
     ("verify measure_lower", {"measure_lower": {"cylinder": "0", "n_range": [40]}},
      "measure_lower.n_range"),
+    # symbols outside the alphabet are read before the transfer build
+    ("verify measure_lower", {"measure_lower": {"cylinder": "7"}}, "measure_lower.cylinder"),
+    ("verify sparse_glue", {"sparse_glue": {"strategy": "factor_glue"}}, "sparse_glue.strategy"),
     ("verify partition_upper_anchor", {"partition_upper_anchor": {"anchors": [400]}},
      "partition_upper_anchor.anchors"),
     # the anchor search starts at n = 3
@@ -768,6 +771,34 @@ def test_crossed_bracket_exits_4(tmp_path):
     )
     cfg_path = write_yaml(tmp_path, doc)
     assert main(["pressure", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_lower_side_above_the_transfer_ln_lambda_exits_4_and_writes_nothing(tmp_path, capsys):
+    # m = 2 cannot glue ..1 to 1.. when 1001 is forbidden, so the declared
+    # gap 1 is false; the bracket [0.7015, 0.7140] does not cross, but its
+    # lower side sits above ln lambda = 0.69956
+    doc = golden_doc(
+        subshift={"family": "sft", "forbidden": ["11", "1001"], "declared_gap": 1},
+        potential={"kind": "locally_constant", "radius": 0, "values": {"0": 0.0, "1": 1.0}},
+        horizons={"n_max": 40, "n_state": 4},
+    )
+    out = tmp_path / "out"
+    assert main(["pressure", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "transfer ln lambda 0.69955" in err and "best_lo=0.70150" in err
+    assert not out.exists()
+
+
+def test_windowed_transfer_ln_lambda_may_exceed_the_upper_side(tmp_path):
+    # the sqrt table h(n) = floor(n/3) + ceil(2 sqrt n) cut to windows of
+    # length 15 presents a superset: ln lambda 0.692694 > best_hi 0.692549
+    heights = [n // 3 + math.isqrt(4 * n - 1) + 1 for n in range(1, 41)]
+    doc = golden_doc(subshift=_bd(height={"form": "table", "values": heights}),
+                     horizons={"n_max": 22, "n_state": 14})
+    out = tmp_path / "out"
+    assert main(["pressure", "--config", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 0
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    assert status["transfer"]["ln_lambda"] > status["bracket"]["best_hi"]
 
 
 def test_failed_transfer_model_exits_4_and_writes_nothing(tmp_path, capsys):
@@ -962,6 +993,27 @@ def test_factor_glue_off_the_sparse_family_exits_2(tmp_path, capsys, command, mo
     assert "factor_glue needs a sparse Sturmian instance" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, over, key", [
+    ("gap-profile", {"strategy": "factor_glue"}, "strategy"),
+    ("verify sparse_glue", {"strategy": "factor_glue"}, "strategy"),
+    ("verify density_glue", {}, "subshift.family"),
+])
+def test_family_settings_exit_2_naming_the_key_before_any_pass(tmp_path, capsys, command, over,
+                                                               key):
+    # a budget of 1 node runs out at length 1 of any pass on the golden mean
+    out = tmp_path / "out"
+    argv = [*command.split(), "--config", str(write_yaml(tmp_path, golden_doc(**over))),
+            "--out", str(out), "--budget", "1"]
+    assert main(argv) == 2
+    assert f"input error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_measure_cylinder_exits_2_naming_the_key(tmp_path, capsys):
+    doc = golden_doc(checks={"measure_lower": {"cylinder": "11"}})
+    _cli_rejects(tmp_path, capsys, doc, "checks.measure_lower.cylinder", "verify measure_lower")
 
 
 @pytest.mark.parametrize("table, rc", [(9, 0), (8, 2)])

@@ -196,10 +196,8 @@ def test_non_finite_potential_parameters_fail_at_construction(build, name, bad):
 
 
 def test_zero_potential_flag():
-    z = ZeroPotential()
-    scan = z.scanner()  # its own scanner: one state, nothing emitted
-    assert isinstance(scan, ZeroPotential)
-    assert scan.step(scan.start, 1) == ((), ()) and scan.close(scan.start) == ()
+    z = ZeroPotential()  # as a scanner: one state, nothing emitted
+    assert z.step(z.start, 1) == ((), ()) and z.close(z.start) == ()
     iv = partial_sum(z, (0, 1, 0))
     assert (iv.lo, iv.hi) == (0.0, 0.0)
 
@@ -287,12 +285,11 @@ ALPHABET = {fam.label: fam.spec().alphabet_size for fam in FAMILIES}
 
 
 def scanned(pot, w):
-    scan = pot.scanner()
-    state, out = scan.start, []
+    state, out = pot.start, []
     for s in w:
-        state, ivs = scan.step(state, s)
+        state, ivs = pot.step(state, s)
         out.extend(ivs)
-    return out + list(scan.close(state))
+    return out + list(pot.close(state))
 
 
 @settings(deadline=None, max_examples=300)
@@ -311,9 +308,8 @@ def test_scanner_emits_exactly_the_site_values(family, kind, n, data):
 
 def test_run_scanner_reads_each_run_length_once():
     pot = make_reciprocal_run(h_lin)
-    scan = pot.scanner()
-    a = scan.step((0, 3, False), 1)
-    b = scan.step((1, 3, False), 0)
+    a = pot.step((0, 3, False), 1)
+    b = pot.step((1, 3, False), 0)
     assert a[0] == (1, 1, False) and b[0] == (0, 1, False)
     assert a[1] is b[1] and len(a[1]) == 3
     assert scanned(pot, (0, 0, 0, 1, 1)) == scanned(pot, (1, 1, 1, 0, 0))

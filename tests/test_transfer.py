@@ -177,8 +177,8 @@ def compare_class_graph_with_oracle(spec, ok, n_state, radius=None, block_len=4,
     model = build_transfer(spec, pot, n_state)
     if not windowed:
         again = build_transfer(spec, pot, 1)
-        assert (again.labels, again.succ, again.weights) == (
-            model.labels, model.succ, model.weights)
+        assert (again.labels, again.succ, again.edges) == (
+            model.labels, model.succ, model.edges)
     try:
         pd = perron(model, max_iter=20_000)
     except ConvergenceError:  # periodic graph whose Perron vector is not uniform
